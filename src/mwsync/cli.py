@@ -72,6 +72,17 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of ``--pairs``: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _grid_from_flag(text: str) -> GridSpec:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) not in (6, 7):
@@ -418,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("causal", help="chronology / automorphism checks")
     common(p)
     p.add_argument("--map", required=True)
-    p.add_argument("--pairs", type=int, default=1000)
+    p.add_argument("--pairs", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("propertime", help="proper-time computations")
@@ -450,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
-    p.add_argument("--pairs", type=int, default=100000)
+    p.add_argument("--pairs", type=_positive_int, default=100000)
     p.add_argument("--seed", type=int, default=None)
 
     return parser

@@ -559,7 +559,7 @@ def chronology_check(
         x1 = np.concatenate([x1, xlo[keep]])
         t2 = np.concatenate([t2, thi[keep]])
         x2 = np.concatenate([x2, xhi[keep]])
-    else:
+    if t1.size < n_pairs:
         raise EvaluationFailure(
             "could not sample decisively chronological pairs in the box"
         )

@@ -14,8 +14,14 @@ route independently so the two can be checked against each other.
 In null coordinates the map splits into two one-dimensional strictly
 increasing profiles, ``out_plus = P(s + x)`` and ``out_minus =
 M(s - x)`` with ``P = t + x`` and ``M = t - x`` along the worldline.
-Inverting the chart therefore reduces to two scalar root findings,
-done here by bracketed bisection.
+Inverting the chart therefore reduces to inverting ``P`` and ``M``.
+Kinds with a closed-form inverse supply it
+(:meth:`~mwsync.observers.Observer.null_inverse`); every other kind is
+solved by a safeguarded Newton iteration ("rtsafe", Numerical Recipes
+section 9.4) that takes the worldline velocity as the profile slope and
+falls back to bisection whenever a Newton step would leave the bracket
+or fails to halve the previous step.  Each element iterates on its own
+until it converges, so a result never depends on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -36,6 +42,11 @@ from .observers import Observer, Smoothness
 
 __all__ = ["MarzkeWheelerMap"]
 
+# Iteration cap of the root finder.  Newton takes 4 to 11 rounds on the
+# smooth kinds; bisection alone needs 60 rounds to shrink a bracket
+# 2**60 * root_tol wide down to root_tol.
+_ITERATION_CAP = 100
+
 
 class MarzkeWheelerMap:
     """Synchronization chart of one observer, with inverse and derivative.
@@ -45,8 +56,9 @@ class MarzkeWheelerMap:
     observer : Observer
         Future-directed timelike worldline carrying the chart.
     root_tol : float
-        Absolute parameter tolerance of the bisection used by the
-        radar inverse.
+        Absolute parameter tolerance of the radar inverse's root finder:
+        an element stops once its Newton step or its bracket is this
+        small.  Closed-form inverses do not use it.
     bracket_limit : float
         Safety bound on the bracket-doubling search; exceeding it
         raises :class:`EvaluationFailure` rather than looping.
@@ -141,38 +153,109 @@ class MarzkeWheelerMap:
         return self.observer.null_minus
 
     def _bracket(self, fn, targets):
+        """Per-element ``[a, b]`` with ``fn(a) <= target <= fn(b)``.
+
+        Returns ``a, b`` and the residuals ``fn(a) - targets`` and
+        ``fn(b) - targets``.  On an unbounded domain the ends double
+        outward from ``[-1, 1]``.  Every element visits the same points
+        ``-2**k`` and ``2**k``, so the profile is tabulated there once,
+        just far enough for the extreme targets, and each element takes
+        the first ``k`` that brackets it.
+        """
         lo, hi = self.observer.domain
         if math.isfinite(lo) and math.isfinite(hi):
-            return np.full(targets.shape, lo), np.full(targets.shape, hi)
-        a = np.full(targets.shape, -1.0)
-        b = np.full(targets.shape, 1.0)
-        for _ in range(64):
-            need_lo = fn(a) > targets
-            need_hi = fn(b) < targets
-            if not (need_lo.any() or need_hi.any()):
-                return a, b
-            a = np.where(need_lo, a * 2.0, a)
-            b = np.where(need_hi, b * 2.0, b)
-            if max(np.max(np.abs(a)), np.max(np.abs(b))) > self.bracket_limit:
-                break
-        raise EvaluationFailure(
-            f"bracket search exceeded bracket_limit = {self.bracket_limit:g}"
-        )
+            f_lo, f_hi = fn(np.array([lo, hi]))
+            return (np.full(targets.shape, lo), np.full(targets.shape, hi),
+                    f_lo - targets, f_hi - targets)
+        lowest = np.min(targets, initial=math.inf)
+        highest = np.max(targets, initial=-math.inf)
+        reach = 1.0
+        table = [fn(np.array([-reach, reach]))]
+        while not (table[-1][0] <= lowest and table[-1][1] >= highest):
+            reach *= 2.0
+            if reach > self.bracket_limit or len(table) == 64:
+                raise EvaluationFailure(
+                    f"bracket search exceeded bracket_limit = {self.bracket_limit:g}"
+                )
+            table.append(fn(np.array([-reach, reach])))
+        f_lo, f_hi = np.array(table).T
+        # On increasing profiles, the first k that brackets a target is
+        # the number of earlier tabulated points that do not.
+        k_lo = np.count_nonzero(f_lo[:-1, None] > targets, axis=0)
+        k_hi = np.count_nonzero(f_hi[:-1, None] < targets, axis=0)
+        ends = np.ldexp(1.0, np.arange(len(table)))
+        return (-ends.take(k_lo), ends.take(k_hi),
+                f_lo.take(k_lo) - targets, f_hi.take(k_hi) - targets)
 
-    def _solve(self, fn, targets):
-        # Bisection on a strictly increasing profile; iteration count
-        # sized from the initial bracket width.
-        a, b = self._bracket(fn, targets)
-        width = float(np.max(b - a))
-        if width <= self.root_tol:
-            return 0.5 * (a + b)
-        n_iter = min(200, int(math.ceil(math.log2(width / self.root_tol))) + 1)
-        for _ in range(n_iter):
-            m = 0.5 * (a + b)
-            low_side = fn(m) < targets
-            a = np.where(low_side, m, a)
-            b = np.where(low_side, b, m)
-        return 0.5 * (a + b)
+    def _slope(self, sign, s):
+        vt, vx = self.observer.velocity(s)
+        return vt + vx if sign > 0 else vt - vx
+
+    def _solve(self, sign, targets):
+        """Parameters ``s`` with ``P(s) = targets`` (sign +1) or ``M(s)``.
+
+        Closed form where the observer has one.  Otherwise rtsafe on an
+        active set: each round evaluates only the unconverged elements,
+        and an element stops when its step is at most ``root_tol``
+        (``f == 0`` collapses the bracket onto the root, and a bracket
+        narrower than ``root_tol`` bounds the step) or can no longer
+        move ``s``.
+        """
+        closed = self.observer.null_inverse(sign, targets)
+        if closed is not None:
+            return closed
+        fn = self._profile(sign)
+        goal = targets.ravel()
+        xl, xh, fl, fh = self._bracket(fn, goal)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = xl - fl * ((xh - xl) / (fh - fl))  # regula falsi start
+        del fl, fh
+        x = np.fmax(xl, np.fmin(x, xh))  # rounding or fl == fh: stay inside
+        last = math.inf  # size of the previous step
+        out = np.empty(goal.shape)
+        live = np.arange(goal.size)
+        # Arithmetic runs in place and the active set shrinks one array at
+        # a time, which keeps few full-size arrays alive at once.
+        for _ in range(_ITERATION_CAP):
+            if live.size == 0:
+                return out.reshape(targets.shape)
+            f = fn(x)
+            f -= goal
+            # x replaces xl where f < 0, xh where f > 0 and both where
+            # f == 0.  Since x lies in [xl, xh], clamping against +-inf
+            # (NaN, which fmin and fmax skip, where f == 0) does this
+            # without a masked copy, which costs ten times as much.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                side = f * -math.inf
+                np.fmax(xl, np.fmin(x, side), out=xl)
+                np.fmin(xh, np.fmax(x, side), out=xh)
+                del side
+                step = f  # the residual turns into the Newton step in place
+                step /= self._slope(sign, x)
+            nxt = x - step
+            size = np.abs(step, out=step)
+            # Bisect where Newton leaves the bracket, fails to halve the
+            # previous step, or has no usable slope.
+            bisect = ~((nxt >= xl) & (nxt <= xh) & (size <= 0.5 * last))
+            if bisect.any():
+                half = 0.5 * (xh - xl)
+                np.copyto(nxt, xl + half, where=bisect)
+                np.copyto(size, half, where=bisect)
+            done = (size <= self.root_tol) | (nxt == x)
+            if done.any():
+                out[live[done]] = nxt[done]
+                keep = np.flatnonzero(~done)
+                live = live.take(keep)
+                goal = goal.take(keep)
+                xl = xl.take(keep)
+                xh = xh.take(keep)
+                nxt = nxt.take(keep)
+                size = size.take(keep)
+            x, last = nxt, size
+        raise EvaluationFailure(
+            f"radar inverse did not converge in {_ITERATION_CAP} iterations "
+            f"for {live.size} event(s), e.g. target {float(goal[0]):g}"
+        )
 
     def radar_inverse_components(self, t, x):
         """Vectorized inverse chart: event coords to chart coords.
@@ -184,8 +267,8 @@ class MarzkeWheelerMap:
         e_plus = t + x
         e_minus = t - x
         self._gate(e_plus, e_minus)
-        s_reception = self._solve(self._profile(+1), e_plus)
-        s_emission = self._solve(self._profile(-1), e_minus)
+        s_reception = self._solve(1.0, e_plus)
+        s_emission = self._solve(-1.0, e_minus)
         return (s_reception + s_emission) * 0.5, (s_reception - s_emission) * 0.5
 
     def radar_inverse(self, e: SplitComplex) -> SplitComplex:

@@ -13,6 +13,10 @@ their ranges decide whether radar synchronization through the observer
 reaches the whole plane.  :func:`lip_status` reports that verdict:
 an observer from whose worldline no light ray can escape in either
 direction sees every event, one with a bounded null range does not.
+
+Kinds whose null profiles invert in closed form provide that inverse
+through :meth:`Observer.null_inverse`; the radar chart root-finds the
+others.
 """
 
 from __future__ import annotations
@@ -123,6 +127,16 @@ class Observer(ABC):
         t, x = self.position(s)
         return t + x, t - x
 
+    def null_inverse(self, sign: float, value):
+        """Closed-form inverse of a null profile, or None if there is none.
+
+        Returns the parameter ``s`` with ``t(s) + x(s) = value`` for
+        ``sign = +1`` or ``t(s) - x(s) = value`` for ``sign = -1``,
+        elementwise.  The base class has no closed form; callers then
+        solve for ``s`` numerically.
+        """
+        return None
+
     def null_window(self) -> tuple[tuple[float, float], tuple[float, float]] | None:
         """Achieved null-coordinate window over the (finite) domain.
 
@@ -179,6 +193,12 @@ class Inertial(Observer):
         shape = np.shape(s)
         return np.full(shape, self.u.u.t), np.full(shape, self.u.u.x)
 
+    def null_inverse(self, sign, value):
+        # Affine: t +- x = (base.t +- base.x) + s*(u.t +- u.x).
+        return (value - (self.base.t + sign * self.base.x)) / (
+            self.u.u.t + sign * self.u.u.x
+        )
+
     def __repr__(self):
         return f"Inertial(v={self.v!r}, base={self.base!r})"
 
@@ -220,6 +240,11 @@ class Rindler(Observer):
     def null_minus_range(self):
         # t - x = -scale * exp(-s/scale): the opposite half-line.
         return (-math.inf, 0.0) if self.scale > 0 else (0.0, math.inf)
+
+    def null_inverse(self, sign, value):
+        # s = k*log(p/k) for t + x = p and s = -k*log(-m/k) for t - x = m.
+        k = self.scale
+        return sign * k * np.log(sign * value / k)
 
     def __repr__(self):
         return f"Rindler(a={self.a!r})"
@@ -315,6 +340,15 @@ class PiecewiseLinear(Observer):
             np.searchsorted(self.ts, s, side="right") - 1, 0, len(self.slopes) - 1
         )
         return np.ones_like(s), self.slopes[idx]
+
+    def null_inverse(self, sign, value):
+        # Exact on each segment when the vertex null coordinates
+        # increase strictly; a null or spacelike segment leaves the
+        # profile without an inverse, so defer to the root finder.
+        nodes = self.ts + sign * self.xs
+        if not np.all(np.diff(nodes) > 0.0):
+            return None
+        return np.interp(value, nodes, self.ts)
 
     def null_window(self):
         # Piecewise-linear functions attain extrema at vertices, so the
@@ -421,6 +455,9 @@ class BoostedObserver(Observer):
         t, x = self.child.velocity(s)
         return self.u.u.t * t + self.u.u.x * x, self.u.u.t * x + self.u.u.x * t
 
+    def null_inverse(self, sign, value):
+        return self.child.null_inverse(sign, value / (self.u.u.t + sign * self.u.u.x))
+
     def __repr__(self):
         return f"BoostedObserver(u={self.u!r}, child={self.child!r})"
 
@@ -456,6 +493,11 @@ class TranslatedObserver(Observer):
 
     def velocity(self, s):
         return self.child.velocity(s)
+
+    def null_inverse(self, sign, value):
+        return self.child.null_inverse(
+            sign, value - (self.offset.t + sign * self.offset.x)
+        )
 
     def __repr__(self):
         return f"TranslatedObserver(offset={self.offset!r}, child={self.child!r})"

@@ -216,6 +216,19 @@ class TestValidationAndErrors:
         assert code == 2
         assert "ghost" in err
 
+    @pytest.mark.parametrize("verb, target, pairs", [
+        ("causal", ["--map", "drift_chart"], "0"),
+        ("causal", ["--map", "drift_chart"], "-3"),
+        ("causal", ["--map", "low"], "0"),
+        ("counterexample", ["--g1", "lab", "--g2", "drift"], "0"),
+    ])
+    def test_pairs_below_one_exits_2(self, scenario_path, capsys, verb, target, pairs):
+        code, out, err = run(capsys, verb, "--scenario", scenario_path,
+                             *target, "--pairs", pairs)
+        assert code == 2
+        assert out == ""
+        assert "--pairs" in err and "at least 1" in err
+
     def test_missing_scenario_exits_2(self, capsys):
         code, _, err = run(capsys, "eval", "--scenario", "/no/such.json",
                            "--map", "m")

@@ -1,5 +1,6 @@
 """Stencil residuals, chronology sampling, and the automorphism suite."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from mwsync import (
     ConjugateInput,
     ConjugateOutput,
     DegenerateSplit,
+    EvaluationFailure,
     FunctionMap,
     GridSpec,
     IdentityMap,
@@ -37,6 +39,7 @@ from mwsync import (
     two_velocity,
     wave_residual,
 )
+from mwsync import fieldcheck
 
 E = SplitComplex
 
@@ -198,6 +201,25 @@ class TestChronology:
         b = chronology_check(m, BOX, 1000, 42)
         assert a.min_margin == b.min_margin
         assert a.seed == b.seed == 42
+
+    @pytest.mark.parametrize("n_pairs", [200, 201])
+    def test_quota_may_fill_in_the_last_round(self, monkeypatch, n_pairs):
+        # One decisive pair per round: 200 pairs fill in the final round
+        # of sampling, 201 cannot be had.
+        calls = itertools.count()
+
+        def one_decisive_pair(rng, grid, n):
+            t = np.zeros(n)
+            t[0] = float(next(calls) % 2)
+            return t, np.zeros(n)
+
+        monkeypatch.setattr(fieldcheck, "_draw_events", one_decisive_pair)
+        if n_pairs == 200:
+            rep = chronology_check(IdentityMap(), BOX, n_pairs, 0)
+            assert rep.passed and rep.n_pairs == 200
+        else:
+            with pytest.raises(EvaluationFailure, match="could not sample"):
+                chronology_check(IdentityMap(), BOX, n_pairs, 0)
 
     def test_equivalence_check_passes_on_a_boost(self):
         rep = causal_equivalence_check(AffineLorentzMap(two_velocity(0.5)), BOX, 2000, 1)

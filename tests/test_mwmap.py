@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mwsync import (
     DegenerateFactor,
@@ -18,9 +19,11 @@ from mwsync import (
     Rindler,
     Smoothness,
     SplitComplex,
+    SumObserver,
     exp,
     J,
 )
+from mwsync import mwmap
 
 E = SplitComplex
 
@@ -216,3 +219,123 @@ def test_degenerate_factor_where_the_worldline_goes_null():
     m = MarzkeWheelerMap(Grazing())
     with pytest.raises(DegenerateFactor):
         m.conformal_factor(E(0.0, 0.0))
+
+
+# -- per-kind inverse: bitwise agreement, empty batches, the safeguard -----
+
+WOBBLE = PerturbedInertial(0.3, 1.0)
+# A kinked worldline plus a fast left-moving one: t + x climbs at slope
+# 0.12 on [-4, 0] and at slope 2.02 on [0, 4].
+KINKED = SumObserver(
+    (PiecewiseLinear([(-4.0, 0.0), (0.0, -3.8), (4.0, 0.0)]), Inertial(-0.99))
+)
+CLOSED_FORM = [
+    Inertial(0.5, base=E(0.2, -0.1)),
+    Rindler(1.0),
+    PiecewiseLinear([(-5.0, 0.0), (0.0, 0.5), (5.0, 0.0)]),
+    Rindler(1.0).translated(E(0.5, 0.5)).boosted(-0.3),
+]
+ROOT_FOUND = [
+    WOBBLE,
+    WOBBLE + Inertial(0.2),
+    WOBBLE.boosted(0.4),
+    WOBBLE.translated(E(0.3, -0.2)),
+    KINKED,
+]
+EVERY_KIND = CLOSED_FORM + ROOT_FOUND
+
+
+def mixed_batch(m, seed=3):
+    # Chart points near the origin and across the box, mapped to events,
+    # so brackets and iteration counts differ within the batch.
+    rng = np.random.default_rng(seed)
+    s = np.concatenate([rng.uniform(-0.1, 0.1, 40), rng.uniform(-2.0, 2.0, 160)])
+    x = np.concatenate([rng.uniform(-0.1, 0.1, 40), rng.uniform(-2.0, 2.0, 160)])
+    return s, x, *m.components(s, x)
+
+
+@pytest.mark.parametrize("obs", EVERY_KIND, ids=repr)
+def test_scalar_and_vector_inverses_agree_bitwise(obs):
+    m = MarzkeWheelerMap(obs)
+    s, x, et, ex = mixed_batch(m)
+    rt, rx = m.radar_inverse_components(et, ex)
+    for i in range(et.size):
+        back = m.radar_inverse(E(float(et[i]), float(ex[i])))
+        assert back.t == rt[i] and back.x == rx[i]
+    assert np.max(np.hypot(rt - s, rx - x)) <= 1e-12 * (1.0 + np.hypot(s, x)).max()
+
+
+@pytest.mark.parametrize("obs", EVERY_KIND, ids=repr)
+def test_empty_batch_inverts_to_empty_arrays(obs):
+    rt, rx = MarzkeWheelerMap(obs).radar_inverse_components(np.empty(0), np.empty(0))
+    assert rt.shape == (0,) and rx.shape == (0,)
+
+
+@pytest.mark.parametrize("obs", CLOSED_FORM, ids=repr)
+def test_closed_form_kinds_evaluate_no_profile(obs, monkeypatch):
+    m = MarzkeWheelerMap(obs)
+    _, _, et, ex = mixed_batch(m)
+
+    def refuse(self, s):
+        raise AssertionError("a closed-form inverse evaluated a null profile")
+
+    monkeypatch.setattr(Observer, "null_plus", refuse)
+    monkeypatch.setattr(Observer, "null_minus", refuse)
+    m.radar_inverse_components(et, ex)
+
+
+def test_kinked_profile_falls_back_to_bisection():
+    # From the shallow segment, a plain Newton step toward an event on
+    # the steep one lands far outside the domain [-4, 4], where the
+    # worldline raises DomainExceeded.  The safeguard bisects instead.
+    slope = sum(KINKED.velocity(-3.0))
+    assert -3.0 + (KINKED.null_plus(2.0) - KINKED.null_plus(-3.0)) / slope > 4.0
+    m = MarzkeWheelerMap(KINKED)
+    for z in grid_points(-1.9, 1.9, 15):
+        back = m.radar_inverse(m(z))
+        assert abs(back.t - z.t) <= m.root_tol
+        assert abs(back.x - z.x) <= m.root_tol
+
+
+def test_iteration_cap_raises_instead_of_returning(monkeypatch):
+    monkeypatch.setattr(mwmap, "_ITERATION_CAP", 2)
+    m = MarzkeWheelerMap(WOBBLE)
+    with pytest.raises(EvaluationFailure, match="did not converge"):
+        m.radar_inverse(m(E(0.4, -0.7)))
+
+
+@st.composite
+def observers(draw):
+    unit = st.floats(-1.0, 1.0)
+    speed = st.floats(-0.9, 0.9)
+    amplitude = draw(st.floats(0.0, 0.45))
+    wobble = PerturbedInertial(amplitude, draw(st.floats(0.1, 2.0)))
+    kind = draw(st.sampled_from(
+        ["inertial", "rindler", "wobble", "sum", "boosted", "translated"]
+    ))
+    if kind == "inertial":
+        return Inertial(draw(speed), base=E(draw(unit), draw(unit)))
+    if kind == "rindler":
+        return Rindler(draw(st.floats(0.5, 1.5)) * draw(st.sampled_from([1.0, -1.0])))
+    if kind == "wobble":
+        return wobble
+    if kind == "sum":
+        return wobble + Inertial(draw(speed))
+    if kind == "boosted":
+        return wobble.boosted(draw(speed))
+    return wobble.translated(E(draw(unit), draw(unit)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(observers(), st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                             min_size=1, max_size=6))
+def test_inverse_round_trips_and_is_batch_independent(obs, points):
+    m = MarzkeWheelerMap(obs)
+    s = np.array([p[0] for p in points])
+    x = np.array([p[1] for p in points])
+    et, ex = m.components(s, x)
+    rt, rx = m.radar_inverse_components(et, ex)
+    for i in range(s.size):
+        back = m.radar_inverse(E(float(et[i]), float(ex[i])))
+        assert back.t == rt[i] and back.x == rx[i]
+        assert math.hypot(rt[i] - s[i], rx[i] - x[i]) <= 1e-12 * (1.0 + math.hypot(s[i], x[i]))

@@ -214,3 +214,41 @@ def test_lip_status_window_only_for_finite_domains():
     plus, minus = st.null_window
     assert plus == (0.0, 2.5)
     assert minus == (0.0, 1.5)
+
+
+CLOSED_FORM_KINDS = [
+    Inertial(0.6, base=SplitComplex(0.5, -1.0)),
+    Rindler(1.5),
+    Rindler(-0.5),
+    PiecewiseLinear([(-3.0, 0.0), (0.0, 0.6), (3.0, -0.3)]),
+    Rindler(1.0).boosted(-0.4),
+    Inertial(-0.3).translated(SplitComplex(1.0, 2.0)),
+    Rindler(2.0).translated(SplitComplex(-0.5, 0.25)).boosted(0.7),
+]
+
+
+@pytest.mark.parametrize("obs", CLOSED_FORM_KINDS, ids=repr)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_null_inverse_undoes_the_null_profile(obs, sign):
+    # Parameters where the wedge kinds' profiles stay within e**3 of the
+    # horizon scale, so forward rounding does not swamp the comparison.
+    s = np.linspace(-1.5, 1.5, 41)
+    profile = obs.null_plus if sign > 0 else obs.null_minus
+    back = obs.null_inverse(sign, profile(s))
+    assert back is not None
+    assert np.max(np.abs(back - s)) <= 1e-13 * (1.0 + np.abs(s)).max()
+
+
+def test_root_finder_kinds_have_no_closed_form():
+    wobble = PerturbedInertial(0.3, 1.0)
+    for obs in (wobble, wobble + Inertial(0.2), wobble.boosted(0.4),
+                wobble.translated(SplitComplex(0.3, -0.2))):
+        assert obs.null_inverse(1.0, np.zeros(3)) is None
+        assert obs.null_inverse(-1.0, np.zeros(3)) is None
+
+
+def test_piecewise_linear_null_inverse_needs_increasing_vertices():
+    # The second segment is null (dx/dt = 1), so t - x stalls on it.
+    lightlike = PiecewiseLinear([(0.0, 0.0), (1.0, 0.5), (2.0, 1.5)])
+    assert lightlike.null_inverse(1.0, np.array([1.0])) is not None
+    assert lightlike.null_inverse(-1.0, np.array([0.5])) is None
