@@ -21,15 +21,11 @@ from .causal import (
     LightRay,
     Orientation,
     RayPair,
-    Region,
-    chron_precedes,
     classify,
-    in_region,
-    null_precedes,
+    cone,
     ray_intersect,
     rays_through,
     reverse_relation,
-    time_axis_hit,
 )
 from .errors import (
     DegenerateFactor,
@@ -66,7 +62,6 @@ from .fieldcheck import (
     WaveCauchyMap,
     WitnessPair,
     automorphism_suite,
-    build_wave_cauchy,
     causal_equivalence_check,
     chronology_check,
     conformality_report,

@@ -1,38 +1,37 @@
 """Causal order on the split-complex plane.
 
-Classifies event pairs by the sign of ``norm_sq(y - x)`` and the sign
-of the time difference, with a relative tolerance band around the light
-cone so that events produced by rounded arithmetic still classify as
-null when they should.  Also provides the two families of light rays
-and their intersection, which together are the geometric backbone of
-radar synchronization: every event is the unique intersection of one
-left-moving and one right-moving ray.
+Classifies event pairs by the sign of the interval
+``(dt - dx) * (dt + dx)`` and the sign of the time difference, with a
+relative tolerance band around the light cone so that events produced
+by rounded arithmetic still classify as null when they should.
+:func:`cone` is that arithmetic on arrays of separations, and
+:func:`classify` is its scalar reading.  Also provides the two families
+of light rays and their intersection, which together are the geometric
+backbone of radar synchronization: every event is the unique
+intersection of one left-moving and one right-moving ray.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .algebra import SplitComplex
 from .errors import SameOrientation
 
 __all__ = [
     "CausalRelation",
-    "Region",
     "Orientation",
     "DEFAULT_NULL_BAND",
+    "cone",
     "classify",
-    "chron_precedes",
-    "null_precedes",
-    "in_region",
     "reverse_relation",
     "LightRay",
     "RayPair",
     "rays_through",
     "ray_intersect",
-    "time_axis_hit",
 ]
 
 
@@ -47,17 +46,6 @@ class CausalRelation(enum.Enum):
     SPACELIKE = "spacelike"
 
 
-class Region(enum.Enum):
-    """Named cone regions used by :func:`in_region` queries."""
-
-    NULL_FUTURE = "null_future"
-    NULL_PAST = "null_past"
-    CHRON_FUTURE = "chron_future"
-    CHRON_PAST = "chron_past"
-    NULL = "null"
-    CHRON = "chron"
-
-
 class Orientation(enum.Enum):
     """Propagation direction of a light ray."""
 
@@ -68,15 +56,27 @@ class Orientation(enum.Enum):
 DEFAULT_NULL_BAND = 1e-9
 
 
+def cone(dt, dx, tol: float = DEFAULT_NULL_BAND):
+    """Elementwise causal test of separations ``(dt, dx)``.
+
+    Returns ``(q, band, margin)``: the interval ``(dt - dx) * (dt + dx)``,
+    the null band ``tol * (1 + dt**2 + dx**2)``, and the signed future
+    margin, ``q`` where ``dt > 0`` and ``-|q|`` elsewhere, which is
+    positive exactly for future timelike separations.  A separation is
+    null when ``|q| <= band`` and chronological when ``q > band``.  The
+    band scales with the squared separation so that the verdict is
+    stable under the rounding of coordinates of any magnitude: for
+    events of size R the interval carries an absolute rounding error of
+    order ``eps * R**2``.
+    """
+    q = (dt - dx) * (dt + dx)
+    return q, tol * (1.0 + dt * dt + dx * dx), np.where(dt > 0.0, q, -np.abs(q))
+
+
 def classify(
     x: SplitComplex, y: SplitComplex, tol: float = DEFAULT_NULL_BAND
 ) -> CausalRelation:
-    """Classify the causal relation of ``y`` relative to ``x``.
-
-    The null band scales as ``tol * (1 + dt**2 + dx**2)`` so that the
-    classification is stable under the rounding of coordinates of any
-    magnitude: for events of size R the quadratic form carries an
-    absolute rounding error of order ``eps * R**2``.
+    """Classify the causal relation of ``y`` relative to ``x`` by :func:`cone`.
 
     Returns
     -------
@@ -87,47 +87,12 @@ def classify(
     d = y - x
     if d.t == 0.0 and d.x == 0.0:
         return CausalRelation.EQUAL
-    q = d.norm_sq()
-    band = tol * (1.0 + d.t * d.t + d.x * d.x)
+    q, band, _ = cone(d.t, d.x, tol)
     if abs(q) <= band:
         return CausalRelation.NULL_FUTURE if d.t > 0.0 else CausalRelation.NULL_PAST
     if q > 0.0:
         return CausalRelation.CHRON_FUTURE if d.t > 0.0 else CausalRelation.CHRON_PAST
     return CausalRelation.SPACELIKE
-
-
-def chron_precedes(
-    x: SplitComplex, y: SplitComplex, tol: float = DEFAULT_NULL_BAND
-) -> bool:
-    """True iff y lies strictly inside the future cone of x."""
-    return classify(x, y, tol) is CausalRelation.CHRON_FUTURE
-
-
-def null_precedes(
-    x: SplitComplex, y: SplitComplex, tol: float = DEFAULT_NULL_BAND
-) -> bool:
-    """True iff y lies on the future light cone of x (x != y)."""
-    return classify(x, y, tol) is CausalRelation.NULL_FUTURE
-
-
-_REGION_MEMBERS = {
-    Region.NULL_FUTURE: frozenset({CausalRelation.NULL_FUTURE}),
-    Region.NULL_PAST: frozenset({CausalRelation.NULL_PAST}),
-    Region.CHRON_FUTURE: frozenset({CausalRelation.CHRON_FUTURE}),
-    Region.CHRON_PAST: frozenset({CausalRelation.CHRON_PAST}),
-    Region.NULL: frozenset({CausalRelation.NULL_FUTURE, CausalRelation.NULL_PAST}),
-    Region.CHRON: frozenset({CausalRelation.CHRON_FUTURE, CausalRelation.CHRON_PAST}),
-}
-
-
-def in_region(
-    x: SplitComplex,
-    p: SplitComplex,
-    region: Region,
-    tol: float = DEFAULT_NULL_BAND,
-) -> bool:
-    """True iff ``p`` lies in the named cone region of ``x``."""
-    return classify(x, p, tol) in _REGION_MEMBERS[region]
 
 
 _REVERSED = {
@@ -156,11 +121,6 @@ class LightRay:
 
     orientation: Orientation
     level: float
-
-    def contains(self, p: SplitComplex, tol: float = DEFAULT_NULL_BAND) -> bool:
-        value = p.t + p.x if self.orientation is Orientation.LEFT else p.t - p.x
-        scale = 1.0 + abs(value) + abs(self.level)
-        return abs(value - self.level) <= tol * scale
 
 
 @dataclass(frozen=True)
@@ -195,15 +155,3 @@ def ray_intersect(a: LightRay, b: LightRay) -> SplitComplex:
         (left.level + right.level) / 2.0, (left.level - right.level) / 2.0
     )
 
-
-def time_axis_hit(ray: LightRay) -> float:
-    """Time coordinate at which the ray crosses the x = 0 axis.
-
-    Both ``t + x`` and ``t - x`` reduce to ``t`` on the axis, so the
-    answer is the conserved level itself, with no arithmetic. This
-    exactness matters downstream: radar constructions that bounce rays
-    off the time axis stay bit-faithful to the algebraic formulas.
-    """
-    if not math.isfinite(ray.level):
-        raise ValueError(f"ray level must be finite, got {ray.level!r}")
-    return ray.level

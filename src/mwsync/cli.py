@@ -14,18 +14,20 @@ apply), 1 a property violation was found, 2 input validation failed,
 timestamps, fixed float formatting, seeds always explicit.
 
 A residual check passes when its maximum at the matched step ``h``
-either sits at the rounding floor ``512 * eps * (1 + max|F|) / h**k``
-(k = 1 for first-order stencils, k = 2 for the wave stencils) or the
-anisotropic stencil, (h_t, h_x) = (h, h/2) against (h/2, h/4), shows
-order near 2 under halving.  Exact solutions land on the floor: the
-matched stencil annihilates their truncation error, so only rounding
-remains there.  On fine grids rounding can also swamp the anisotropic
-levels, and then the floor alone decides.
+either sits at the rounding floor the report carries,
+``512 * eps * (1 + max|F|) / h**k`` (k = 1 for first-order stencils,
+k = 2 for the wave stencils), or the anisotropic stencil,
+(h_t, h_x) = (h, h/2) against (h/2, h/4), shows order near 2 under
+halving.  Exact solutions land on the floor: the matched stencil
+annihilates their truncation error, so only rounding remains there.
+On fine grids rounding can also swamp the anisotropic levels, and then
+the floor alone decides.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -34,9 +36,7 @@ from .algebra import ZERO
 from .errors import MwsyncError, ScenarioError
 from .fieldcheck import (
     AutomorphismOutcome,
-    ConjugateInput,
     GridSpec,
-    MapSum,
     automorphism_suite,
     causal_equivalence_check,
     chronology_check,
@@ -74,15 +74,19 @@ def _emit(lines, out_path):
         sys.stdout.write(text)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of ``--pairs``: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type of an integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _grid_from_flag(text: str) -> GridSpec:
@@ -118,23 +122,6 @@ def _witness_lines(witness):
         f"relation_in: {witness.relation_in.value}",
         f"relation_out: {witness.relation_out.value}",
     ]
-
-
-def _map_magnitude(m, grid: GridSpec) -> float:
-    T, X = grid.meshes()
-    out_t, out_x = m.components(T, X)
-    return float(max(np.max(np.abs(out_t)), np.max(np.abs(out_x))))
-
-
-def _rounding_floor(kind: str, m, grid: GridSpec) -> float:
-    if kind == "loggwave":
-        T, X = grid.meshes()
-        mag = float(np.max(np.abs(np.log(m.conformal_components(T, X)))))
-    else:
-        mag = _map_magnitude(m, grid)
-    k = 2 if kind in ("wave", "loggwave") else 1
-    eps = float(np.finfo(float).eps)
-    return 512.0 * eps * (1.0 + mag) / grid.h ** k
 
 
 # -- verbs ---------------------------------------------------------------
@@ -194,10 +181,9 @@ def _cmd_check(args, scenario: Scenario, grid: GridSpec) -> int:
             "to radar charts only"
         )
     report = _CHECKS[args.kind](m, grid)
-    floor = _rounding_floor(args.kind, m, grid)
     order = report.convergence_order
     order_ok = order is not None and 1.6 <= order <= 2.4
-    passed = report.max_abs <= floor or order_ok
+    passed = report.max_abs <= report.floor or order_ok
     lines = [
         f"check: {args.kind}",
         f"map: {args.map}",
@@ -207,7 +193,7 @@ def _cmd_check(args, scenario: Scenario, grid: GridSpec) -> int:
         f"location_t: {_fmt(report.location_of_max[0])}",
         f"location_x: {_fmt(report.location_of_max[1])}",
         f"order: {'none' if order is None else _fmt(order)}",
-        f"floor: {_fmt(floor)}",
+        f"floor: {_fmt(report.floor)}",
     ]
     if args.kind == "conformal":
         lines += [
@@ -282,6 +268,16 @@ def _need(args, names: list, mode: str):
         )
 
 
+def _window(args, lo: str, hi: str) -> tuple:
+    start, end = getattr(args, lo), getattr(args, hi)
+    if not (math.isfinite(start) and math.isfinite(end) and end > start):
+        raise ScenarioError(
+            f"--{lo}/--{hi} must be finite with --{hi} above --{lo}, "
+            f"got [{start!r}, {end!r}]"
+        )
+    return start, end
+
+
 def _cmd_propertime(args, scenario: Scenario, grid: GridSpec) -> int:
     ctx = scenario.ctx
     quad_tol = scenario.tolerances.quad_tol
@@ -303,11 +299,12 @@ def _cmd_propertime(args, scenario: Scenario, grid: GridSpec) -> int:
         _need(args, ["a", "b", "a0", "a1"], "twin")
         if (args.b0 is None) != (args.b1 is None):
             raise ScenarioError("give both --b0 and --b1 or neither")
-        window_b = None if args.b0 is None else (args.b0, args.b1)
+        window_a = _window(args, "a0", "a1")
+        window_b = None if args.b0 is None else _window(args, "b0", "b1")
         rep = twin_consistency(
             scenario.observer(args.a),
             scenario.observer(args.b),
-            (args.a0, args.a1),
+            window_a,
             window_b,
             ctx,
             tol,
@@ -334,19 +331,20 @@ def _cmd_propertime(args, scenario: Scenario, grid: GridSpec) -> int:
         return 0 if rep.consistent else 1
     # Dual-route modes: chart integral against direct arc length.
     _need(args, ["target", "s0", "s1"], args.mode)
+    window = _window(args, "s0", "s1")
     target = scenario.observer(args.target)
     n = args.n if args.n is not None else 129
-    direct = arc_length_proper_time(target, args.s0, args.s1, ctx, quad_tol)
+    direct = arc_length_proper_time(target, *window, ctx, quad_tol)
     if args.mode == "inertial":
         chart_obs = Inertial(0.0, ZERO, ctx)
         chart = scenario.chart(chart_obs)
-        traj = radar_trajectory_of(chart, target, (args.s0, args.s1), n, ctx)
+        traj = radar_trajectory_of(chart, target, window, n, ctx)
         via = proper_time_inertial(traj, ctx, quad_tol)
         chart_name = "lab"
     else:
         _need(args, ["observer"], "accelerated")
         chart = scenario.chart(scenario.observer(args.observer))
-        traj = radar_trajectory_of(chart, target, (args.s0, args.s1), n, ctx)
+        traj = radar_trajectory_of(chart, target, window, n, ctx)
         via = proper_time_accelerated(chart, traj, ctx, quad_tol)
         chart_name = args.observer
     rel = abs(via.tau - direct.tau) / abs(direct.tau)
@@ -373,9 +371,7 @@ def _cmd_counterexample(args, scenario: Scenario, grid: GridSpec) -> int:
     g2 = scenario.observer(args.g2)
     seed = scenario.seed if args.seed is None else args.seed
     rep = low_counterexample(g1, g2, grid, seed, args.pairs)
-    F = MapSum([scenario.chart(g1), ConjugateInput(scenario.chart(g2))])
-    wave_floor = _rounding_floor("wave", F, grid)
-    wave_ok = rep.wave.max_abs <= wave_floor
+    wave_ok = rep.wave.max_abs <= rep.wave.floor
     found = rep.equivalence.witness is not None
     ok = found and rep.axis_ok and wave_ok
     lines = [
@@ -383,7 +379,7 @@ def _cmd_counterexample(args, scenario: Scenario, grid: GridSpec) -> int:
         f"g2: {args.g2}",
         *_grid_lines(grid),
         f"wave_max_abs: {_fmt(rep.wave.max_abs)}",
-        f"wave_floor: {_fmt(wave_floor)}",
+        f"wave_floor: {_fmt(rep.wave.floor)}",
         f"wave_ok: {str(wave_ok).lower()}",
         f"holo_max_abs: {_fmt(rep.holo.max_abs)}",
         f"antiholo_max_abs: {_fmt(rep.antiholo.max_abs)}",
@@ -431,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("causal", help="chronology / automorphism checks")
     common(p)
     p.add_argument("--map", required=True)
-    p.add_argument("--pairs", type=_positive_int, default=1000)
+    p.add_argument("--pairs", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("propertime", help="proper-time computations")
@@ -454,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x2", type=float, default=None)
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--accel", type=float, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_int_at_least(2), default=None)
     p.add_argument("--tol", type=float, default=1e-6)
 
     p = sub.add_parser(
@@ -463,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
-    p.add_argument("--pairs", type=_positive_int, default=100000)
+    p.add_argument("--pairs", type=_int_at_least(1), default=100000)
     p.add_argument("--seed", type=int, default=None)
 
     return parser

@@ -25,20 +25,24 @@ A residual report therefore gives the field at the matched step (the
 same ``h`` in t and in x), where exact charts read at the rounding
 floor, and takes its convergence order from an anisotropic stencil,
 (h_t, h_x) = (h, h/2) against (h/2, h/4), where the truncation error of
-a solution survives and shrinks at second order.
+a solution survives and shrinks at second order.  It also carries that
+floor, ``512 * eps * (1 + max|f|) / h**k`` with ``f`` the function the
+stencil differences at the grid nodes and k its order.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
 
 from .algebra import ZERO, SplitComplex, TwoVelocity
-from .causal import DEFAULT_NULL_BAND, CausalRelation, classify, reverse_relation
+from .causal import DEFAULT_NULL_BAND, CausalRelation, classify, cone, reverse_relation
 from .errors import DegenerateSplit, EvaluationFailure
 from .mwmap import MarzkeWheelerMap
 from .observers import LipStatus, LipVerdict, Observer, lip_status
@@ -52,7 +56,6 @@ __all__ = [
     "AffineLorentzMap",
     "FunctionMap",
     "WaveCauchyMap",
-    "build_wave_cauchy",
     "GridSpec",
     "ResidualReport",
     "ConformalityReport",
@@ -132,8 +135,8 @@ class MapSum(PlaneMap):
             raise ValueError("need at least one term")
 
     def components(self, t, x):
-        parts = [term.components(t, x) for term in self.terms]
-        return sum(p[0] for p in parts), sum(p[1] for p in parts)
+        ts, xs = zip(*(term.components(t, x) for term in self.terms))
+        return reduce(add, ts), reduce(add, xs)
 
     def __repr__(self):
         return f"MapSum({list(self.terms)!r})"
@@ -215,11 +218,6 @@ class WaveCauchyMap(PlaneMap):
         return f"WaveCauchyMap(sign={int(self.sign):+d})"
 
 
-def build_wave_cauchy(p: Callable, q: Callable, sign: int = +1) -> WaveCauchyMap:
-    """Factory alias for :class:`WaveCauchyMap`."""
-    return WaveCauchyMap(p, q, sign)
-
-
 # -- grids and residual reports -----------------------------------------
 
 
@@ -275,22 +273,22 @@ class GridSpec:
     def meshes(self):
         return np.meshgrid(self.t_nodes, self.x_nodes, indexing="ij")
 
-    def halved(self) -> "GridSpec":
-        return replace(self, h=self.h / 2.0)
-
 
 @dataclass(frozen=True)
 class ResidualReport:
     """Grid maximum and mean of a residual field at the matched step
     ``h`` (the same step in t and in x), with the order the stencil
     truncation shows on the anisotropic levels (h_t, h_x) = (h, h/2)
-    and (h/2, h/4); None when a level is exactly 0."""
+    and (h/2, h/4), None when a level is exactly 0, and the rounding
+    floor ``512 * eps * (1 + max|f|) / h**k`` of the differenced
+    function ``f`` (k = 1 for first differences, 2 for second)."""
 
     max_abs: float
     mean_abs: float
     location_of_max: tuple[float, float]
     convergence_order: float | None
     h: float
+    floor: float
 
 
 @dataclass(frozen=True)
@@ -300,9 +298,13 @@ class ConformalityReport:
     location_of_max: tuple[float, float]
     convergence_order: float | None
     h: float
+    floor: float
     factor_min: float
     factor_max: float
     n_nonpositive: int
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _stencil_points(coord, h):
@@ -335,6 +337,7 @@ class _Stencil:
     row (along t) or column (along x) shares them.  The centre, needed
     by second differences only, is evaluated once.  ``both`` serves the
     first-order and the wave residuals from the same point sets.
+    ``floor`` reads the function's magnitude from the centre.
     """
 
     def __init__(self, f, grid: GridSpec):
@@ -373,6 +376,16 @@ class _Stencil:
         if self._f0 is None:
             self._f0 = self.f(self.T, self.X)
         return self._f0
+
+    def floor(self, k):
+        """Rounding floor ``512 * eps * (1 + max|f|) / h**k`` at the nodes.
+
+        Reuses the centre when second differences hold it; otherwise
+        the centre is evaluated for this reduction only and not kept.
+        """
+        centre = self._f0 if self._f0 is not None else self.f(self.T, self.X)
+        mag = float(max(np.max(np.abs(c)) for c in centre))
+        return 512.0 * _EPS * (1.0 + mag) / self.grid.h ** k
 
     @staticmethod
     def _first(f_up, f_dn, coord, up, dn):
@@ -447,9 +460,10 @@ def _location(field, grid: GridSpec) -> tuple[float, float]:
     return float(grid.t_nodes[i]), float(grid.x_nodes[j])
 
 
-def _report(field, order, grid: GridSpec) -> ResidualReport:
+def _report(field, order, grid: GridSpec, floor: float) -> ResidualReport:
     return ResidualReport(
-        float(field.max()), float(field.mean()), _location(field, grid), order, grid.h
+        float(field.max()), float(field.mean()), _location(field, grid), order,
+        grid.h, floor,
     )
 
 
@@ -459,30 +473,29 @@ def holomorphy_residual(F, grid: GridSpec, anti: bool = False) -> ResidualReport
     ``anti=True`` checks the reflected system instead (maps that are
     holomorphic after precomposing with conjugation).
     """
+    stencil = _Stencil(F.components, grid)
+    floor = stencil.floor(1)
     (field,), (order,) = _sweep(
-        _Stencil(F.components, grid).first,
-        _holo_fields((-1.0 if anti else 1.0,)),
-        grid.h,
+        stencil.first, _holo_fields((-1.0 if anti else 1.0,)), grid.h
     )
-    return _report(field, order, grid)
+    return _report(field, order, grid, floor)
 
 
 def wave_residual(F, grid: GridSpec) -> ResidualReport:
     """Componentwise discrete d'Alembertian of the map on the grid."""
-    (field,), (order,) = _sweep(
-        _Stencil(F.components, grid).second, _wave_fields, grid.h
-    )
-    return _report(field, order, grid)
+    stencil = _Stencil(F.components, grid)
+    (field,), (order,) = _sweep(stencil.second, _wave_fields, grid.h)
+    return _report(field, order, grid, stencil.floor(2))
 
 
 def conformality_report(F, grid: GridSpec) -> ConformalityReport:
     """Deviation of the metric pullback from a positive multiple of the
     Minkowski metric, plus the observed range of the factor."""
-    (field, lam), (order, _) = _sweep(
-        _Stencil(F.components, grid).first, _conformal_fields, grid.h
-    )
+    stencil = _Stencil(F.components, grid)
+    floor = stencil.floor(1)
+    (field, lam), (order, _) = _sweep(stencil.first, _conformal_fields, grid.h)
     return ConformalityReport(
-        **vars(_report(field, order, grid)),
+        **vars(_report(field, order, grid, floor)),
         factor_min=float(lam.min()),
         factor_max=float(lam.max()),
         n_nonpositive=int(np.count_nonzero(lam <= 0.0)),
@@ -504,8 +517,9 @@ def log_factor_wave_residual(m, grid: GridSpec) -> ResidualReport:
     def combine(t_part, x_part):
         return (np.abs(t_part[0] - x_part[0]),)
 
-    (field,), (order,) = _sweep(_Stencil(log_factor, grid).second, combine, grid.h)
-    return _report(field, order, grid)
+    stencil = _Stencil(log_factor, grid)
+    (field,), (order,) = _sweep(stencil.second, combine, grid.h)
+    return _report(field, order, grid, stencil.floor(2))
 
 
 # -- chronology checks --------------------------------------------------
@@ -550,10 +564,6 @@ def _normalized_witness(z1, z2, rel_in, rel_out) -> WitnessPair:
     )
 
 
-def _box_scale(grid: GridSpec) -> float:
-    return max(grid.t_max - grid.t_min, grid.x_max - grid.x_min)
-
-
 def _child_seeds(seed: int, n: int) -> list[int]:
     # Deterministic distinct sub-seeds for the pieces of a suite.
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
@@ -581,8 +591,7 @@ def chronology_check(
     as a normalized witness.
     """
     rng = np.random.default_rng(seed)
-    scale = _box_scale(grid)
-    need_q = (0.1 * scale) ** 2
+    need_q = (0.1 * grid.diameter) ** 2
     t1 = np.empty(0)
     x1 = np.empty(0)
     t2 = np.empty(0)
@@ -597,9 +606,7 @@ def chronology_check(
         xlo = np.where(lo_first, xa, xb)
         thi = np.where(lo_first, tb, ta)
         xhi = np.where(lo_first, xb, xa)
-        dt = thi - tlo
-        dx = xhi - xlo
-        keep = (dt - np.abs(dx)) * (dt + np.abs(dx)) >= need_q
+        keep = cone(thi - tlo, xhi - xlo)[0] >= need_q
         t1 = np.concatenate([t1, tlo[keep]])
         x1 = np.concatenate([x1, xlo[keep]])
         t2 = np.concatenate([t2, thi[keep]])
@@ -612,12 +619,8 @@ def chronology_check(
 
     o1t, o1x = F.components(t1, x1)
     o2t, o2x = F.components(t2, x2)
-    dt = o2t - o1t
-    dx = o2x - o1x
-    q = (dt - dx) * (dt + dx)
-    band = tol * (1.0 + dt * dt + dx * dx)
-    margins = np.where(dt > 0.0, q, -np.abs(q))
-    ok = (q > band) & (dt > 0.0)
+    _, band, margins = cone(o2t - o1t, o2x - o1x, tol)
+    ok = margins > band
     min_margin = float(margins.min()) if margins.size else math.nan
 
     witness = None
@@ -650,23 +653,16 @@ def causal_equivalence_check(
     counted either way.
     """
     rng = np.random.default_rng(seed)
-    scale = _box_scale(grid)
-    dec_q = (0.1 * scale) ** 2
+    dec_q = (0.1 * grid.diameter) ** 2
     t1, x1 = _draw_events(rng, grid, n_pairs)
     t2, x2 = _draw_events(rng, grid, n_pairs)
-    dt_in = t2 - t1
-    dx_in = x2 - x1
-    q_in = (dt_in - dx_in) * (dt_in + dx_in)
-    in_cf = (q_in >= dec_q) & (dt_in > 0.0)
-    in_decisive = (q_in >= dec_q) | (q_in <= -dec_q)
+    q_in, _, m_in = cone(t2 - t1, x2 - x1)
+    in_cf = m_in >= dec_q
+    in_decisive = np.abs(q_in) >= dec_q
 
     o1t, o1x = F.components(t1, x1)
     o2t, o2x = F.components(t2, x2)
-    dt = o2t - o1t
-    dx = o2x - o1x
-    q = (dt - dx) * (dt + dx)
-    band = tol * (1.0 + dt * dt + dx * dx)
-    m_out = np.where(dt > 0.0, q, -np.abs(q))
+    _, band, m_out = cone(o2t - o1t, o2x - o1x, tol)
     score = np.where(in_cf, m_out, -m_out)
     out_decisive = np.abs(m_out) > 10.0 * band
 
@@ -795,7 +791,7 @@ def automorphism_suite(
     center = SplitComplex(
         (grid.t_min + grid.t_max) / 2.0, (grid.x_min + grid.x_max) / 2.0
     )
-    orientation = orientation_of(m, center, span=_box_scale(grid) / 4.0)
+    orientation = orientation_of(m, center, span=grid.diameter / 4.0)
 
     axis_t = grid.t_nodes
     out_t, out_x = m.components(axis_t, np.zeros_like(axis_t))
@@ -804,7 +800,7 @@ def automorphism_suite(
         max(np.max(np.abs(out_t - ref_t)), np.max(np.abs(out_x - ref_x)))
     )
 
-    roundtrip_tol = 100.0 * m.root_tol * (1.0 + _box_scale(grid))
+    roundtrip_tol = 100.0 * m.root_tol * (1.0 + grid.diameter)
     ok = (
         forward.passed
         and inverse.passed
@@ -877,8 +873,7 @@ def low_counterexample(
         working window, in which case the second term degenerates to a
         translation and the construction proves nothing.
     """
-    scale = _box_scale(grid)
-    if _constant_spread(g2, grid) <= 1e-12 * (1.0 + scale):
+    if _constant_spread(g2, grid) <= 1e-12 * (1.0 + grid.diameter):
         raise DegenerateSplit(
             f"{g2!r} is numerically constant over the working window"
         )
@@ -891,8 +886,12 @@ def low_counterexample(
     def combine(t_part, x_part):
         return _wave_fields(t_part[1], x_part[1]) + holo_pair(t_part[0], x_part[0])
 
-    fields, orders = _sweep(_Stencil(F.components, grid).both, combine, grid.h)
-    wave, holo, antiholo = (_report(f, o, grid) for f, o in zip(fields, orders))
+    stencil = _Stencil(F.components, grid)
+    fields, orders = _sweep(stencil.both, combine, grid.h)
+    wave, holo, antiholo = (
+        _report(f, o, grid, stencil.floor(k))
+        for f, o, k in zip(fields, orders, (2, 1, 1))
+    )
 
     axis_t = grid.t_nodes
     zeros = np.zeros_like(axis_t)

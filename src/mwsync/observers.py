@@ -25,6 +25,8 @@ import enum
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -36,6 +38,7 @@ from .algebra import (
     TwoVelocity,
     two_velocity,
 )
+from .causal import cone
 from .errors import DomainExceeded, NotTimelike
 
 __all__ = [
@@ -122,10 +125,6 @@ class Observer(ABC):
     def null_minus(self, s):
         t, x = self.position(s)
         return t - x
-
-    def null_coords(self, s):
-        t, x = self.position(s)
-        return t + x, t - x
 
     def null_inverse(self, sign: float, value):
         """Closed-form inverse of a null profile, or None if there is none.
@@ -407,12 +406,12 @@ class SumObserver(Observer):
         return self._range("null_minus_range")
 
     def position(self, s):
-        parts = [c.position(s) for c in self.children]
-        return sum(p[0] for p in parts), sum(p[1] for p in parts)
+        ts, xs = zip(*(c.position(s) for c in self.children))
+        return reduce(add, ts), reduce(add, xs)
 
     def velocity(self, s):
-        parts = [c.velocity(s) for c in self.children]
-        return sum(p[0] for p in parts), sum(p[1] for p in parts)
+        ts, xs = zip(*(c.velocity(s) for c in self.children))
+        return reduce(add, ts), reduce(add, xs)
 
     def __repr__(self):
         return f"SumObserver({list(self.children)!r})"
@@ -549,9 +548,9 @@ def verify_observer(
 
     t0, x0 = obs.position(lo)
     t1, x1 = obs.position(hi)
-    dt, dx = t1 - t0, x1 - x0
-    q = (dt - dx) * (dt + dx)
-    margins = np.where(dt > 0.0, q, -np.abs(q)) / (hi - lo) ** 2
+    dt = t1 - t0
+    q, _, margin = cone(dt, x1 - x0)
+    margins = margin / (hi - lo) ** 2
 
     worst = int(np.argmin(margins))
     worst_margin = float(margins[worst])

@@ -339,8 +339,8 @@ def parse_scenario(data: dict) -> Scenario:
         data, {"c", "seed", "grid", "tolerances", "observers", "maps"}, "scenario"
     )
     c = _number(data.get("c", 1.0), "c")
-    if c <= 0.0:
-        raise ScenarioError(f"c must be positive, got {c!r}")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ScenarioError(f"c must be positive and finite, got {c!r}")
     seed = _integer(data.get("seed", 0), "seed")
     grid = _parse_grid(data.get("grid", {}))
     tolerances = _parse_tolerances(data.get("tolerances", {}))

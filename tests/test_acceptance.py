@@ -28,8 +28,8 @@ from mwsync import (
     RadarTrajectory,
     Rindler,
     SplitComplex,
+    WaveCauchyMap,
     automorphism_suite,
-    build_wave_cauchy,
     exp,
     gravitational_dilation,
     holomorphy_residual,
@@ -210,8 +210,8 @@ def test_criterion_08_wave_cauchy_data_reconstructs_the_chart():
     at, ax = m.components(T, X)
     ct, cx = ConjugateInput(m).components(T, X)
 
-    pt, px = build_wave_cauchy(space, time, +1).components(T, X)
-    mt, mx = build_wave_cauchy(space, time, -1).components(T, X)
+    pt, px = WaveCauchyMap(space, time, +1).components(T, X)
+    mt, mx = WaveCauchyMap(space, time, -1).components(T, X)
     err_plus = max(float(np.max(np.abs(pt - at))), float(np.max(np.abs(px - ax))))
     err_minus = max(float(np.max(np.abs(mt - ct))), float(np.max(np.abs(mx - cx))))
     ok = err_plus <= 1e-12 and err_minus <= 1e-12

@@ -229,6 +229,45 @@ class TestValidationAndErrors:
         assert out == ""
         assert "--pairs" in err and "at least 1" in err
 
+    @pytest.mark.parametrize("mode, flags", [
+        ("twin", ["--a", "lab_shifted", "--b", "rocket", "--a0", "-0.5", "--a1", "0.5"]),
+        ("inertial", ["--target", "drift", "--s0", "0.0", "--s1", "2.0"]),
+    ])
+    @pytest.mark.parametrize("n", ["1", "0", "-4"])
+    def test_propertime_n_below_two_exits_2(self, scenario_path, capsys, mode, flags, n):
+        code, out, err = run(capsys, "propertime", "--scenario", scenario_path,
+                             "--mode", mode, *flags, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "--n" in err and "at least 2" in err
+
+    @pytest.mark.parametrize("mode, flags, window", [
+        ("inertial", ["--target", "drift"], ["--s0", "2.0", "--s1", "0.0"]),
+        ("accelerated", ["--target", "lab_shifted", "--observer", "rocket"],
+         ["--s0", "0.4", "--s1", "0.4"]),
+        ("twin", ["--a", "lab", "--b", "drift"], ["--a0", "1.0", "--a1", "0.0"]),
+        ("twin", ["--a", "lab", "--b", "drift", "--a0", "0.0", "--a1", "1.0"],
+         ["--b0", "0.5", "--b1", "nan"]),
+        ("inertial", ["--target", "drift"], ["--s0", "0.0", "--s1", "inf"]),
+        ("twin", ["--a", "lab", "--b", "drift"], ["--a0", "nan", "--a1", "1.0"]),
+    ])
+    def test_window_not_finite_and_increasing_exits_2(self, scenario_path, capsys,
+                                                      mode, flags, window):
+        code, out, err = run(capsys, "propertime", "--scenario", scenario_path,
+                             "--mode", mode, *flags, *window)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and window[2] in err
+
+    def test_non_finite_lightspeed_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(SCENARIO).replace('"c": 1.0', '"c": Infinity'))
+        code, out, err = run(capsys, "causal", "--scenario", str(path),
+                             "--map", "lab_chart")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "inf" in err
+
     def test_missing_scenario_exits_2(self, capsys):
         code, _, err = run(capsys, "eval", "--scenario", "/no/such.json",
                            "--map", "m")

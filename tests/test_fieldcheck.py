@@ -28,7 +28,6 @@ from mwsync import (
     SplitComplex,
     WaveCauchyMap,
     automorphism_suite,
-    build_wave_cauchy,
     causal_equivalence_check,
     chronology_check,
     conformality_report,
@@ -44,6 +43,7 @@ from mwsync import fieldcheck
 E = SplitComplex
 
 BOX = GridSpec(-2.0, 2.0, -2.0, 2.0, 17, 17)
+EPS = float(np.finfo(float).eps)
 
 
 class TestGridSpec:
@@ -51,10 +51,6 @@ class TestGridSpec:
         g = GridSpec(0.0, 1.0, 0.0, 2.0, 11, 11)
         assert g.min_spacing == pytest.approx(0.1)
         assert g.h == pytest.approx(0.01)
-
-    def test_halved(self):
-        g = GridSpec(0.0, 1.0, 0.0, 1.0, 11, 11, h=0.01)
-        assert g.halved().h == 0.005
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -163,6 +159,19 @@ class TestResiduals:
         with pytest.raises(AttributeError):
             log_factor_wave_residual(IdentityMap(), BOX)
 
+    def test_floor_is_recomputed_from_the_grid_values(self):
+        # 512 * eps * (1 + max|f|) / h**k over the nodes, with f the map
+        # (or its log factor) and k the order of the differences
+        m = MarzkeWheelerMap(PerturbedInertial(0.3, 1.0))
+        log_factor = np.log(m.conformal_components(*BOX.meshes()))
+        chart = 512.0 * EPS * (1.0 + _map_scale(m))
+        logs = 512.0 * EPS * (1.0 + float(np.max(np.abs(log_factor))))
+        assert holomorphy_residual(m, BOX).floor == chart / BOX.h
+        assert holomorphy_residual(m, BOX, anti=True).floor == chart / BOX.h
+        assert conformality_report(m, BOX).floor == chart / BOX.h
+        assert wave_residual(m, BOX).floor == chart / BOX.h ** 2
+        assert log_factor_wave_residual(m, BOX).floor == logs / BOX.h ** 2
+
 
 def _map_scale(m) -> float:
     T, X = BOX.meshes()
@@ -174,7 +183,7 @@ class TestWaveCauchy:
     def test_plus_sign_reproduces_the_radar_chart_bitwise(self):
         obs = PerturbedInertial(0.3, 1.0)
         m = MarzkeWheelerMap(obs)
-        wc = build_wave_cauchy(
+        wc = WaveCauchyMap(
             lambda s: obs.position(s)[1], lambda s: obs.position(s)[0], +1
         )
         T, X = BOX.meshes()
@@ -186,7 +195,7 @@ class TestWaveCauchy:
     def test_minus_sign_reproduces_the_conjugated_chart_bitwise(self):
         obs = PerturbedInertial(0.3, 1.0)
         m = ConjugateInput(MarzkeWheelerMap(obs))
-        wc = build_wave_cauchy(
+        wc = WaveCauchyMap(
             lambda s: obs.position(s)[1], lambda s: obs.position(s)[0], -1
         )
         T, X = BOX.meshes()
@@ -316,6 +325,12 @@ class TestLowCounterexample:
         assert rep.wave == wave_residual(F, BOX)
         assert rep.holo == holomorphy_residual(F, BOX)
         assert rep.antiholo == holomorphy_residual(F, BOX, anti=True)
+
+    def test_wave_floor_is_recomputed_from_the_sum(self):
+        g1, g2 = Inertial(0.0), PerturbedInertial(0.3, 1.0)
+        rep = low_counterexample(g1, g2, BOX, 0, 100)
+        F = MapSum([MarzkeWheelerMap(g1), ConjugateInput(MarzkeWheelerMap(g2))])
+        assert rep.wave.floor == 512.0 * EPS * (1.0 + _map_scale(F)) / BOX.h ** 2
 
     def test_reproducibility(self):
         a = low_counterexample(Inertial(0.0), Inertial(0.5), BOX, 0, 20000)

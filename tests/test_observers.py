@@ -49,13 +49,12 @@ def test_position_accepts_arrays():
         assert t[i] == p.t and x[i] == p.x
 
 
-def test_null_coords_match_position():
+def test_null_profiles_match_position():
     obs = PerturbedInertial(0.2, 3.0)
     for s in (-1.2, 0.0, 0.7):
         p = obs(s)
         assert obs.null_plus(s) == p.t + p.x
         assert obs.null_minus(s) == p.t - p.x
-        assert obs.null_coords(s) == (p.t + p.x, p.t - p.x)
 
 
 def test_rindler_closed_form():

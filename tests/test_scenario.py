@@ -100,6 +100,8 @@ def test_chart_helper_scales_the_fd_step():
                               "vertices": [[0, 0]]}}}, "vertices"),
         ({"maps": {"m": {"kind": "mw", "observer": "ghost"}}}, "ghost"),
         ({"maps": {"m": {"kind": "sum", "of": []}}}, "of"),
+        ({"c": math.inf}, "c must be positive and finite"),
+        ({"c": math.nan}, "c must be positive and finite"),
     ],
 )
 def test_validation_failures(data, fragment):
