@@ -89,6 +89,25 @@ def _int_at_least(minimum: int):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of a finite float flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type of a finite float flag above zero."""
+    value = _finite_float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be above 0, got {text}")
+    return value
+
+
 def _grid_from_flag(text: str) -> GridSpec:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) not in (6, 7):
@@ -284,6 +303,10 @@ def _cmd_propertime(args, scenario: Scenario, grid: GridSpec) -> int:
     tol = args.tol
     if args.mode == "dilation":
         _need(args, ["accel", "x1", "x2", "dt"], "dilation")
+        if args.accel == 0.0 or args.dt == 0.0:
+            raise ScenarioError(
+                f"--accel and --dt must be nonzero, got {args.accel!r} and {args.dt!r}"
+            )
         value = gravitational_dilation(args.accel, args.x1, args.x2, args.dt, ctx)
         _emit(
             [
@@ -446,12 +469,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a1", type=float, default=None)
     p.add_argument("--b0", type=float, default=None)
     p.add_argument("--b1", type=float, default=None)
-    p.add_argument("--x1", type=float, default=None)
-    p.add_argument("--x2", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--accel", type=float, default=None)
+    p.add_argument("--x1", type=_finite_float, default=None)
+    p.add_argument("--x2", type=_finite_float, default=None)
+    p.add_argument("--dt", type=_finite_float, default=None)
+    p.add_argument("--accel", type=_finite_float, default=None)
     p.add_argument("--n", type=_int_at_least(2), default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
 
     p = sub.add_parser(
         "counterexample", help="two-observer averaging construction"

@@ -19,10 +19,14 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
-from .algebra import NATURAL_UNITS, LightspeedContext, SplitComplex
-from .errors import NonMonotoneRadarTime, NotTimelike, SpeedLimitExceeded
+from .algebra import NATURAL_UNITS, LightspeedContext
+from .errors import (
+    EvaluationFailure,
+    NonMonotoneRadarTime,
+    NotTimelike,
+    SpeedLimitExceeded,
+)
 from .mwmap import MarzkeWheelerMap
 from .observers import Observer
 from .quadrature import adaptive_simpson
@@ -55,17 +59,22 @@ class RadarTrajectory:
 
     ``t`` is radar time in clock units (the chart's time coordinate
     divided by c); ``x`` and ``v = dx/dt`` are callables over the
-    closed ``window``.
+    closed ``window`` that map an array of times to an array of the
+    same shape (the quadrature hands them a whole refinement level).
     """
 
-    x: Callable[[float], float]
-    v: Callable[[float], float]
+    x: Callable[[np.ndarray], np.ndarray]
+    v: Callable[[np.ndarray], np.ndarray]
     window: tuple[float, float]
 
     @classmethod
     def constant(cls, x0: float, window: tuple[float, float]) -> "RadarTrajectory":
         x0 = float(x0)
-        return cls(x=lambda t: x0, v=lambda t: 0.0, window=tuple(map(float, window)))
+        return cls(
+            x=lambda t: np.full(np.shape(t), x0),
+            v=lambda t: np.full(np.shape(t), 0.0),
+            window=tuple(map(float, window)),
+        )
 
     @classmethod
     def linear(
@@ -76,7 +85,7 @@ class RadarTrajectory:
         lo = float(window[0])
         return cls(
             x=lambda t: x0 + v0 * (t - lo),
-            v=lambda t: v0,
+            v=lambda t: np.full(np.shape(t), v0),
             window=(lo, float(window[1])),
         )
 
@@ -87,6 +96,10 @@ class RadarTrajectory:
         The interpolant is shape-preserving, so a sampled subluminal
         trajectory stays subluminal wherever the samples resolve it.
         """
+        # scipy.interpolate dominates the package's import time; only
+        # this constructor needs it.
+        from scipy.interpolate import PchipInterpolator
+
         ts = np.asarray(ts, dtype=float)
         xs = np.asarray(xs, dtype=float)
         if ts.ndim != 1 or ts.size < 2 or ts.shape != xs.shape:
@@ -94,24 +107,24 @@ class RadarTrajectory:
         if not np.all(np.diff(ts) > 0.0):
             raise ValueError("sample times must increase strictly")
         path = PchipInterpolator(ts, xs)
-        slope = path.derivative()
         return cls(
-            x=lambda t: float(path(t)),
-            v=lambda t: float(slope(t)),
-            window=(float(ts[0]), float(ts[-1])),
+            x=path, v=path.derivative(), window=(float(ts[0]), float(ts[-1]))
         )
 
 
 def _speed_root(traj: RadarTrajectory, ctx: LightspeedContext):
     # Aging rate per unit coordinate/radar time; raises at the cone.
-    def rate(t: float) -> float:
-        beta = traj.v(t) / ctx.c
+    def rate(t):
+        v = traj.v(t)
+        beta = v / ctx.c
         arg = (1.0 - beta) * (1.0 + beta)
-        if arg <= 0.0:
+        if np.any(arg <= 0.0):
+            i = int(np.argmax(arg <= 0.0))
             raise SpeedLimitExceeded(
-                f"trajectory reaches |v| >= c at t = {t!r} (v = {traj.v(t)!r})"
+                f"trajectory reaches |v| >= c at t = {float(t[i])!r} "
+                f"(v = {float(v[i])!r})"
             )
-        return math.sqrt(arg)
+        return np.sqrt(arg)
 
     return rate
 
@@ -148,9 +161,12 @@ def proper_time_accelerated(
     m = MarzkeWheelerMap(chart) if isinstance(chart, Observer) else chart
     rate = _speed_root(traj, ctx)
 
-    def integrand(t: float) -> float:
-        z = SplitComplex(ctx.c * t, traj.x(t))
-        return math.sqrt(m.conformal_factor(z, mode=mode)) * rate(t)
+    def integrand(t):
+        # The speed check runs first, so a level that reaches the light
+        # cone reports that before any chart failure further along.
+        aging = rate(t)
+        lam = m.conformal_components(ctx.c * t, traj.x(t), mode)
+        return np.sqrt(lam) * aging
 
     q = adaptive_simpson(integrand, traj.window[0], traj.window[1], tol)
     return ProperTimeResult(q.value, q.error_estimate, q.n_evals)
@@ -174,14 +190,17 @@ def arc_length_proper_time(
         If the tangent fails to be timelike at a quadrature node.
     """
 
-    def speed(s: float) -> float:
-        d = obs.derivative(s)
-        q = d.norm_sq()
-        if q <= 0.0:
+    def speed(s):
+        vt, vx = obs.velocity(s)
+        q = vt * vt - vx * vx
+        if np.any(q <= 0.0):
+            i = int(np.argmax(q <= 0.0))
+            si = float(s[i])
             raise NotTimelike(
-                f"tangent at s = {s!r} has norm_sq = {q!r}", pair=(s, s)
+                f"tangent at s = {si!r} has norm_sq = {float(q[i])!r}",
+                pair=(si, si),
             )
-        return math.sqrt(q)
+        return np.sqrt(q)
 
     q = adaptive_simpson(speed, float(s0), float(s1), tol)
     return ProperTimeResult(q.value / ctx.c, q.error_estimate / ctx.c, q.n_evals)
@@ -313,8 +332,22 @@ def gravitational_dilation(
     at chart position ``x`` is ``exp(2 a x / c**2)``, so two static
     clocks age in the exact ratio ``exp(a (x2 - x1) / c**2)``: the one
     sitting higher along the acceleration ages faster.
+
+    Raises
+    ------
+    EvaluationFailure
+        If the dilated aging overflows or is otherwise not finite.
     """
     a = float(a)
     if a == 0.0 or not math.isfinite(a):
         raise ValueError(f"proper acceleration must be finite and nonzero, got {a!r}")
-    return float(dt) * math.exp(a * (float(x2) - float(x1)) / (ctx.c * ctx.c))
+    exponent = a * (float(x2) - float(x1)) / (ctx.c * ctx.c)
+    try:
+        value = float(dt) * math.exp(exponent)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise EvaluationFailure(
+            f"dilated aging dt * exp({exponent!r}) is not finite (dt = {dt!r})"
+        )
+    return value

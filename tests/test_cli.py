@@ -1,9 +1,13 @@
 """Command line entry points: verbs, exit codes, output shape."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mwsync
 from mwsync.cli import main
 
 SCENARIO = {
@@ -259,6 +263,40 @@ class TestValidationAndErrors:
         assert out == ""
         assert err.startswith("error:") and window[2] in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6", "0"])
+    def test_propertime_tol_not_finite_and_positive_exits_2(self, scenario_path,
+                                                           capsys, tol):
+        code, out, err = run(capsys, "propertime", "--scenario", scenario_path,
+                             "--mode", "inertial", "--target", "drift",
+                             "--s0", "-0.5", "--s1", "0.5", f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "--tol" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--accel", "nan"), ("--x1", "-inf"), ("--x2", "nan"), ("--x2", "inf"),
+        ("--dt", "nan"), ("--dt", "0"), ("--accel", "0"),
+    ])
+    def test_dilation_input_not_finite_or_zero_exits_2(self, scenario_path, capsys,
+                                                       flag, value):
+        flags = {"--accel": "1", "--x1": "0", "--x2": "0.25", "--dt": "1", flag: value}
+        code, out, err = run(capsys, "propertime", "--scenario", scenario_path,
+                             "--mode", "dilation", *(f"{k}={v}" for k, v in flags.items()))
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and flag in err
+
+    @pytest.mark.parametrize("x1, x2, dt", [
+        ("0", "1e308", "1"), ("-1e308", "1e308", "1"), ("0", "1", "1e308"),
+    ])
+    def test_dilation_overflow_exits_3(self, scenario_path, capsys, x1, x2, dt):
+        code, out, err = run(capsys, "propertime", "--scenario", scenario_path,
+                             "--mode", "dilation", "--accel", "1", f"--x1={x1}",
+                             "--x2", x2, "--dt", dt)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "not finite" in err
+
     def test_non_finite_lightspeed_exits_2(self, tmp_path, capsys):
         path = tmp_path / "inf.json"
         path.write_text(json.dumps(SCENARIO).replace('"c": 1.0', '"c": Infinity'))
@@ -283,3 +321,14 @@ class TestValidationAndErrors:
 
     def test_no_arguments_exits_2(self, capsys):
         assert run(capsys)[0] == 2
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.interpolate is most of the import time; only sampled
+    # trajectories need it, so importing the CLI must not load it.
+    src = os.path.dirname(os.path.dirname(mwsync.__file__))
+    code = "import sys, mwsync.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
