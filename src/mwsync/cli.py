@@ -148,39 +148,38 @@ def _witness_lines(witness):
 
 def _cmd_eval(args, scenario: Scenario, grid: GridSpec) -> int:
     m = scenario.map(args.map)
-    try:
-        T, X = grid.meshes()
-        out_t, out_x = m.components(T, X)
-    except MwsyncError:
-        _locate_eval_failure(m, grid)
-        raise
+    t_text = [_FMT % t for t in grid.t_nodes.tolist()]
+    x_cells = [f"{_FMT % x},{_FMT},{_FMT}" for x in grid.x_nodes.tolist()]
     rows = ["t,x,out_t,out_x"]
-    for i in range(grid.n_t):
-        for j in range(grid.n_x):
-            rows.append(
-                ",".join(
-                    (
-                        _fmt(T[i, j]),
-                        _fmt(X[i, j]),
-                        _fmt(out_t[i, j]),
-                        _fmt(out_x[i, j]),
-                    )
-                )
-            )
+    for block, T, X in grid.row_blocks():
+        try:
+            out_t, out_x = m.components(T, X)
+        except MwsyncError:
+            _locate_eval_failure(m, grid)
+            raise
+        values = np.stack((out_t, out_x), axis=-1).reshape(len(T), -1).tolist()
+        for t, row in zip(t_text[block], values):
+            lead = t + ","
+            rows.append((lead + ("\n" + lead).join(x_cells)) % tuple(row))
     _emit(rows, args.out)
     return 0
 
 
 def _locate_eval_failure(m, grid: GridSpec):
-    # Rescan node by node so the error can name the first bad node.
+    # Rescan a row per array call, then node by node inside a failing
+    # row, so the error can name the first bad node.
+    x_nodes = grid.x_nodes
     for tv in grid.t_nodes:
-        for xv in grid.x_nodes:
-            try:
-                m.components(np.asarray(tv), np.asarray(xv))
-            except MwsyncError as exc:
-                raise MwsyncError(
-                    f"evaluation failed at node t={_fmt(tv)} x={_fmt(xv)}: {exc}"
-                ) from exc
+        try:
+            m.components(np.full_like(x_nodes, tv), x_nodes)
+        except MwsyncError:
+            for xv in x_nodes:
+                try:
+                    m.components(np.asarray(tv), np.asarray(xv))
+                except MwsyncError as exc:
+                    raise MwsyncError(
+                        f"evaluation failed at node t={_fmt(tv)} x={_fmt(xv)}: {exc}"
+                    ) from exc
 
 
 _CHECKS = {
@@ -245,7 +244,7 @@ def _cmd_causal(args, scenario: Scenario, grid: GridSpec) -> int:
     tol = scenario.tolerances.null_band
     lines = [f"map: {args.map}", *_grid_lines(grid)]
     if isinstance(m, MarzkeWheelerMap):
-        rep = automorphism_suite(m, grid, pairs, seed)
+        rep = automorphism_suite(m, grid, pairs, seed, tol)
         lines.append(f"status: {rep.outcome.value}")
         lines.append(f"lip: {rep.lip.verdict.value}")
         lines.append(f"lip_reason: {rep.lip.reason}")
@@ -393,7 +392,9 @@ def _cmd_counterexample(args, scenario: Scenario, grid: GridSpec) -> int:
     g1 = scenario.observer(args.g1)
     g2 = scenario.observer(args.g2)
     seed = scenario.seed if args.seed is None else args.seed
-    rep = low_counterexample(g1, g2, grid, seed, args.pairs)
+    rep = low_counterexample(
+        g1, g2, grid, seed, args.pairs, scenario.tolerances.null_band
+    )
     wave_ok = rep.wave.max_abs <= rep.wave.floor
     found = rep.equivalence.witness is not None
     ok = found and rep.axis_ok and wave_ok
@@ -488,6 +489,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_values(argv: list) -> list:
+    """``--flag value`` as ``--flag=value`` wherever the value starts
+    with a single dash.
+
+    argparse reads ``-1e-3``, ``-inf`` or ``-2,2,-2,2,9,9`` as an option
+    name and stops with "expected one argument".  Every long option
+    here but ``--help`` takes exactly one value, so a dash-led token
+    after one is always its value.
+    """
+    out = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if (
+            token.startswith("--") and "=" not in token
+            and not "--help".startswith(token)
+            and value.startswith("-") and not value.startswith("--")
+        ):
+            token = f"{token}={value}"
+            i += 1
+        out.append(token)
+        i += 1
+    return out
+
+
 _VERBS = {
     "eval": _cmd_eval,
     "check": _cmd_check,
@@ -499,8 +526,9 @@ _VERBS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

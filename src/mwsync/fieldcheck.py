@@ -27,7 +27,10 @@ floor, and takes its convergence order from an anisotropic stencil,
 (h_t, h_x) = (h, h/2) against (h/2, h/4), where the truncation error of
 a solution survives and shrinks at second order.  It also carries that
 floor, ``512 * eps * (1 + max|f|) / h**k`` with ``f`` the function the
-stencil differences at the grid nodes and k its order.
+stencil differences at the grid nodes and k its order.  The grid is
+swept in cache-sized blocks of rows (:meth:`GridSpec.row_blocks`), each
+point evaluated once, and the reports are bitwise those of evaluating
+the whole grid at once.
 """
 
 from __future__ import annotations
@@ -220,6 +223,11 @@ class WaveCauchyMap(PlaneMap):
 
 # -- grids and residual reports -----------------------------------------
 
+# Nodes per block of grid rows: 2**15 float64 values, 256 kB per
+# temporary, so the dozens of temporaries a stencil block needs stay
+# near the L2 cache instead of streaming full-grid arrays through memory.
+_BLOCK_NODES = 2 ** 15
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -272,6 +280,19 @@ class GridSpec:
 
     def meshes(self):
         return np.meshgrid(self.t_nodes, self.x_nodes, indexing="ij")
+
+    def row_blocks(self):
+        """Yield ``(rows, T, X)`` over blocks of whole grid rows.
+
+        ``rows`` slices the t nodes and ``T, X`` are the block's meshes,
+        equal to ``meshes()`` sliced by ``rows``.  A block holds
+        ``max(1, _BLOCK_NODES // n_x)`` rows.
+        """
+        step = max(1, _BLOCK_NODES // self.n_x)
+        t_nodes, x_nodes = self.t_nodes, self.x_nodes
+        for start in range(0, self.n_t, step):
+            rows = slice(start, start + step)
+            yield (rows, *np.meshgrid(t_nodes[rows], x_nodes, indexing="ij"))
 
 
 @dataclass(frozen=True)
@@ -329,27 +350,43 @@ def _second_diff(f_up, f_0, f_dn, coord, up, dn):
 
 
 class _Stencil:
-    """``f(t, x) -> tuple of arrays`` sampled around the grid nodes, one
-    point set (a step either side along one axis) at a time.
+    """``f(t, x) -> tuple of arrays`` sampled around the grid nodes one
+    block of rows at a time, one point set (a step either side along
+    one axis) at a time.
 
-    The stencil nodes of an axis are formed and checked once per node
-    and kept in a shape that broadcasts against the grid, since a whole
-    row (along t) or column (along x) shares them.  The centre, needed
-    by second differences only, is evaluated once.  ``both`` serves the
-    first-order and the wave residuals from the same point sets.
-    ``floor`` reads the function's magnitude from the centre.
+    The stencil nodes of every level are formed and checked on their
+    full axis once, before anything is evaluated, and kept in a shape
+    that broadcasts against a block, since a whole row (along t) or
+    column (along x) shares them.  :meth:`sweep` enters each block of
+    :meth:`GridSpec.row_blocks` in turn and evaluates the centre there
+    once; second differences reuse it, and :meth:`floor` reads the
+    function's magnitude from the centres of all blocks.  ``both``
+    serves the first-order and the wave residuals from the same point
+    sets.
     """
 
     def __init__(self, f, grid: GridSpec):
         self.f = f
         self.grid = grid
-        self.T, self.X = grid.meshes()
-        self._f0 = None
+        h = grid.h
+        axes = {True: grid.t_nodes[:, None], False: grid.x_nodes[None, :]}
+        self._axes = {
+            (step, along_t): (axes[along_t], *_stencil_points(axes[along_t], step))
+            for step, along_t in (
+                (h / 2.0, True), (h / 4.0, False), (h, True), (h / 2.0, False), (h, False)
+            )
+        }
+        self._magnitude = None
+
+    def _enter(self, rows, T, X):
+        self._rows, self.T, self.X = rows, T, X
+        self._f0 = self.f(T, X)
+        self._magnitude = _fold_max(self._magnitude, [np.abs(c) for c in self._f0])
 
     def _point_set(self, h, along_t):
-        grid = self.grid
-        nodes = grid.t_nodes[:, None] if along_t else grid.x_nodes[None, :]
-        up, dn = _stencil_points(nodes, h)
+        nodes, up, dn = self._axes[h, along_t]
+        if along_t:
+            nodes, up, dn = nodes[self._rows], up[self._rows], dn[self._rows]
 
         def at(coord):
             coord = np.broadcast_to(coord, self.T.shape).copy()
@@ -363,29 +400,69 @@ class _Stencil:
 
     def second(self, h, along_t):
         """Central second differences along one axis."""
-        centre = self._centre()
-        return self._second(centre, *self._point_set(h, along_t))
+        return self._second(self._f0, *self._point_set(h, along_t))
 
     def both(self, h, along_t):
         """First and second differences from one point set."""
-        centre = self._centre()
         points = self._point_set(h, along_t)
-        return self._first(*points), self._second(centre, *points)
+        return self._first(*points), self._second(self._f0, *points)
 
-    def _centre(self):
-        if self._f0 is None:
-            self._f0 = self.f(self.T, self.X)
-        return self._f0
+    def sweep(self, part, combine):
+        """Residual fields at the matched step, and their stencil order.
+
+        ``part(step, along_t)``, one of :meth:`first`, :meth:`second`
+        and :meth:`both`, evaluates the point set a step either side
+        along t (or x) in the current block and reduces it to what
+        ``combine(t_part, x_part)`` needs to form the residual fields.
+        The fields are returned at the matched level (h, h), assembled
+        over the blocks.  There the central stencil annihilates
+        traveling waves ``p(t + x) + q(t - x)`` term for term, so exact
+        charts leave only rounding and no order can be read.  The order
+        of each field therefore compares the maxima at the anisotropic
+        levels (h_t, h_x) = (h, h/2) and (h/2, h/4), where the
+        truncation term, proportional to h_t**2 - h_x**2, survives;
+        those maxima are folded over the blocks.  Every stencil point
+        is evaluated once.
+        """
+        grid = self.grid
+        h = grid.h
+        fields = fine = coarse = None
+        for rows, T, X in grid.row_blocks():
+            self._enter(rows, T, X)
+            t_part = part(h / 2.0, True)
+            fine = _fold_max(fine, combine(t_part, part(h / 4.0, False)))
+            del t_part
+            t_part = part(h, True)
+            coarse = _fold_max(coarse, combine(t_part, part(h / 2.0, False)))
+            matched = combine(t_part, part(h, False))
+            del t_part
+            if fields is None:
+                fields = [np.empty((grid.n_t, grid.n_x), f.dtype) for f in matched]
+            for out, f in zip(fields, matched):
+                out[rows] = f
+        orders = [_order(float(a), float(b)) for a, b in zip(coarse, fine)]
+        return fields, orders
 
     def floor(self, k):
-        """Rounding floor ``512 * eps * (1 + max|f|) / h**k`` at the nodes.
+        """Rounding floor ``512 * eps * (1 + max|f|) / h**k`` at the nodes,
+        read from the centres of a finished :meth:`sweep`.
 
-        Reuses the centre when second differences hold it; otherwise
-        the centre is evaluated for this reduction only and not kept.
+        Raises
+        ------
+        EvaluationFailure
+            If ``h**k`` overflows or underflows to zero.
         """
-        centre = self._f0 if self._f0 is not None else self.f(self.T, self.X)
-        mag = float(max(np.max(np.abs(c)) for c in centre))
-        return 512.0 * _EPS * (1.0 + mag) / self.grid.h ** k
+        mag = float(max(self._magnitude))
+        h = self.grid.h
+        try:
+            scale = h ** k
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise EvaluationFailure(
+                f"rounding floor needs h**{k}, out of float range for h = {h!r}"
+            )
+        return 512.0 * _EPS * (1.0 + mag) / scale
 
     @staticmethod
     def _first(f_up, f_dn, coord, up, dn):
@@ -431,28 +508,14 @@ def _order(max_h: float, max_half: float) -> float | None:
     return None
 
 
-def _sweep(part, combine, h):
-    """Residual fields at the matched step, and their stencil order.
-
-    ``part(step, along_t)`` evaluates the point set a step either side
-    along t (or x) and reduces it to what ``combine(t_part, x_part)``
-    needs to form the residual fields.  The fields are returned at the
-    matched level (h, h).  There the central stencil annihilates
-    traveling waves ``p(t + x) + q(t - x)`` term for term, so exact
-    charts leave only rounding and no order can be read.  The order of
-    each field therefore compares the maxima at the anisotropic levels
-    (h_t, h_x) = (h, h/2) and (h/2, h/4), where the truncation term,
-    proportional to h_t**2 - h_x**2, survives.  At most one t part and
-    one x part are alive at a time, and the matched fields come last so
-    that no other level runs while they are held.
-    """
-    t_part = part(h / 2.0, True)
-    fine = [float(f.max()) for f in combine(t_part, part(h / 4.0, False))]
-    del t_part
-    t_part = part(h, True)
-    coarse = [float(f.max()) for f in combine(t_part, part(h / 2.0, False))]
-    orders = [_order(a, b) for a, b in zip(coarse, fine)]
-    return combine(t_part, part(h, False)), orders
+def _fold_max(maxima, fields):
+    """Fold the maxima of one block's fields into those of the blocks
+    before, so a NaN anywhere wins as in ``max`` over the assembled
+    field (builtin ``max`` would drop it)."""
+    block = [f.max() for f in fields]
+    if maxima is None:
+        return block
+    return [np.maximum(a, b) for a, b in zip(maxima, block)]
 
 
 def _location(field, grid: GridSpec) -> tuple[float, float]:
@@ -474,17 +537,16 @@ def holomorphy_residual(F, grid: GridSpec, anti: bool = False) -> ResidualReport
     holomorphic after precomposing with conjugation).
     """
     stencil = _Stencil(F.components, grid)
-    floor = stencil.floor(1)
-    (field,), (order,) = _sweep(
-        stencil.first, _holo_fields((-1.0 if anti else 1.0,)), grid.h
+    (field,), (order,) = stencil.sweep(
+        stencil.first, _holo_fields((-1.0 if anti else 1.0,))
     )
-    return _report(field, order, grid, floor)
+    return _report(field, order, grid, stencil.floor(1))
 
 
 def wave_residual(F, grid: GridSpec) -> ResidualReport:
     """Componentwise discrete d'Alembertian of the map on the grid."""
     stencil = _Stencil(F.components, grid)
-    (field,), (order,) = _sweep(stencil.second, _wave_fields, grid.h)
+    (field,), (order,) = stencil.sweep(stencil.second, _wave_fields)
     return _report(field, order, grid, stencil.floor(2))
 
 
@@ -492,10 +554,9 @@ def conformality_report(F, grid: GridSpec) -> ConformalityReport:
     """Deviation of the metric pullback from a positive multiple of the
     Minkowski metric, plus the observed range of the factor."""
     stencil = _Stencil(F.components, grid)
-    floor = stencil.floor(1)
-    (field, lam), (order, _) = _sweep(stencil.first, _conformal_fields, grid.h)
+    (field, lam), (order, _) = stencil.sweep(stencil.first, _conformal_fields)
     return ConformalityReport(
-        **vars(_report(field, order, grid, floor)),
+        **vars(_report(field, order, grid, stencil.floor(1))),
         factor_min=float(lam.min()),
         factor_max=float(lam.max()),
         n_nonpositive=int(np.count_nonzero(lam <= 0.0)),
@@ -518,7 +579,7 @@ def log_factor_wave_residual(m, grid: GridSpec) -> ResidualReport:
         return (np.abs(t_part[0] - x_part[0]),)
 
     stencil = _Stencil(log_factor, grid)
-    (field,), (order,) = _sweep(stencil.second, combine, grid.h)
+    (field,), (order,) = stencil.sweep(stencil.second, combine)
     return _report(field, order, grid, stencil.floor(2))
 
 
@@ -764,6 +825,7 @@ def automorphism_suite(
     grid: GridSpec,
     n_pairs: int = 1000,
     seed: int = 0,
+    tol: float = DEFAULT_NULL_BAND,
 ) -> AutomorphismReport:
     """Certify that the chart acts as a causal automorphism on the box.
 
@@ -773,14 +835,15 @@ def automorphism_suite(
     sampled pairs, the round trip must return to the chart point, the
     chart must preserve the two ray families, and the restriction to
     the worldline's own axis must reproduce the worldline exactly.
+    ``tol`` is the null band of both chronology checks.
     """
     lip = lip_status(m.observer)
     if lip.verdict is not LipVerdict.VERIFIED:
         return AutomorphismReport(AutomorphismOutcome.NOT_APPLICABLE, lip)
 
     s_forward, s_inverse, s_trip = _child_seeds(seed, 3)
-    forward = chronology_check(m, grid, n_pairs, s_forward)
-    inverse = chronology_check(_InverseChart(m), grid, n_pairs, s_inverse)
+    forward = chronology_check(m, grid, n_pairs, s_forward, tol)
+    inverse = chronology_check(_InverseChart(m), grid, n_pairs, s_inverse, tol)
 
     rng = np.random.default_rng(s_trip)
     t, x = _draw_events(rng, grid, n_pairs)
@@ -863,8 +926,11 @@ def low_counterexample(
     grid: GridSpec,
     seed: int = 0,
     n_pairs: int = 100000,
+    tol: float = DEFAULT_NULL_BAND,
 ) -> LowReport:
     """Build ``F(z) = chart1(z) + chart2(conj z)`` and document it.
+
+    ``tol`` is the null band of the chronology and equivalence checks.
 
     Raises
     ------
@@ -887,7 +953,7 @@ def low_counterexample(
         return _wave_fields(t_part[1], x_part[1]) + holo_pair(t_part[0], x_part[0])
 
     stencil = _Stencil(F.components, grid)
-    fields, orders = _sweep(stencil.both, combine, grid.h)
+    fields, orders = stencil.sweep(stencil.both, combine)
     wave, holo, antiholo = (
         _report(f, o, grid, stencil.floor(k))
         for f, o, k in zip(fields, orders, (2, 1, 1))
@@ -905,8 +971,8 @@ def low_counterexample(
     )
 
     s_forward, s_equiv = _child_seeds(seed, 2)
-    forward = chronology_check(F, grid, min(n_pairs, 10000), s_forward)
-    equivalence = causal_equivalence_check(F, grid, n_pairs, s_equiv)
+    forward = chronology_check(F, grid, min(n_pairs, 10000), s_forward, tol)
+    equivalence = causal_equivalence_check(F, grid, n_pairs, s_equiv, tol)
 
     return LowReport(
         wave,

@@ -325,7 +325,7 @@ class PiecewiseLinear(Observer):
         s = np.asarray(s, dtype=float)
         if np.any(s < self.ts[0]) or np.any(s > self.ts[-1]):
             raise DomainExceeded(
-                f"parameter outside [{self.ts[0]!r}, {self.ts[-1]!r}]"
+                f"parameter outside [{float(self.ts[0])!r}, {float(self.ts[-1])!r}]"
             )
         return s
 

@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import mwsync
+from mwsync import GridSpec, MarzkeWheelerMap, MwsyncError, PiecewiseLinear
 from mwsync.cli import main
 
 SCENARIO = {
@@ -80,6 +82,46 @@ class TestEval:
         assert code == 3
         assert "radar" in err
 
+    def test_failing_node_is_named_with_few_calls(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # the zigzag chart leaves its worldline's window in the last rows;
+        # the rescan takes one array call per row, then goes node by node
+        # in the first failing row only, and names the node the
+        # node-by-node scan names
+        path = tmp_path / "zigzag.json"
+        scenario = json.loads(json.dumps(SCENARIO))
+        scenario["observers"]["zigzag"] = {
+            "kind": "piecewise_linear", "vertices": [[0, 0], [1, 0.5], [2, 0]],
+        }
+        scenario["maps"]["zigzag_chart"] = {"kind": "mw", "observer": "zigzag"}
+        path.write_text(json.dumps(scenario))
+        grid = GridSpec(0.5, 1.62, 0.0, 0.4, 65, 65)
+        chart = MarzkeWheelerMap(PiecewiseLinear([(0, 0), (1, 0.5), (2, 0)]))
+        expected = None
+        for tv in grid.t_nodes:
+            for xv in grid.x_nodes:
+                try:
+                    chart.components(np.asarray(tv), np.asarray(xv))
+                except MwsyncError as exc:
+                    expected = (f"error: evaluation failed at node t={float(tv):.17g} "
+                                f"x={float(xv):.17g}: {exc}\n")
+                    break
+            if expected:
+                break
+        assert expected.endswith("parameter outside [0.0, 2.0]\n")
+        calls = []
+        components = MarzkeWheelerMap.components
+
+        def counted(self, t, x):
+            calls.append(np.size(t))
+            return components(self, t, x)
+
+        monkeypatch.setattr(MarzkeWheelerMap, "components", counted)
+        code, out, err = run(capsys, "eval", "--scenario", str(path),
+                             "--map", "zigzag_chart", "--grid=0.5,1.62,0,0.4,65,65")
+        assert (code, out, err) == (3, "", expected)
+        assert len(calls) <= 1 + grid.n_t + grid.n_x
+
 
 class TestCheck:
     @pytest.mark.parametrize("kind", ["holo", "wave", "conformal", "loggwave"])
@@ -104,6 +146,25 @@ class TestCheck:
                            "--map", "low", "--kind", "holo")
         assert code == 1
         assert "verdict: fail" in out
+
+    @pytest.mark.parametrize("grid", ["0,1e300,0,1e300,3,3", "0,1e-170,0,1e-170,3,3"])
+    @pytest.mark.parametrize("kind", ["wave", "loggwave"])
+    def test_floor_out_of_float_range_exits_3(self, scenario_path, capsys, kind, grid):
+        # the wave floor divides by h**2, which overflows (or underflows to
+        # zero) on these boxes
+        code, out, err = run(capsys, "check", "--scenario", scenario_path,
+                             "--map", "drift_chart", "--kind", kind, f"--grid={grid}")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "h**2" in err
+
+    @pytest.mark.parametrize("grid", ["0,1e300,0,1e300,3,3", "0,1e-170,0,1e-170,3,3"])
+    def test_first_order_floor_holds_at_any_scale(self, scenario_path, capsys, grid):
+        code, out, err = run(capsys, "check", "--scenario", scenario_path,
+                             "--map", "drift_chart", "--kind", "holo", f"--grid={grid}")
+        assert code == 0
+        assert err == ""
+        assert "verdict: pass" in out
 
     def test_loggwave_needs_a_chart(self, scenario_path, capsys):
         code, _, err = run(capsys, "check", "--scenario", scenario_path,
@@ -203,6 +264,14 @@ class TestCounterexample:
         assert "wave_ok: true" in out
         assert "axis_ok: true" in out
 
+    def test_floor_out_of_float_range_exits_3(self, scenario_path, capsys):
+        code, out, err = run(capsys, "counterexample", "--scenario", scenario_path,
+                             "--g1", "lab", "--g2", "drift", "--pairs", "100",
+                             "--grid=0,1e300,0,1e300,3,3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "h**2" in err
+
     def test_identical_curves_collapse_onto_the_axis(self, scenario_path, capsys):
         # gamma1 = gamma2 = lab gives F(z) = (2t, 0): spacelike pairs
         # land on the time axis, which is already a violation
@@ -211,6 +280,67 @@ class TestCounterexample:
         assert code == 0
         assert "witness_found: true" in out
         assert "relation_in: spacelike" in out
+
+
+class TestNullBand:
+    """The scenario's null band reaches every chronology check."""
+
+    @pytest.fixture
+    def wide_band_path(self, tmp_path):
+        def write(band):
+            path = tmp_path / f"band{band}.json"
+            path.write_text(json.dumps({**SCENARIO, "tolerances": {"null_band": band}}))
+            return str(path)
+
+        return write
+
+    def test_radar_chart_causal_suite(self, scenario_path, wide_band_path, capsys):
+        argv = ("causal", "--map", "drift_chart", "--pairs", "2000")
+        code, out, _ = run(capsys, argv[0], "--scenario", scenario_path, *argv[1:])
+        assert code == 0 and "witness" not in out
+        # output pairs within a band of 1e-2 read as null, not chronological
+        code, out, _ = run(capsys, argv[0], "--scenario", wide_band_path(1e-2), *argv[1:])
+        assert code == 1
+        assert "forward_passed: false" in out
+        assert "forward_relation_out: null_future" in out
+
+    def test_counterexample(self, scenario_path, wide_band_path, capsys):
+        argv = ("--g1", "lab", "--g2", "drift", "--pairs", "5000")
+        narrow = run(capsys, "counterexample", "--scenario", scenario_path, *argv)
+        wide = run(capsys, "counterexample", "--scenario", wide_band_path(1e-3), *argv)
+        # a wider band leaves more output pairs undecided, so fewer count
+        counted = [
+            int(next(line for line in r[1].splitlines()
+                     if line.startswith("equivalence_pairs: ")).split(": ")[1])
+            for r in (narrow, wide)
+        ]
+        assert counted[1] < counted[0]
+
+
+class TestNegativeValues:
+    """``--flag value`` reads like ``--flag=value`` for dash-led values."""
+
+    @pytest.mark.parametrize("flag, value, argv", [
+        ("--grid", "-2,2,-2,2,9,9", ("check", "--map", "drift_chart", "--kind", "holo")),
+        ("--s0", "-5e-1", ("propertime", "--mode", "inertial", "--target", "drift",
+                           "--s1", "0.5")),
+        ("--a0", "-6e-1", ("propertime", "--mode", "twin", "--a", "lab_shifted",
+                           "--b", "rocket", "--a1", "0.6")),
+        ("--x1", "-1e-3", ("propertime", "--mode", "dilation", "--accel", "1",
+                           "--x2", "0.25", "--dt", "2")),
+        ("--tol", "-1e-6", ("propertime", "--mode", "inertial", "--target", "drift",
+                            "--s0", "-0.5", "--s1", "0.5")),
+    ])
+    def test_space_form_matches_equals_form(self, scenario_path, capsys,
+                                            flag, value, argv):
+        verb, *rest = argv
+        spaced = run(capsys, verb, "--scenario", scenario_path, flag, value, *rest)
+        equals = run(capsys, verb, "--scenario", scenario_path, f"{flag}={value}", *rest)
+        assert spaced == equals
+        if flag == "--tol":
+            assert spaced[0] == 2 and "must be above 0" in spaced[2]
+        else:
+            assert spaced[0] in (0, 1) and spaced[1]
 
 
 class TestValidationAndErrors:

@@ -13,6 +13,7 @@ from mwsync import (
     ConjugateInput,
     ConjugateOutput,
     DegenerateSplit,
+    DomainExceeded,
     EvaluationFailure,
     FunctionMap,
     GridSpec,
@@ -350,3 +351,247 @@ class TestLowCounterexample:
 
         with pytest.raises(DegenerateSplit):
             low_counterexample(Inertial(0.0), Frozen(), BOX, 0, 100)
+
+
+# -- the blocked sweep against the whole-array reference ------------------
+
+
+class _WholeArrayStencil:
+    """The stencil before grid work ran in row blocks: every point set
+    evaluated over the full grid at once.  Kept as the reference the
+    blocked sweep must equal bitwise."""
+
+    def __init__(self, f, grid):
+        self.f = f
+        self.grid = grid
+        self.T, self.X = grid.meshes()
+        self._f0 = None
+
+    def _point_set(self, h, along_t):
+        grid = self.grid
+        nodes = grid.t_nodes[:, None] if along_t else grid.x_nodes[None, :]
+        up, dn = fieldcheck._stencil_points(nodes, h)
+
+        def at(coord):
+            coord = np.broadcast_to(coord, self.T.shape).copy()
+            return self.f(coord, self.X) if along_t else self.f(self.T, coord)
+
+        return at(up), at(dn), nodes, up, dn
+
+    def first(self, h, along_t):
+        return fieldcheck._Stencil._first(*self._point_set(h, along_t))
+
+    def second(self, h, along_t):
+        centre = self._centre()
+        return fieldcheck._Stencil._second(centre, *self._point_set(h, along_t))
+
+    def both(self, h, along_t):
+        centre = self._centre()
+        points = self._point_set(h, along_t)
+        return (
+            fieldcheck._Stencil._first(*points),
+            fieldcheck._Stencil._second(centre, *points),
+        )
+
+    def _centre(self):
+        if self._f0 is None:
+            self._f0 = self.f(self.T, self.X)
+        return self._f0
+
+    def floor(self, k):
+        centre = self._f0 if self._f0 is not None else self.f(self.T, self.X)
+        mag = float(max(np.max(np.abs(c)) for c in centre))
+        return 512.0 * EPS * (1.0 + mag) / self.grid.h ** k
+
+
+def _whole_array_sweep(part, combine, h):
+    t_part = part(h / 2.0, True)
+    fine = [float(f.max()) for f in combine(t_part, part(h / 4.0, False))]
+    del t_part
+    t_part = part(h, True)
+    coarse = [float(f.max()) for f in combine(t_part, part(h / 2.0, False))]
+    orders = [fieldcheck._order(a, b) for a, b in zip(coarse, fine)]
+    return combine(t_part, part(h, False)), orders
+
+
+def _reference_holo(F, grid, anti=False):
+    stencil = _WholeArrayStencil(F.components, grid)
+    floor = stencil.floor(1)
+    (field,), (order,) = _whole_array_sweep(
+        stencil.first, fieldcheck._holo_fields((-1.0 if anti else 1.0,)), grid.h
+    )
+    return fieldcheck._report(field, order, grid, floor)
+
+
+def _reference_wave(F, grid):
+    stencil = _WholeArrayStencil(F.components, grid)
+    (field,), (order,) = _whole_array_sweep(stencil.second, fieldcheck._wave_fields, grid.h)
+    return fieldcheck._report(field, order, grid, stencil.floor(2))
+
+
+def _reference_conformal(F, grid):
+    stencil = _WholeArrayStencil(F.components, grid)
+    floor = stencil.floor(1)
+    (field, lam), (order, _) = _whole_array_sweep(
+        stencil.first, fieldcheck._conformal_fields, grid.h
+    )
+    return fieldcheck.ConformalityReport(
+        **vars(fieldcheck._report(field, order, grid, floor)),
+        factor_min=float(lam.min()),
+        factor_max=float(lam.max()),
+        n_nonpositive=int(np.count_nonzero(lam <= 0.0)),
+    )
+
+
+def _reference_loggwave(m, grid):
+    def log_factor(t, x):
+        return (np.log(m.conformal_components(t, x, mode="analytic")),)
+
+    def combine(t_part, x_part):
+        return (np.abs(t_part[0] - x_part[0]),)
+
+    stencil = _WholeArrayStencil(log_factor, grid)
+    (field,), (order,) = _whole_array_sweep(stencil.second, combine, grid.h)
+    return fieldcheck._report(field, order, grid, stencil.floor(2))
+
+
+def _reference_low(F, grid):
+    holo_pair = fieldcheck._holo_fields((1.0, -1.0))
+
+    def combine(t_part, x_part):
+        return fieldcheck._wave_fields(t_part[1], x_part[1]) + holo_pair(t_part[0], x_part[0])
+
+    stencil = _WholeArrayStencil(F.components, grid)
+    fields, orders = _whole_array_sweep(stencil.both, combine, grid.h)
+    return tuple(
+        fieldcheck._report(f, o, grid, stencil.floor(k))
+        for f, o, k in zip(fields, orders, (2, 1, 1))
+    )
+
+
+# Wide rows make blocks of a few rows, so a grid of a few dozen rows
+# crosses several block edges at a small size.
+WIDE_N_X = fieldcheck._BLOCK_NODES // 8 + 1
+ROWS = max(1, fieldcheck._BLOCK_NODES // WIDE_N_X)
+BLOCK_N_T = (3, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1)
+
+
+def _wide_grid(n_t):
+    return GridSpec(-2.0, 2.0, -2.0, 2.0, n_t, WIDE_N_X)
+
+
+def _same(a, b) -> bool:
+    # repr tells NaN from NaN and -0.0 from 0.0, as bitwise equality would
+    return repr(a) == repr(b)
+
+
+class TestBlockedSweep:
+    def test_rows_per_block(self):
+        assert ROWS == 7 and 3 < ROWS - 1
+        blocks = list(_wide_grid(2 * ROWS + 1).row_blocks())
+        assert [(r.start, T.shape) for r, T, _ in blocks] == [
+            (0, (ROWS, WIDE_N_X)), (ROWS, (ROWS, WIDE_N_X)), (2 * ROWS, (1, WIDE_N_X)),
+        ]
+        T, X = _wide_grid(2 * ROWS + 1).meshes()
+        for rows, bt, bx in blocks:
+            assert np.array_equal(bt, T[rows]) and np.array_equal(bx, X[rows])
+
+    @pytest.mark.parametrize("n_t", BLOCK_N_T)
+    def test_reports_equal_the_whole_array_sweep(self, n_t):
+        grid = _wide_grid(n_t)
+        wobble = MarzkeWheelerMap(PerturbedInertial(0.3, 1.0))
+        rocket = MarzkeWheelerMap(Rindler(1.0))
+        square = FunctionMap(lambda t, x: (t * t, x * t), "t squared, x t")
+        for F in (wobble, rocket, square):
+            assert _same(holomorphy_residual(F, grid), _reference_holo(F, grid))
+            assert _same(
+                holomorphy_residual(F, grid, anti=True), _reference_holo(F, grid, True)
+            )
+            assert _same(wave_residual(F, grid), _reference_wave(F, grid))
+            assert _same(conformality_report(F, grid), _reference_conformal(F, grid))
+        for m in (wobble, rocket):
+            assert _same(log_factor_wave_residual(m, grid), _reference_loggwave(m, grid))
+
+    @pytest.mark.parametrize("n_t", BLOCK_N_T)
+    def test_low_counterexample_equals_the_whole_array_sweep(self, n_t):
+        grid = _wide_grid(n_t)
+        g1, g2 = PerturbedInertial(0.3, 1.0), Rindler(1.0)
+        rep = low_counterexample(g1, g2, grid, 0, 100)
+        F = MapSum([MarzkeWheelerMap(g1), ConjugateInput(MarzkeWheelerMap(g2))])
+        assert _same((rep.wave, rep.holo, rep.antiholo), _reference_low(F, grid))
+
+    @pytest.mark.parametrize("n_t", (ROWS, 2 * ROWS + 1))
+    def test_every_stencil_point_is_evaluated_once(self, n_t):
+        # centre plus five point sets of two sides each: 11 grid passes
+        grid = _wide_grid(n_t)
+        chart = MarzkeWheelerMap(PerturbedInertial(0.3, 1.0))
+        nodes = []
+
+        def counted(t, x):
+            nodes.append(np.size(t))
+            return chart.components(t, x)
+
+        class CountedFactor:
+            def conformal_components(self, t, x, mode):
+                nodes.append(np.size(t))
+                return chart.conformal_components(t, x, mode=mode)
+
+        F = FunctionMap(counted, "counted chart")
+        for run in (
+            lambda: holomorphy_residual(F, grid),
+            lambda: wave_residual(F, grid),
+            lambda: conformality_report(F, grid),
+            lambda: log_factor_wave_residual(CountedFactor(), grid),
+        ):
+            nodes.clear()
+            run()
+            assert sum(nodes) == 11 * n_t * WIDE_N_X
+
+    def test_nan_in_one_block_reads_as_no_order(self):
+        grid = _wide_grid(2 * ROWS + 1)
+        t_nan = grid.t_nodes[ROWS + ROWS // 2]
+        half = (grid.t_max - grid.t_min) / (grid.n_t - 1) / 2.0
+
+        def fn(t, x):
+            bad = (np.abs(t - t_nan) < half) & (np.abs(x) < 0.5)
+            return np.where(bad, np.nan, t * t), x * t
+
+        F = FunctionMap(fn, "NaN in one block")
+        for new, ref in (
+            (holomorphy_residual(F, grid), _reference_holo(F, grid)),
+            (wave_residual(F, grid), _reference_wave(F, grid)),
+            (conformality_report(F, grid), _reference_conformal(F, grid)),
+        ):
+            assert new.convergence_order is None
+            assert math.isnan(new.max_abs)
+            assert _same(new, ref)
+
+    def test_failure_in_the_last_block_raises_the_same_type(self):
+        grid = _wide_grid(2 * ROWS + 1)
+        last = grid.t_nodes[-2]
+
+        def fn(t, x):
+            if np.any(t > last):
+                raise DomainExceeded("past the second last row")
+            return t, x
+
+        F = FunctionMap(fn, "fails in the last block")
+        for run, ref in (
+            (holomorphy_residual, _reference_holo),
+            (wave_residual, _reference_wave),
+            (conformality_report, _reference_conformal),
+        ):
+            with pytest.raises(DomainExceeded):
+                ref(F, grid)
+            with pytest.raises(DomainExceeded):
+                run(F, grid)
+
+    def test_underflowing_step_raises_before_any_evaluation(self):
+        # the ulp at 1e16 is 2, so x + h/4 = x + 0.8 rounds back to x
+        grid = GridSpec(0.0, 64.0, 1e16, 1e16 + 64.0, 3, 3, h=3.2)
+        calls = []
+        F = FunctionMap(lambda t, x: calls.append(1) or (t, x), "never called")
+        for run in (holomorphy_residual, wave_residual, conformality_report):
+            with pytest.raises(EvaluationFailure, match="underflows"):
+                run(F, grid)
+        assert calls == []

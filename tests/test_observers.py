@@ -112,7 +112,7 @@ def test_piecewise_linear_validation():
     with pytest.raises(ValueError):
         PiecewiseLinear([(0.0, 0.0), (0.0, 1.0)])
     zig = PiecewiseLinear([(0.0, 0.0), (1.0, 0.5)])
-    with pytest.raises(DomainExceeded):
+    with pytest.raises(DomainExceeded, match=r"outside \[0\.0, 1\.0\]$"):
         zig(1.5)
 
 
