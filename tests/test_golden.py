@@ -60,10 +60,19 @@ CASES = {
         "--x2", "0.25", "--dt", "2.0",
     ),
     "eval.rocket_chart": ("eval", "--map", "rocket_chart"),
+    # At 10^5 pairs the samplers and the radar inverse run past one
+    # cache-sized chunk, which the 1000-pair cases never reach.
+    "scale.causal.wobble_chart": (
+        "causal", "--map", "wobble_chart", "--pairs", "100000",
+    ),
+    "scale.causal.low": ("causal", "--map", "low", "--pairs", "100000"),
+    "scale.counterexample.lab.wobble": (
+        "counterexample", "--g1", "lab", "--g2", "wobble", "--pairs", "100000",
+    ),
 }
 
 # Reports pinned by digest only, to keep the golden files small.
-HASHED = {"eval.rocket_chart"}
+HASHED = {"eval.rocket_chart"} | {name for name in CASES if name.startswith("scale.")}
 
 
 def _argv(name):
