@@ -66,12 +66,23 @@ def _fmt(value: float) -> str:
 
 
 def _emit(lines, out_path):
-    text = "\n".join(lines) + "\n"
+    """Write ``lines``, each ending in a newline, to ``out_path`` or stdout.
+
+    Line by line, so the report is never copied into one string.  The
+    lines are complete before the file is opened, so a report that fails
+    writes nothing.
+    """
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            _write_lines(handle, lines)
     else:
-        sys.stdout.write(text)
+        _write_lines(sys.stdout, lines)
+
+
+def _write_lines(stream, lines):
+    for line in lines:
+        stream.write(line)
+        stream.write("\n")
 
 
 def _int_at_least(minimum: int):
@@ -542,6 +553,9 @@ def main(argv=None) -> int:
         return 2
     except MwsyncError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except Exception as exc:  # a bug or an unforeseen input: no traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -47,7 +47,7 @@ import numpy as np
 from .algebra import ZERO, SplitComplex, TwoVelocity
 from .causal import DEFAULT_NULL_BAND, CausalRelation, classify, cone, reverse_relation
 from .errors import DegenerateSplit, EvaluationFailure
-from .mwmap import MarzkeWheelerMap
+from .mwmap import _BLOCK_NODES, MarzkeWheelerMap
 from .observers import LipStatus, LipVerdict, Observer, lip_status
 
 __all__ = [
@@ -222,11 +222,6 @@ class WaveCauchyMap(PlaneMap):
 
 
 # -- grids and residual reports -----------------------------------------
-
-# Nodes per block of grid rows: 2**15 float64 values, 256 kB per
-# temporary, so the dozens of temporaries a stencil block needs stay
-# near the L2 cache instead of streaming full-grid arrays through memory.
-_BLOCK_NODES = 2 ** 15
 
 
 @dataclass(frozen=True)
@@ -621,7 +616,7 @@ def _normalized_witness(z1, z2, rel_in, rel_out) -> WitnessPair:
             z2, z1, reverse_relation(rel_in), reverse_relation(rel_out)
         )
     raise EvaluationFailure(
-        f"pair with relations ({rel_in}, {rel_out}) certifies nothing"
+        f"pair with relations ({rel_in.value}, {rel_out.value}) certifies nothing"
     )
 
 
@@ -636,6 +631,41 @@ def _draw_events(rng, grid: GridSpec, n: int):
     return t, x
 
 
+def _chronological_pairs(rng, grid: GridSpec, n_pairs: int, tol: float):
+    """``n_pairs`` decisively chronological pairs ``(t1, x1, t2, x2)``.
+
+    Each round draws ``2 * n_pairs`` unordered pairs, keeps those with
+    squared interval at least ``(diameter/10)**2`` and above the null
+    band, and orders only the kept pairs in time.  The interval is read
+    off the unordered separation: negating both separations is exact,
+    so it is bitwise that of the ordered pair.  Raises after 200 rounds
+    short of ``n_pairs``.
+    """
+    need_q = (0.1 * grid.diameter) ** 2
+    have = 0
+    parts = []
+    for _ in range(200):
+        if have >= n_pairs:
+            break
+        ta, xa = _draw_events(rng, grid, 2 * n_pairs)
+        tb, xb = _draw_events(rng, grid, 2 * n_pairs)
+        q, band, _ = cone(tb - ta, xb - xa, tol)
+        picked = np.flatnonzero((q >= need_q) & (q > band))[: n_pairs - have]
+        ta, xa, tb, xb = (a.take(picked) for a in (ta, xa, tb, xb))
+        lo_first = ta <= tb
+        parts.append((
+            np.where(lo_first, ta, tb), np.where(lo_first, xa, xb),
+            np.where(lo_first, tb, ta), np.where(lo_first, xb, xa),
+        ))
+        have += picked.size
+    if have < n_pairs:
+        raise EvaluationFailure(
+            "could not sample decisively chronological pairs in the box"
+        )
+    columns = zip(*parts) if parts else ([np.empty(0)],) * 4  # n_pairs == 0
+    return tuple(np.concatenate(column) for column in columns)
+
+
 def chronology_check(
     F,
     grid: GridSpec,
@@ -646,37 +676,13 @@ def chronology_check(
     """Does ``z1 << z2`` imply ``F(z1) << F(z2)``?
 
     Samples decisively chronological input pairs from the grid box
-    (squared interval at least ``(scale/10)**2``, so classification
-    noise cannot manufacture inputs) and requires every output pair to
-    classify as chronological future.  The first failure is returned
-    as a normalized witness.
+    (squared interval at least ``(scale/10)**2`` and above the null
+    band, so classification noise cannot manufacture inputs) and
+    requires every output pair to classify as chronological future.
+    The first failure is returned as a normalized witness.
     """
     rng = np.random.default_rng(seed)
-    need_q = (0.1 * grid.diameter) ** 2
-    t1 = np.empty(0)
-    x1 = np.empty(0)
-    t2 = np.empty(0)
-    x2 = np.empty(0)
-    for _ in range(200):
-        if t1.size >= n_pairs:
-            break
-        ta, xa = _draw_events(rng, grid, 2 * n_pairs)
-        tb, xb = _draw_events(rng, grid, 2 * n_pairs)
-        lo_first = ta <= tb
-        tlo = np.where(lo_first, ta, tb)
-        xlo = np.where(lo_first, xa, xb)
-        thi = np.where(lo_first, tb, ta)
-        xhi = np.where(lo_first, xb, xa)
-        keep = cone(thi - tlo, xhi - xlo)[0] >= need_q
-        t1 = np.concatenate([t1, tlo[keep]])
-        x1 = np.concatenate([x1, xlo[keep]])
-        t2 = np.concatenate([t2, thi[keep]])
-        x2 = np.concatenate([x2, xhi[keep]])
-    if t1.size < n_pairs:
-        raise EvaluationFailure(
-            "could not sample decisively chronological pairs in the box"
-        )
-    t1, x1, t2, x2 = (a[:n_pairs] for a in (t1, x1, t2, x2))
+    t1, x1, t2, x2 = _chronological_pairs(rng, grid, n_pairs, tol)
 
     o1t, o1x = F.components(t1, x1)
     o2t, o2x = F.components(t2, x2)
@@ -708,7 +714,8 @@ def causal_equivalence_check(
 
     The two-sided version of :func:`chronology_check`: inputs are
     sampled without ordering constraints, kept only when decisively
-    chronological or decisively spacelike, and the outputs must agree
+    chronological or decisively spacelike (``|q|`` at least
+    ``(scale/10)**2`` and above the null band), and the outputs must agree
     with the biconditional decisively (margin ten null bands).  Pairs
     whose outputs land too close to the cone are skipped rather than
     counted either way.
@@ -717,9 +724,9 @@ def causal_equivalence_check(
     dec_q = (0.1 * grid.diameter) ** 2
     t1, x1 = _draw_events(rng, grid, n_pairs)
     t2, x2 = _draw_events(rng, grid, n_pairs)
-    q_in, _, m_in = cone(t2 - t1, x2 - x1)
+    q_in, band_in, m_in = cone(t2 - t1, x2 - x1, tol)
     in_cf = m_in >= dec_q
-    in_decisive = np.abs(q_in) >= dec_q
+    in_decisive = (np.abs(q_in) >= dec_q) & (np.abs(q_in) > band_in)
 
     o1t, o1x = F.components(t1, x1)
     o2t, o2x = F.components(t2, x2)

@@ -21,7 +21,9 @@ solved by a safeguarded Newton iteration ("rtsafe", Numerical Recipes
 section 9.4) that takes the worldline velocity as the profile slope and
 falls back to bisection whenever a Newton step would leave the bracket
 or fails to halve the previous step.  Each element iterates on its own
-until it converges, so a result never depends on the rest of its batch.
+until it converges, so a result never depends on the rest of its batch,
+and the iteration runs over cache-sized chunks of a batch without
+changing a bit.
 """
 
 from __future__ import annotations
@@ -46,6 +48,13 @@ __all__ = ["MarzkeWheelerMap"]
 # smooth kinds; bisection alone needs 60 rounds to shrink a bracket
 # 2**60 * root_tol wide down to root_tol.
 _ITERATION_CAP = 100
+
+# Elements per chunk of batched work: 2**15 float64 values, 256 kB per
+# temporary, so the temporaries of one chunk stay near the L2 cache and
+# are reused by the allocator instead of being faulted in afresh.  The
+# root finder iterates one chunk of a batch at a time, and the grid
+# sweeps of :mod:`mwsync.fieldcheck` take blocks of rows of this size.
+_BLOCK_NODES = 2 ** 15
 
 
 class MarzkeWheelerMap:
@@ -194,12 +203,11 @@ class MarzkeWheelerMap:
     def _solve(self, sign, targets):
         """Parameters ``s`` with ``P(s) = targets`` (sign +1) or ``M(s)``.
 
-        Closed form where the observer has one.  Otherwise rtsafe on an
-        active set: each round evaluates only the unconverged elements,
-        and an element stops when its step is at most ``root_tol``
-        (``f == 0`` collapses the bracket onto the root, and a bracket
-        narrower than ``root_tol`` bounds the step) or can no longer
-        move ``s``.
+        Closed form where the observer has one.  Otherwise the whole
+        batch is bracketed and given its regula falsi start at once,
+        and rtsafe (:meth:`_rtsafe`) then runs on one chunk of
+        ``_BLOCK_NODES`` elements at a time.  Elements iterate on their
+        own, so the result is bitwise that of one whole-batch loop.
         """
         closed = self.observer.null_inverse(sign, targets)
         if closed is not None:
@@ -211,14 +219,39 @@ class MarzkeWheelerMap:
             x = xl - fl * ((xh - xl) / (fh - fl))  # regula falsi start
         del fl, fh
         x = np.fmax(xl, np.fmin(x, xh))  # rounding or fl == fh: stay inside
-        last = math.inf  # size of the previous step
         out = np.empty(goal.shape)
+        stuck = []
+        for start in range(0, goal.size, _BLOCK_NODES):
+            chunk = slice(start, start + _BLOCK_NODES)
+            stuck.append(self._rtsafe(
+                fn, sign, goal[chunk], xl[chunk], xh[chunk], x[chunk], out[chunk]
+            ))
+        failed = sum(left.size for left in stuck)
+        if failed:
+            first = next(left for left in stuck if left.size)
+            raise EvaluationFailure(
+                f"radar inverse did not converge in {_ITERATION_CAP} iterations "
+                f"for {failed} event(s), e.g. target {float(first[0]):g}"
+            )
+        return out.reshape(targets.shape)
+
+    def _rtsafe(self, fn, sign, goal, xl, xh, x, out):
+        """Safeguarded Newton on an active set, results written to ``out``.
+
+        Each round evaluates only the unconverged elements, and an
+        element stops when its step is at most ``root_tol`` (``f == 0``
+        collapses the bracket onto the root, and a bracket narrower than
+        ``root_tol`` bounds the step) or can no longer move ``s``.
+        Overwrites ``xl`` and ``xh``.  Returns the targets still
+        unconverged after ``_ITERATION_CAP`` rounds, in input order.
+        """
+        last = math.inf  # size of the previous step
         live = np.arange(goal.size)
         # Arithmetic runs in place and the active set shrinks one array at
-        # a time, which keeps few full-size arrays alive at once.
+        # a time, which keeps few temporaries alive at once.
         for _ in range(_ITERATION_CAP):
             if live.size == 0:
-                return out.reshape(targets.shape)
+                break
             f = fn(x)
             f -= goal
             # x replaces xl where f < 0, xh where f > 0 and both where
@@ -252,10 +285,7 @@ class MarzkeWheelerMap:
                 nxt = nxt.take(keep)
                 size = size.take(keep)
             x, last = nxt, size
-        raise EvaluationFailure(
-            f"radar inverse did not converge in {_ITERATION_CAP} iterations "
-            f"for {live.size} event(s), e.g. target {float(goal[0]):g}"
-        )
+        return goal
 
     def radar_inverse_components(self, t, x):
         """Vectorized inverse chart: event coords to chart coords.

@@ -39,7 +39,7 @@ from .algebra import (
     two_velocity,
 )
 from .causal import cone
-from .errors import DomainExceeded, NotTimelike
+from .errors import DomainExceeded, EvaluationFailure, NotTimelike
 
 __all__ = [
     "Smoothness",
@@ -105,7 +105,13 @@ class Observer(ABC):
         """Parameter derivative ``(dt/ds, dx/ds)`` (arrays allowed)."""
 
     def __call__(self, s: float) -> SplitComplex:
-        t, x = self.position(float(s))
+        with np.errstate(over="ignore", invalid="ignore"):
+            t, x = self.position(float(s))
+        if not (math.isfinite(t) and math.isfinite(x)):
+            raise EvaluationFailure(
+                f"{self!r} has no finite position at s = {float(s)!r}: "
+                f"({float(t)!r}, {float(x)!r})"
+            )
         return SplitComplex(float(t), float(x))
 
     def derivative(self, s: float) -> SplitComplex:

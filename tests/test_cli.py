@@ -10,6 +10,7 @@ import pytest
 
 import mwsync
 from mwsync import GridSpec, MarzkeWheelerMap, MwsyncError, PiecewiseLinear
+from mwsync import cli
 from mwsync.cli import main
 
 SCENARIO = {
@@ -317,6 +318,22 @@ class TestNullBand:
         assert counted[1] < counted[0]
 
 
+    def test_band_null_inputs_are_not_sampled(self, scenario_path, wide_band_path, capsys):
+        # At 3e-2 some sampled inputs sat inside the band: a null input
+        # with a null output certified nothing and the run stopped (exit 3).
+        code, out, err = run(capsys, "causal", "--scenario", wide_band_path(3e-2),
+                             "--map", "drift_chart")
+        assert (code, err) == (1, "")
+        assert "forward_relation_in: chron_future" in out
+        assert "forward_relation_out: null_future" in out
+
+    def test_box_below_the_band_cannot_be_sampled(self, scenario_path, capsys):
+        code, out, err = run(capsys, "causal", "--scenario", scenario_path,
+                             "--map", "drift_chart", "--grid=0,1e-300,0,1e-300,3,3")
+        assert (code, out) == (3, "")
+        assert err == "error: could not sample decisively chronological pairs in the box\n"
+
+
 class TestNegativeValues:
     """``--flag value`` reads like ``--flag=value`` for dash-led values."""
 
@@ -445,6 +462,37 @@ class TestValidationAndErrors:
         code, _, err = run(capsys, "eval", "--scenario", scenario_path,
                            "--map", "lab_chart", "--grid", "1,2,3")
         assert code == 2
+
+    @pytest.mark.parametrize("a, b", [("rocket", "lab"), ("lab", "rocket")])
+    def test_twin_window_beyond_the_worldline_exits_3(self, scenario_path, capsys, a, b):
+        code, out, err = run(capsys, "propertime", "--scenario", scenario_path,
+                             "--mode", "twin", "--a", a, "--b", b,
+                             "--a0", "0", "--a1", "1e300")
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_rindler_position_overflow_names_the_parameter(self, scenario_path, capsys):
+        code, _, err = run(capsys, "propertime", "--scenario", scenario_path,
+                           "--mode", "twin", "--a", "rocket", "--b", "lab",
+                           "--a0", "0", "--a1", "1e300")
+        assert code == 3
+        assert err == "error: Rindler(a=1.0) has no finite position at s = 1e+300: (inf, inf)\n"
+
+    @pytest.mark.parametrize("exc, message", [
+        (ZeroDivisionError("float division by zero"),
+         "ZeroDivisionError: float division by zero"),
+        (KeyError("ghost"), "KeyError: 'ghost'"),
+        (RuntimeError("boom"), "RuntimeError: boom"),
+    ])
+    def test_an_unforeseen_exception_exits_3_without_traceback(
+            self, scenario_path, capsys, monkeypatch, exc, message):
+        def broken(args, scenario, grid):
+            raise exc
+
+        monkeypatch.setitem(cli._VERBS, "eval", broken)
+        code, out, err = run(capsys, "eval", "--scenario", scenario_path,
+                             "--map", "lab_chart")
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     def test_unknown_verb_exits_2(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

@@ -40,6 +40,7 @@ from mwsync import (
     wave_residual,
 )
 from mwsync import fieldcheck
+from mwsync.causal import DEFAULT_NULL_BAND, cone
 
 E = SplitComplex
 
@@ -266,6 +267,142 @@ class TestChronology:
         w = rep.witness
         assert w.relation_in is CausalRelation.SPACELIKE
         assert w.relation_out is CausalRelation.CHRON_FUTURE
+
+
+def _ordered_then_selected_pairs(rng, grid, n_pairs):
+    """Test-only reference: the sampler as it ran before it selected first.
+
+    Orders every drawn pair in time, tests the ordered separation and
+    grows the kept pairs round by round; the result is cut to
+    ``n_pairs`` at the end.
+    """
+    need_q = (0.1 * grid.diameter) ** 2
+    t1 = x1 = t2 = x2 = np.empty(0)
+    for _ in range(200):
+        if t1.size >= n_pairs:
+            break
+        ta, xa = fieldcheck._draw_events(rng, grid, 2 * n_pairs)
+        tb, xb = fieldcheck._draw_events(rng, grid, 2 * n_pairs)
+        lo_first = ta <= tb
+        tlo = np.where(lo_first, ta, tb)
+        xlo = np.where(lo_first, xa, xb)
+        thi = np.where(lo_first, tb, ta)
+        xhi = np.where(lo_first, xb, xa)
+        keep = (thi - tlo - (xhi - xlo)) * (thi - tlo + (xhi - xlo)) >= need_q
+        t1 = np.concatenate([t1, tlo[keep]])
+        x1 = np.concatenate([x1, xlo[keep]])
+        t2 = np.concatenate([t2, thi[keep]])
+        x2 = np.concatenate([x2, xhi[keep]])
+    if t1.size < n_pairs:
+        raise EvaluationFailure(
+            "could not sample decisively chronological pairs in the box"
+        )
+    return tuple(a[:n_pairs] for a in (t1, x1, t2, x2))
+
+
+class TestChronologicalPairs:
+    """The select-then-order sampler against the order-then-select one."""
+
+    def _rounds(self, monkeypatch, sample):
+        draws = []
+        real = fieldcheck._draw_events
+
+        def counted(rng, grid, n):
+            draws.append(n)
+            return real(rng, grid, n)
+
+        monkeypatch.setattr(fieldcheck, "_draw_events", counted)
+        result = sample()
+        return result, len(draws) // 2
+
+    @pytest.mark.parametrize("grid, rounds", [
+        (GridSpec(-2.0, 2.0, -0.2, 0.2), (1, 1)),  # tall box: one round
+        (BOX, (2, 2)),
+        (GridSpec(-0.5, 0.5, -1.0, 1.0), (3, 6)),  # flat box: several rounds
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_pairs_equal_the_reference_bitwise(self, monkeypatch, grid, rounds, seed):
+        n = 3000
+        got, used = self._rounds(monkeypatch, lambda: fieldcheck._chronological_pairs(
+            np.random.default_rng(seed), grid, n, DEFAULT_NULL_BAND))
+        ref, ref_used = self._rounds(monkeypatch, lambda: _ordered_then_selected_pairs(
+            np.random.default_rng(seed), grid, n))
+        assert used == ref_used and rounds[0] <= used <= rounds[1]
+        for a, b in zip(got, ref):
+            assert a.shape == (n,) and np.array_equal(a, b)
+        t1, x1, t2, x2 = got
+        assert np.all(t2 > t1)
+
+    def test_a_box_too_flat_fails_after_200_rounds_like_the_reference(self, monkeypatch):
+        flat = GridSpec(-0.01, 0.01, -1.0, 1.0)
+        real = fieldcheck._draw_events
+        for sample in (
+            lambda: fieldcheck._chronological_pairs(
+                np.random.default_rng(3), flat, 50, DEFAULT_NULL_BAND),
+            lambda: _ordered_then_selected_pairs(np.random.default_rng(3), flat, 50),
+        ):
+            draws = []
+            monkeypatch.setattr(fieldcheck, "_draw_events",
+                                lambda rng, grid, n: draws.append(n) or real(rng, grid, n))
+            with pytest.raises(EvaluationFailure) as exc:
+                sample()
+            assert str(exc.value) == "could not sample decisively chronological pairs in the box"
+            assert draws == [100] * 400
+
+    def test_no_pairs_asked_for(self):
+        pairs = fieldcheck._chronological_pairs(
+            np.random.default_rng(0), BOX, 0, DEFAULT_NULL_BAND)
+        assert [a.shape for a in pairs] == [(0,)] * 4
+        assert chronology_check(IdentityMap(), BOX, 0, 0).n_pairs == 0
+
+
+class TestNullBandInSamplers:
+    """Input pairs inside the null band are never sampled as decisive."""
+
+    def test_chronology_inputs_lie_above_the_band(self):
+        # At band 3e-2 some pairs with q >= (diameter/10)**2 sit inside
+        # the band; none of them may be drawn as a chronological input.
+        band = 3e-2
+        t1, x1, t2, x2 = fieldcheck._chronological_pairs(
+            np.random.default_rng(0), BOX, 5000, band)
+        q, width, _ = cone(t2 - t1, x2 - x1, band)
+        assert np.all(q > width)
+        loose = _ordered_then_selected_pairs(np.random.default_rng(0), BOX, 5000)
+        q, width, _ = cone(loose[2] - loose[0], loose[3] - loose[1], band)
+        assert np.any(q <= width)  # the band does bind here
+
+    def test_a_tiny_box_cannot_be_sampled(self):
+        # need_q underflows to 0, so only the band keeps null pairs out
+        tiny = GridSpec(0.0, 1e-300, 0.0, 1e-300, 3, 3)
+        with pytest.raises(EvaluationFailure, match="could not sample"):
+            chronology_check(IdentityMap(), tiny, 100, 0)
+
+    def test_equivalence_skips_band_null_inputs(self):
+        # Doubling time sends near-null pairs to decisively timelike ones,
+        # so only the input test keeps band-null inputs from counting.
+        band, n, seed = 3e-2, 2000, 0
+        m = FunctionMap(lambda t, x: (2.0 * t, x), "time doubler")
+        rep = causal_equivalence_check(m, BOX, n, seed, band)
+        rng = np.random.default_rng(seed)
+        t1, x1 = fieldcheck._draw_events(rng, BOX, n)
+        t2, x2 = fieldcheck._draw_events(rng, BOX, n)
+        q_in, band_in, _ = cone(t2 - t1, x2 - x1, band)
+        _, band_out, m_out = cone(2.0 * (t2 - t1), x2 - x1, band)
+        sized = np.abs(q_in) >= (0.1 * BOX.diameter) ** 2
+        out_decisive = np.abs(m_out) > 10.0 * band_out
+        in_band = np.abs(q_in) <= band_in
+        assert np.any(sized & out_decisive & in_band)  # the band test binds
+        assert rep.n_pairs == np.count_nonzero(sized & out_decisive & ~in_band)
+        assert rep.witness.relation_in is CausalRelation.SPACELIKE
+
+    def test_a_wide_band_gives_a_witness_not_an_error(self):
+        # Outputs of the drift chart are compressed toward the cone, so
+        # at band 3e-2 some chronological inputs map to null outputs.
+        m = MarzkeWheelerMap(Inertial(0.5))
+        rep = chronology_check(m, BOX, 1000, 0, 3e-2)
+        assert not rep.passed
+        assert rep.witness.relation_in is CausalRelation.CHRON_FUTURE
+        assert rep.witness.relation_out is CausalRelation.NULL_FUTURE
 
 
 class TestOrientation:

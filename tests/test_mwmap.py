@@ -339,3 +339,114 @@ def test_inverse_round_trips_and_is_batch_independent(obs, points):
         back = m.radar_inverse(E(float(et[i]), float(ex[i])))
         assert back.t == rt[i] and back.x == rx[i]
         assert math.hypot(rt[i] - s[i], rx[i] - x[i]) <= 1e-12 * (1.0 + math.hypot(s[i], x[i]))
+
+
+# -- chunked rtsafe against the whole-batch loop ----------------------------
+
+
+def _whole_batch_solve(m, sign, targets):
+    """Test-only reference: rtsafe over the whole batch in one loop.
+
+    The root finder as it ran before it iterated in chunks of
+    ``mwmap._BLOCK_NODES`` elements, kept to pin the chunked one.
+    """
+    fn = m._profile(sign)
+    goal = targets.ravel()
+    xl, xh, fl, fh = m._bracket(fn, goal)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = xl - fl * ((xh - xl) / (fh - fl))
+    x = np.fmax(xl, np.fmin(x, xh))
+    last = math.inf
+    out = np.empty(goal.shape)
+    live = np.arange(goal.size)
+    for _ in range(mwmap._ITERATION_CAP):
+        if live.size == 0:
+            return out.reshape(targets.shape)
+        f = fn(x) - goal
+        with np.errstate(divide="ignore", invalid="ignore"):
+            side = f * -math.inf
+            xl = np.fmax(xl, np.fmin(x, side))
+            xh = np.fmin(xh, np.fmax(x, side))
+            step = f / m._slope(sign, x)
+        nxt = x - step
+        size = np.abs(step)
+        bisect = ~((nxt >= xl) & (nxt <= xh) & (size <= 0.5 * last))
+        half = 0.5 * (xh - xl)
+        nxt = np.where(bisect, xl + half, nxt)
+        size = np.where(bisect, half, size)
+        done = (size <= m.root_tol) | (nxt == x)
+        out[live[done]] = nxt[done]
+        live, goal, xl, xh, nxt, size = (
+            a[~done] for a in (live, goal, xl, xh, nxt, size)
+        )
+        x, last = nxt, size
+    raise EvaluationFailure(
+        f"radar inverse did not converge in {mwmap._ITERATION_CAP} iterations "
+        f"for {live.size} event(s), e.g. target {float(goal[0]):g}"
+    )
+
+
+# A worldline with a null segment: t - x stays 0 on [0, 1], so the minus
+# profile has no closed-form inverse and rtsafe runs on a finite domain.
+NULL_SEGMENT = PiecewiseLinear([(-3.0, 0.0), (0.0, 0.0), (1.0, 1.0), (3.0, 1.5)])
+CHUNKED = {
+    "wobble": (PerturbedInertial(0.1, 2.0), (1.0, -1.0)),
+    "sum": (PerturbedInertial(0.1, 2.0) + Inertial(0.5), (1.0, -1.0)),
+    "boosted": (PerturbedInertial(0.1, 2.0).boosted(0.3), (1.0, -1.0)),
+    "null_segment": (NULL_SEGMENT, (-1.0,)),
+}
+B = mwmap._BLOCK_NODES
+
+
+def _targets(obs, sign, n, seed):
+    lo, hi = obs.domain
+    s = np.random.default_rng(seed).uniform(max(lo, -6.0), min(hi, 6.0), n)
+    return obs.null_plus(s) if sign > 0 else obs.null_minus(s)
+
+
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1, 100_000])
+@pytest.mark.parametrize("name", sorted(CHUNKED))
+def test_chunked_rtsafe_equals_the_whole_batch_loop(name, n):
+    obs, signs = CHUNKED[name]
+    m = MarzkeWheelerMap(obs)
+    for sign in signs:
+        assert obs.null_inverse(sign, np.zeros(1)) is None  # rtsafe, not closed form
+        targets = _targets(obs, sign, n, n)
+        got = m._solve(sign, targets)
+        assert got.shape == targets.shape
+        assert np.array_equal(got, _whole_batch_solve(m, sign, targets))
+
+
+def test_non_convergence_across_chunks_reports_the_whole_batch(monkeypatch):
+    # Targets on the bracket end 1.0 are met in the first round, generic
+    # ones need more.  Chunk 0 ends in ten generic targets, chunk 1 has
+    # none and chunk 2 holds only generic ones, so the first unconverged
+    # target lies in the chunk with fewer failures.
+    monkeypatch.setattr(mwmap, "_ITERATION_CAP", 1)
+    obs = CHUNKED["wobble"][0]
+    m = MarzkeWheelerMap(obs)
+    targets = _targets(obs, 1.0, 3 * B, 5)
+    targets[:2 * B - 10 - B] = obs.null_plus(1.0)
+    targets[B:2 * B] = obs.null_plus(1.0)
+    failing = []
+    for chunk in range(3):
+        part = targets[chunk * B:(chunk + 1) * B]
+        try:
+            m._solve(1.0, part)  # one chunk
+        except EvaluationFailure:
+            failing.append(chunk)
+    assert failing == [0, 2]
+    with pytest.raises(EvaluationFailure) as whole:
+        _whole_batch_solve(m, 1.0, targets)
+    with pytest.raises(EvaluationFailure) as chunked:
+        m._solve(1.0, targets)
+    assert str(chunked.value) == str(whole.value)
+
+
+def test_convergence_on_the_last_allowed_round_returns(monkeypatch):
+    # Targets on the bracket end converge in round one; a cap of one
+    # round returns them instead of raising.
+    monkeypatch.setattr(mwmap, "_ITERATION_CAP", 1)
+    obs = CHUNKED["wobble"][0]
+    targets = np.full(3, obs.null_plus(1.0))
+    assert np.array_equal(MarzkeWheelerMap(obs)._solve(1.0, targets), np.ones(3))

@@ -7,6 +7,7 @@ import pytest
 
 from mwsync import (
     DomainExceeded,
+    EvaluationFailure,
     Inertial,
     LipVerdict,
     NotTimelike,
@@ -73,6 +74,14 @@ def test_rindler_null_ranges_follow_the_wedge():
     left = Rindler(-1.0)
     assert left.null_plus_range == (-math.inf, 0.0)
     assert left.null_minus_range == (0.0, math.inf)
+
+
+def test_scalar_position_must_be_finite():
+    # sinh overflows far along the wedge; the scalar API names the
+    # parameter instead of failing inside SplitComplex
+    with pytest.raises(EvaluationFailure, match=r"no finite position at s = 1000\.0"):
+        Rindler(1.0)(1000.0)
+    assert Rindler(1.0)(700.0).t > 1e300
 
 
 def test_rindler_rejects_zero_acceleration():
