@@ -25,7 +25,6 @@ from .causal import (
     cone,
     ray_intersect,
     rays_through,
-    reverse_relation,
 )
 from .errors import (
     DegenerateFactor,
@@ -51,7 +50,6 @@ from .fieldcheck import (
     ConformalityReport,
     ConjugateInput,
     ConjugateOutput,
-    FunctionMap,
     GridSpec,
     IdentityMap,
     LowReport,
@@ -78,7 +76,6 @@ from .observers import (
     LipStatus,
     LipVerdict,
     Observer,
-    ObserverCheck,
     PerturbedInertial,
     PiecewiseLinear,
     Rindler,
@@ -86,7 +83,6 @@ from .observers import (
     SumObserver,
     TranslatedObserver,
     lip_status,
-    verify_observer,
 )
 from .propertime import (
     ProperTimeResult,

@@ -27,7 +27,6 @@ __all__ = [
     "DEFAULT_NULL_BAND",
     "cone",
     "classify",
-    "reverse_relation",
     "LightRay",
     "RayPair",
     "rays_through",
@@ -93,21 +92,6 @@ def classify(
     if q > 0.0:
         return CausalRelation.CHRON_FUTURE if d.t > 0.0 else CausalRelation.CHRON_PAST
     return CausalRelation.SPACELIKE
-
-
-_REVERSED = {
-    CausalRelation.EQUAL: CausalRelation.EQUAL,
-    CausalRelation.NULL_FUTURE: CausalRelation.NULL_PAST,
-    CausalRelation.NULL_PAST: CausalRelation.NULL_FUTURE,
-    CausalRelation.CHRON_FUTURE: CausalRelation.CHRON_PAST,
-    CausalRelation.CHRON_PAST: CausalRelation.CHRON_FUTURE,
-    CausalRelation.SPACELIKE: CausalRelation.SPACELIKE,
-}
-
-
-def reverse_relation(rel: CausalRelation) -> CausalRelation:
-    """Relation of x to y given the relation of y to x."""
-    return _REVERSED[rel]
 
 
 @dataclass(frozen=True)

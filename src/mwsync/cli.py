@@ -463,7 +463,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--map", required=True)
     p.add_argument("--pairs", type=_int_at_least(1), default=1000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
 
     p = sub.add_parser("propertime", help="proper-time computations")
     common(p)
@@ -495,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g1", required=True)
     p.add_argument("--g2", required=True)
     p.add_argument("--pairs", type=_int_at_least(1), default=100000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
 
     return parser
 

@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import ZERO, SplitComplex, TwoVelocity
-from .causal import DEFAULT_NULL_BAND, CausalRelation, classify, cone, reverse_relation
+from .causal import DEFAULT_NULL_BAND, CausalRelation, classify, cone
 from .errors import DegenerateSplit, EvaluationFailure
 from .mwmap import _BLOCK_NODES, MarzkeWheelerMap
 from .observers import LipStatus, LipVerdict, Observer, lip_status
@@ -57,7 +57,6 @@ __all__ = [
     "ConjugateOutput",
     "MapSum",
     "AffineLorentzMap",
-    "FunctionMap",
     "WaveCauchyMap",
     "GridSpec",
     "ResidualReport",
@@ -166,20 +165,6 @@ class AffineLorentzMap(PlaneMap):
 
     def __repr__(self):
         return f"AffineLorentzMap(u={self.u!r}, scale={self.scale!r}, offset={self.offset!r})"
-
-
-class FunctionMap(PlaneMap):
-    """Wrap an array-aware callable ``fn(t, x) -> (t_out, x_out)``."""
-
-    def __init__(self, fn: Callable, label: str = "fn"):
-        self.fn = fn
-        self.label = label
-
-    def components(self, t, x):
-        return self.fn(t, x)
-
-    def __repr__(self):
-        return f"FunctionMap({self.label})"
 
 
 class WaveCauchyMap(PlaneMap):
@@ -585,9 +570,8 @@ def log_factor_wave_residual(m, grid: GridSpec) -> ResidualReport:
 class WitnessPair:
     """Certified breakdown of order preservation at one pair.
 
-    Normalized so that exactly one of the two relations is
-    CHRON_FUTURE: either the inputs are chronological and the outputs
-    are not, or the other way around.
+    Exactly one of the two relations is CHRON_FUTURE: either the inputs
+    are chronological and the outputs are not, or the other way around.
     """
 
     z1: SplitComplex
@@ -607,17 +591,41 @@ class ChronologyReport:
     passed: bool
 
 
-def _normalized_witness(z1, z2, rel_in, rel_out) -> WitnessPair:
-    chron = CausalRelation.CHRON_FUTURE
-    if chron in (rel_in, rel_out):
-        return WitnessPair(z1, z2, rel_in, rel_out)
-    if CausalRelation.CHRON_PAST in (rel_in, rel_out):
-        return WitnessPair(
-            z2, z1, reverse_relation(rel_in), reverse_relation(rel_out)
+def _witness(i: int, inputs, outputs, tol: float) -> WitnessPair:
+    """Pair ``i`` of the sampled arrays, with its relations classified.
+
+    ``inputs`` are ``(t1, x1, t2, x2)`` and ``outputs`` their images.
+    :func:`classify` subtracts the very floats :func:`cone` subtracted
+    when the sampler flagged the pair, so the relations agree with the
+    sampler's verdict by construction.
+    """
+    t1, x1, t2, x2 = (float(a[i]) for a in inputs)
+    o1t, o1x, o2t, o2x = (float(a[i]) for a in outputs)
+    if not (math.isfinite(o2t - o1t) and math.isfinite(o2x - o1x)):
+        raise EvaluationFailure(
+            f"map output separation is not finite for the pair "
+            f"({t1!r}, {x1!r}), ({t2!r}, {x2!r}): "
+            f"({o1t!r}, {o1x!r}), ({o2t!r}, {o2x!r})"
         )
-    raise EvaluationFailure(
-        f"pair with relations ({rel_in.value}, {rel_out.value}) certifies nothing"
+    z1, z2 = SplitComplex(t1, x1), SplitComplex(t2, x2)
+    return WitnessPair(
+        z1, z2, classify(z1, z2, tol),
+        classify(SplitComplex(o1t, o1x), SplitComplex(o2t, o2x), tol),
     )
+
+
+def _decisive_q(grid: GridSpec) -> float:
+    """``(diameter/10)**2``, the least ``|q|`` of a sampled input pair."""
+    try:
+        need = (0.1 * grid.diameter) ** 2
+    except OverflowError:
+        need = math.inf
+    if need == math.inf:
+        raise EvaluationFailure(
+            f"the box [{grid.t_min:g}, {grid.t_max:g}] x [{grid.x_min:g}, "
+            f"{grid.x_max:g}] is too wide to sample: (diameter/10)**2 overflows"
+        )
+    return need
 
 
 def _child_seeds(seed: int, n: int) -> list[int]:
@@ -641,7 +649,7 @@ def _chronological_pairs(rng, grid: GridSpec, n_pairs: int, tol: float):
     so it is bitwise that of the ordered pair.  Raises after 200 rounds
     short of ``n_pairs``.
     """
-    need_q = (0.1 * grid.diameter) ** 2
+    need_q = _decisive_q(grid)
     have = 0
     parts = []
     for _ in range(200):
@@ -676,10 +684,10 @@ def chronology_check(
     """Does ``z1 << z2`` imply ``F(z1) << F(z2)``?
 
     Samples decisively chronological input pairs from the grid box
-    (squared interval at least ``(scale/10)**2`` and above the null
+    (squared interval at least ``(diameter/10)**2`` and above the null
     band, so classification noise cannot manufacture inputs) and
     requires every output pair to classify as chronological future.
-    The first failure is returned as a normalized witness.
+    The first failure is returned as the witness.
     """
     rng = np.random.default_rng(seed)
     t1, x1, t2, x2 = _chronological_pairs(rng, grid, n_pairs, tol)
@@ -693,11 +701,7 @@ def chronology_check(
     witness = None
     if not ok.all():
         i = int(np.argmax(~ok))
-        z1 = SplitComplex(float(t1[i]), float(x1[i]))
-        z2 = SplitComplex(float(t2[i]), float(x2[i]))
-        witness = _normalized_witness(
-            z1, z2, classify(z1, z2, tol), classify(F(z1), F(z2), tol)
-        )
+        witness = _witness(i, (t1, x1, t2, x2), (o1t, o1x, o2t, o2x), tol)
     return ChronologyReport(
         int(t1.size), int(seed), min_margin, witness, witness is None
     )
@@ -715,13 +719,13 @@ def causal_equivalence_check(
     The two-sided version of :func:`chronology_check`: inputs are
     sampled without ordering constraints, kept only when decisively
     chronological or decisively spacelike (``|q|`` at least
-    ``(scale/10)**2`` and above the null band), and the outputs must agree
+    ``(diameter/10)**2`` and above the null band), and the outputs must agree
     with the biconditional decisively (margin ten null bands).  Pairs
     whose outputs land too close to the cone are skipped rather than
     counted either way.
     """
     rng = np.random.default_rng(seed)
-    dec_q = (0.1 * grid.diameter) ** 2
+    dec_q = _decisive_q(grid)
     t1, x1 = _draw_events(rng, grid, n_pairs)
     t2, x2 = _draw_events(rng, grid, n_pairs)
     q_in, band_in, m_in = cone(t2 - t1, x2 - x1, tol)
@@ -741,11 +745,7 @@ def causal_equivalence_check(
     witness = None
     if violating.any():
         i = int(np.argmax(violating))
-        z1 = SplitComplex(float(t1[i]), float(x1[i]))
-        z2 = SplitComplex(float(t2[i]), float(x2[i]))
-        witness = _normalized_witness(
-            z1, z2, classify(z1, z2, tol), classify(F(z1), F(z2), tol)
-        )
+        witness = _witness(i, (t1, x1, t2, x2), (o1t, o1x, o2t, o2x), tol)
     return ChronologyReport(
         int(np.count_nonzero(counted)), int(seed), min_margin, witness,
         witness is None,
@@ -822,9 +822,6 @@ class _InverseChart:
 
     def components(self, t, x):
         return self.m.radar_inverse_components(t, x)
-
-    def __call__(self, z: SplitComplex) -> SplitComplex:
-        return self.m.radar_inverse(z)
 
 
 def automorphism_suite(

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .algebra import J, SplitComplex
+from .algebra import SplitComplex
 from .causal import ray_intersect, rays_through
 from .errors import (
     DegenerateFactor,
@@ -88,16 +88,12 @@ class MarzkeWheelerMap:
         self.fd_step = float(fd_step)
 
     def __call__(self, z: SplitComplex) -> SplitComplex:
-        g_plus = self.observer(z.t + z.x)
-        g_minus = self.observer(z.t - z.x)
-        return (g_plus + g_minus) * 0.5 + ((g_plus - g_minus) * 0.5) * J
+        """Scalar reading of :meth:`components`."""
+        t_out, x_out = self.components(np.asarray(z.t), np.asarray(z.x))
+        return SplitComplex(float(t_out), float(x_out))
 
     def components(self, t, x):
-        """Array path of :meth:`__call__`; bit-identical arithmetic.
-
-        The operation order mirrors the split-complex expression term
-        by term so scalar and array evaluations round identically.
-        """
+        """The chart on arrays of chart coordinates ``(s, x)``."""
         tp, xp = self.observer.position(t + x)
         tm, xm = self.observer.position(t - x)
         return (tp + tm) * 0.5 + (xp - xm) * 0.5, (xp + xm) * 0.5 + (tp - tm) * 0.5

@@ -5,7 +5,7 @@ array-aware coordinate functions.  The parameter convention is fixed by
 each kind (proper time for the inertial and uniformly accelerated
 families, coordinate time for the sampled kinds); what the rest of the
 package relies on is only that ``gamma`` is future-directed timelike,
-which :func:`verify_observer` checks by sampling.
+which is taken as given, not checked.
 
 The null coordinate functions ``s -> t(s) + x(s)`` and
 ``s -> t(s) - x(s)`` are strictly increasing along any such curve, and
@@ -38,8 +38,7 @@ from .algebra import (
     TwoVelocity,
     two_velocity,
 )
-from .causal import cone
-from .errors import DomainExceeded, EvaluationFailure, NotTimelike
+from .errors import DomainExceeded, EvaluationFailure
 
 __all__ = [
     "Smoothness",
@@ -51,8 +50,6 @@ __all__ = [
     "SumObserver",
     "BoostedObserver",
     "TranslatedObserver",
-    "ObserverCheck",
-    "verify_observer",
     "LipVerdict",
     "LipStatus",
     "lip_status",
@@ -299,8 +296,8 @@ class PiecewiseLinear(Observer):
     Continuous but kinked, so :attr:`smoothness` is C0 and
     :meth:`velocity` returns the right-hand slope at each vertex (the
     last vertex reuses the final segment).  Vertices need strictly
-    increasing ``t``; segment speeds are not checked here, that is what
-    :func:`verify_observer` is for.
+    increasing ``t``.  Segment speeds are not checked: a segment at or
+    above the speed of light is accepted as given.
     """
 
     smoothness = Smoothness.C0
@@ -506,69 +503,6 @@ class TranslatedObserver(Observer):
 
     def __repr__(self):
         return f"TranslatedObserver(offset={self.offset!r}, child={self.child!r})"
-
-
-@dataclass(frozen=True)
-class ObserverCheck:
-    """Outcome of a successful timelike-order check.
-
-    ``worst_margin`` is the smallest normalized margin
-    ``norm_sq(gamma(s2) - gamma(s1)) / (s2 - s1)**2`` seen over all
-    sampled pairs (sign-flipped when the increment is past-directed);
-    positive means every sampled chord was future timelike.
-    """
-
-    worst_margin: float
-    worst_pair: tuple[float, float]
-    n_pairs: int
-
-
-def verify_observer(
-    obs: Observer,
-    window: tuple[float, float],
-    n: int = 201,
-    seed: int = 0,
-) -> ObserverCheck:
-    """Check that ``obs`` is future-directed timelike over ``window``.
-
-    Samples ``n`` evenly spaced parameters (all consecutive pairs) plus
-    ``n`` random ordered pairs, and requires every chord to be future
-    timelike: positive quadratic form and positive time increment.
-
-    Raises
-    ------
-    NotTimelike
-        With the offending parameter pair when any chord fails.
-    """
-    s0, s1 = float(window[0]), float(window[1])
-    if not s0 < s1:
-        raise ValueError(f"window must be increasing, got ({s0!r}, {s1!r})")
-    grid = np.linspace(s0, s1, n)
-    rng = np.random.default_rng(seed)
-    ra = rng.uniform(s0, s1, n)
-    rb = rng.uniform(s0, s1, n)
-    lo = np.concatenate([grid[:-1], np.minimum(ra, rb)])
-    hi = np.concatenate([grid[1:], np.maximum(ra, rb)])
-    keep = hi > lo
-    lo, hi = lo[keep], hi[keep]
-
-    t0, x0 = obs.position(lo)
-    t1, x1 = obs.position(hi)
-    dt = t1 - t0
-    q, _, margin = cone(dt, x1 - x0)
-    margins = margin / (hi - lo) ** 2
-
-    worst = int(np.argmin(margins))
-    worst_margin = float(margins[worst])
-    worst_pair = (float(lo[worst]), float(hi[worst]))
-    if worst_margin <= 0.0:
-        raise NotTimelike(
-            "worldline is not future-directed timelike: chord between "
-            f"s={worst_pair[0]!r} and s={worst_pair[1]!r} has "
-            f"norm_sq={float(q[worst])!r}, dt={float(dt[worst])!r}",
-            pair=worst_pair,
-        )
-    return ObserverCheck(worst_margin, worst_pair, int(lo.size))
 
 
 class LipVerdict(enum.Enum):

@@ -9,7 +9,7 @@ Schema (all numbers JSON numbers, all names strings)::
 
     {
       "c": 1.0,                      optional, default 1.0
-      "seed": 0,                     optional, default 0
+      "seed": 0,                     optional, default 0, non-negative
       "grid": {                      optional, default box [-2,2]^2, 33x33
         "t_min": -2.0, "t_max": 2.0,
         "x_min": -2.0, "x_max": 2.0,
@@ -342,6 +342,8 @@ def parse_scenario(data: dict) -> Scenario:
     if not (math.isfinite(c) and c > 0.0):
         raise ScenarioError(f"c must be positive and finite, got {c!r}")
     seed = _integer(data.get("seed", 0), "seed")
+    if seed < 0:
+        raise ScenarioError(f"seed must be non-negative, got {seed!r}")
     grid = _parse_grid(data.get("grid", {}))
     tolerances = _parse_tolerances(data.get("tolerances", {}))
     scenario = Scenario(c=c, seed=seed, grid=grid, tolerances=tolerances)

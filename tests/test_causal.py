@@ -16,7 +16,6 @@ from mwsync import (
     cone,
     ray_intersect,
     rays_through,
-    reverse_relation,
 )
 
 E = SplitComplex
@@ -100,14 +99,6 @@ def test_classify_reads_the_vectorized_cone_test(data, tol):
         assert (rel is CausalRelation.SPACELIKE) == (q[i] < -band[i])
         # the samplers' verdict: chronological future iff margin > band
         assert (rel is CausalRelation.CHRON_FUTURE) == (margin[i] > band[i])
-
-
-def test_reverse_relation_is_an_involution():
-    for rel in CausalRelation:
-        assert reverse_relation(reverse_relation(rel)) is rel
-    assert reverse_relation(CausalRelation.CHRON_FUTURE) is CausalRelation.CHRON_PAST
-    assert reverse_relation(CausalRelation.NULL_PAST) is CausalRelation.NULL_FUTURE
-    assert reverse_relation(CausalRelation.SPACELIKE) is CausalRelation.SPACELIKE
 
 
 def test_rays_through_levels():

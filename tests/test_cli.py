@@ -380,6 +380,37 @@ class TestValidationAndErrors:
         assert out == ""
         assert "--pairs" in err and "at least 1" in err
 
+    @pytest.mark.parametrize("verb, target, seed", [
+        ("causal", ["--map", "drift_chart"], ["--seed", "-1"]),
+        ("counterexample", ["--g1", "lab", "--g2", "drift"], ["--seed=-5"]),
+    ])
+    def test_negative_seed_exits_2(self, scenario_path, capsys, verb, target, seed):
+        code, out, err = run(capsys, verb, "--scenario", scenario_path,
+                             *target, *seed, "--pairs", "10")
+        assert (code, out) == (2, "")
+        assert "--seed" in err and "at least 0" in err
+
+    def test_negative_scenario_seed_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps({**SCENARIO, "seed": -3}))
+        code, out, err = run(capsys, "causal", "--scenario", str(path),
+                             "--map", "lab_chart", "--pairs", "10")
+        assert (code, out, err) == (2, "", "error: seed must be non-negative, got -3\n")
+
+    def test_box_too_wide_to_sample_exits_3(self, scenario_path, capsys):
+        code, out, err = run(capsys, "causal", "--scenario", scenario_path,
+                             "--map", "lab_chart",
+                             "--grid=1e300,1.5e300,0,1,3,3", "--pairs", "50")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: the box [1e+300, 1.5e+300] x [0, 1] is too wide")
+
+    def test_non_finite_output_at_the_witness_exits_3(self, scenario_path, capsys):
+        code, out, err = run(capsys, "counterexample", "--scenario", scenario_path,
+                             "--g1", "rocket", "--g2", "drift",
+                             "--grid=-1e150,1e150,-1e150,1e150,3,3", "--pairs", "50")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: map output separation is not finite for the pair (")
+
     @pytest.mark.parametrize("mode, flags", [
         ("twin", ["--a", "lab_shifted", "--b", "rocket", "--a0", "-0.5", "--a1", "0.5"]),
         ("inertial", ["--target", "drift", "--s0", "0.0", "--s1", "2.0"]),

@@ -15,7 +15,6 @@ from mwsync import (
     DegenerateSplit,
     DomainExceeded,
     EvaluationFailure,
-    FunctionMap,
     GridSpec,
     IdentityMap,
     Inertial,
@@ -31,6 +30,7 @@ from mwsync import (
     automorphism_suite,
     causal_equivalence_check,
     chronology_check,
+    classify,
     conformality_report,
     holomorphy_residual,
     log_factor_wave_residual,
@@ -41,6 +41,7 @@ from mwsync import (
 )
 from mwsync import fieldcheck
 from mwsync.causal import DEFAULT_NULL_BAND, cone
+from fakes import FunctionMap
 
 E = SplitComplex
 
@@ -267,6 +268,43 @@ class TestChronology:
         w = rep.witness
         assert w.relation_in is CausalRelation.SPACELIKE
         assert w.relation_out is CausalRelation.CHRON_FUTURE
+
+    def test_witnesses_are_read_from_the_arrays(self):
+        class ArrayOnly(FunctionMap):
+            def __call__(self, z):
+                raise AssertionError("a sampler made a scalar call")
+
+        reversal = ArrayOnly(lambda t, x: (-t, -x), "reversal")
+        w = chronology_check(reversal, BOX, 500, 0).witness
+        assert (w.relation_in, w.relation_out) == (
+            CausalRelation.CHRON_FUTURE, CausalRelation.CHRON_PAST
+        )
+        assert w.relation_out is classify(-w.z1, -w.z2)
+        doubler = ArrayOnly(lambda t, x: (2.0 * t, x), "time doubler")
+        w = causal_equivalence_check(doubler, BOX, 2000, 1).witness
+        assert (w.relation_in, w.relation_out) == (
+            CausalRelation.SPACELIKE, CausalRelation.CHRON_FUTURE
+        )
+
+    @pytest.mark.parametrize("check", [chronology_check, causal_equivalence_check])
+    def test_a_box_too_wide_to_sample_fails_before_any_draw(self, monkeypatch, check):
+        def no_draws(rng, grid, n):
+            raise AssertionError("drew events")
+
+        monkeypatch.setattr(fieldcheck, "_draw_events", no_draws)
+        wide = GridSpec(1e300, 1.5e300, 0.0, 1.0, 3, 3)
+        with pytest.raises(EvaluationFailure, match=r"box \[1e\+300, 1.5e\+300\]"):
+            check(IdentityMap(), wide, 50, 0)
+
+    def test_a_non_finite_output_at_the_witness_names_the_pair(self):
+        m = FunctionMap(lambda t, x: (t * math.nan, x), "NaN time")
+        with pytest.raises(EvaluationFailure, match="not finite for the pair") as info:
+            chronology_check(m, BOX, 50, 0)
+        t1, x1, t2, x2 = fieldcheck._chronological_pairs(
+            np.random.default_rng(0), BOX, 50, DEFAULT_NULL_BAND
+        )
+        pair = tuple(float(a[0]) for a in (t1, x1, t2, x2))
+        assert "({!r}, {!r}), ({!r}, {!r})".format(*pair) in str(info.value)
 
 
 def _ordered_then_selected_pairs(rng, grid, n_pairs):

@@ -75,17 +75,36 @@ def test_algebraic_and_geometric_evaluation_agree(obs):
         assert abs(a.x - g.x) <= 1e-12 * (1.0 + abs(a.x))
 
 
+def _split_complex_chart(m, z):
+    # Reference: the chart formula in split-complex arithmetic.
+    g_plus = m.observer(z.t + z.x)
+    g_minus = m.observer(z.t - z.x)
+    return (g_plus + g_minus) * 0.5 + ((g_plus - g_minus) * 0.5) * J
+
+
+REFERENCE_OBSERVERS = OBSERVERS + [
+    Rindler(-2.0),
+    Rindler(1.0).boosted(0.3),
+    PiecewiseLinear([(-4.0, 0.0), (0.0, 0.5), (4.0, -0.25)]),
+    SumObserver([Inertial(0.25), PerturbedInertial(0.1, 3.0)]),
+    Inertial(0.5).translated(E(-0.0, 1e-300)),
+]
+
+
 def test_components_match_scalar_evaluation_bitwise():
-    m = MarzkeWheelerMap(PerturbedInertial(0.2, 2.0))
-    s = np.linspace(-1.0, 1.0, 11)
-    x = np.linspace(-0.5, 0.5, 11)
-    T, X = np.meshgrid(s, x, indexing="ij")
-    out_t, out_x = m.components(T, X)
-    for i in range(T.shape[0]):
-        for j in range(T.shape[1]):
-            w = m(E(float(T[i, j]), float(X[i, j])))
-            assert out_t[i, j] == w.t
-            assert out_x[i, j] == w.x
+    values = [0.0, -0.0, 1e-300, -1e-300, 0.75, -1.25, 1.5]
+    points = [E(s, x) for s in values for x in values]
+    t_in = np.array([z.t for z in points])
+    x_in = np.array([z.x for z in points])
+    for obs in REFERENCE_OBSERVERS:
+        m = MarzkeWheelerMap(obs)
+        out_t, out_x = m.components(t_in, x_in)
+        for z, t, x in zip(points, out_t, out_x):
+            ref = _split_complex_chart(m, z)
+            want = (repr(ref.t), repr(ref.x))
+            w = m(z)
+            assert (repr(w.t), repr(w.x)) == want, (obs, z)
+            assert (repr(float(t)), repr(float(x))) == want, (obs, z)
 
 
 @pytest.mark.parametrize("obs", OBSERVERS[:3], ids=repr)

@@ -10,7 +10,6 @@ from mwsync import (
     EvaluationFailure,
     Inertial,
     LipVerdict,
-    NotTimelike,
     PerturbedInertial,
     PiecewiseLinear,
     Rindler,
@@ -18,7 +17,6 @@ from mwsync import (
     SplitComplex,
     lip_status,
     two_velocity,
-    verify_observer,
 )
 
 
@@ -174,31 +172,6 @@ def test_translated_observer():
     w = Rindler(1.0).translated(SplitComplex(0.0, 1.0))
     assert w.null_plus_range == (1.0, math.inf)
     assert w.null_minus_range == (-math.inf, -1.0)
-
-
-def test_verify_observer_accepts_timelike_worldlines():
-    for obs in (Inertial(0.9), Rindler(1.0), PerturbedInertial(0.3, 2.0)):
-        check = verify_observer(obs, (-2.0, 2.0))
-        assert check.worst_margin > 0.0
-        assert check.n_pairs > 200
-
-
-def test_verify_observer_rejects_superluminal_segments():
-    fast = PiecewiseLinear([(0.0, 0.0), (1.0, 0.5), (2.0, 2.5)])
-    with pytest.raises(NotTimelike) as info:
-        verify_observer(fast, (0.0, 2.0))
-    lo, hi = info.value.pair
-    assert 1.0 <= hi <= 2.0
-
-
-def test_verify_observer_rejects_backwards_time():
-    class Backwards(Inertial):
-        def position(self, s):
-            t, x = super().position(s)
-            return -t, x
-
-    with pytest.raises(NotTimelike):
-        verify_observer(Backwards(0.0), (0.0, 1.0))
 
 
 def test_lip_status_verified_for_full_line_observers():

@@ -102,6 +102,7 @@ def test_chart_helper_scales_the_fd_step():
         ({"maps": {"m": {"kind": "sum", "of": []}}}, "of"),
         ({"c": math.inf}, "c must be positive and finite"),
         ({"c": math.nan}, "c must be positive and finite"),
+        ({"seed": -3}, "non-negative"),
     ],
 )
 def test_validation_failures(data, fragment):
