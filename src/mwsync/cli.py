@@ -547,7 +547,10 @@ def main(argv=None) -> int:
         grid = (
             _grid_from_flag(args.grid) if args.grid is not None else scenario.grid
         )
-        return _VERBS[args.verb](args, scenario, grid)
+        # Overflow and NaN surface as exit codes and report values, so
+        # numpy's RuntimeWarnings would only put lines before `error:`.
+        with np.errstate(all="ignore"):
+            return _VERBS[args.verb](args, scenario, grid)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,16 +30,23 @@ floor, ``512 * eps * (1 + max|f|) / h**k`` with ``f`` the function the
 stencil differences at the grid nodes and k its order.  The grid is
 swept in cache-sized blocks of rows (:meth:`GridSpec.row_blocks`), each
 point evaluated once, and the reports are bitwise those of evaluating
-the whole grid at once.
+the whole grid at once.  On a grid of more than one block, each point
+set's reduction (differences, residual fields and their maxima) runs on
+one helper thread while the calling thread evaluates the next point
+set; every call of the map stays on the calling thread.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
+from collections import deque
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from operator import add
+from queue import SimpleQueue
 from typing import Callable
 
 import numpy as np
@@ -261,6 +268,11 @@ class GridSpec:
     def meshes(self):
         return np.meshgrid(self.t_nodes, self.x_nodes, indexing="ij")
 
+    @property
+    def _block_rows(self) -> int:
+        """Rows in a block of :meth:`row_blocks`."""
+        return max(1, _BLOCK_NODES // self.n_x)
+
     def row_blocks(self):
         """Yield ``(rows, T, X)`` over blocks of whole grid rows.
 
@@ -268,7 +280,7 @@ class GridSpec:
         equal to ``meshes()`` sliced by ``rows``.  A block holds
         ``max(1, _BLOCK_NODES // n_x)`` rows.
         """
-        step = max(1, _BLOCK_NODES // self.n_x)
+        step = self._block_rows
         t_nodes, x_nodes = self.t_nodes, self.x_nodes
         for start in range(0, self.n_t, step):
             rows = slice(start, start + step)
@@ -342,7 +354,8 @@ class _Stencil:
     once; second differences reuse it, and :meth:`floor` reads the
     function's magnitude from the centres of all blocks.  ``both``
     serves the first-order and the wave residuals from the same point
-    sets.
+    sets.  ``first``, ``second`` and ``both`` only reduce a point set
+    already evaluated, so they may run on the helper thread.
     """
 
     def __init__(self, f, grid: GridSpec):
@@ -350,49 +363,52 @@ class _Stencil:
         self.grid = grid
         h = grid.h
         axes = {True: grid.t_nodes[:, None], False: grid.x_nodes[None, :]}
+        # In sweep order: fine, coarse and matched levels, t before x.
         self._axes = {
             (step, along_t): (axes[along_t], *_stencil_points(axes[along_t], step))
             for step, along_t in (
                 (h / 2.0, True), (h / 4.0, False), (h, True), (h / 2.0, False), (h, False)
             )
         }
-        self._magnitude = None
+        self._magnitude = self._fine = self._coarse = None
 
-    def _enter(self, rows, T, X):
-        self._rows, self.T, self.X = rows, T, X
-        self._f0 = self.f(T, X)
-        self._magnitude = _fold_max(self._magnitude, [np.abs(c) for c in self._f0])
-
-    def _point_set(self, h, along_t):
-        nodes, up, dn = self._axes[h, along_t]
+    def _point_set(self, key, rows, T, X):
+        nodes, up, dn = self._axes[key]
+        along_t = key[1]
         if along_t:
-            nodes, up, dn = nodes[self._rows], up[self._rows], dn[self._rows]
+            nodes, up, dn = nodes[rows], up[rows], dn[rows]
 
         def at(coord):
-            coord = np.broadcast_to(coord, self.T.shape).copy()
-            return self.f(coord, self.X) if along_t else self.f(self.T, coord)
+            coord = np.broadcast_to(coord, T.shape).copy()
+            return self.f(coord, X) if along_t else self.f(T, coord)
 
         return at(up), at(dn), nodes, up, dn
 
-    def first(self, h, along_t):
+    @staticmethod
+    def first(centre, f_up, f_dn, coord, up, dn):
         """Central first differences along one axis."""
-        return self._first(*self._point_set(h, along_t))
+        span = up - dn
+        return [(u - d) / span for u, d in zip(f_up, f_dn)]
 
-    def second(self, h, along_t):
+    @staticmethod
+    def second(centre, f_up, f_dn, coord, up, dn):
         """Central second differences along one axis."""
-        return self._second(self._f0, *self._point_set(h, along_t))
+        return [
+            _second_diff(u, c, d, coord, up, dn)
+            for u, c, d in zip(f_up, centre, f_dn)
+        ]
 
-    def both(self, h, along_t):
+    @staticmethod
+    def both(centre, *points):
         """First and second differences from one point set."""
-        points = self._point_set(h, along_t)
-        return self._first(*points), self._second(self._f0, *points)
+        return _Stencil.first(centre, *points), _Stencil.second(centre, *points)
 
     def sweep(self, part, combine):
         """Residual fields at the matched step, and their stencil order.
 
-        ``part(step, along_t)``, one of :meth:`first`, :meth:`second`
-        and :meth:`both`, evaluates the point set a step either side
-        along t (or x) in the current block and reduces it to what
+        ``part(centre, *point_set)``, one of :meth:`first`,
+        :meth:`second` and :meth:`both`, reduces the point set a step
+        either side along t (or x) in the current block to what
         ``combine(t_part, x_part)`` needs to form the residual fields.
         The fields are returned at the matched level (h, h), assembled
         over the blocks.  There the central stencil annihilates
@@ -403,25 +419,56 @@ class _Stencil:
         truncation term, proportional to h_t**2 - h_x**2, survives;
         those maxima are folded over the blocks.  Every stencil point
         is evaluated once.
+
+        The calling thread evaluates the centre and the point sets in
+        order and makes every call of ``f``; each point set's reduction
+        runs on the helper thread meanwhile (:class:`_Reductions`), and
+        the calling thread assembles the matched fields.
         """
         grid = self.grid
-        h = grid.h
-        fields = fine = coarse = None
-        for rows, T, X in grid.row_blocks():
-            self._enter(rows, T, X)
-            t_part = part(h / 2.0, True)
-            fine = _fold_max(fine, combine(t_part, part(h / 4.0, False)))
-            del t_part
-            t_part = part(h, True)
-            coarse = _fold_max(coarse, combine(t_part, part(h / 2.0, False)))
-            matched = combine(t_part, part(h, False))
-            del t_part
-            if fields is None:
-                fields = [np.empty((grid.n_t, grid.n_x), f.dtype) for f in matched]
+        fields = []
+
+        def fill(rows, matched):
+            if matched is None:
+                return
+            if not fields:
+                fields.extend(np.empty((grid.n_t, grid.n_x), f.dtype) for f in matched)
             for out, f in zip(fields, matched):
                 out[rows] = f
-        orders = [_order(float(a), float(b)) for a, b in zip(coarse, fine)]
+
+        reduce = self._reduce(part, combine)
+        next(reduce)
+        reductions = _Reductions(inline=grid.n_t <= grid._block_rows)
+        try:
+            for rows, T, X in grid.row_blocks():
+                centre = self.f(T, X)
+                for key in self._axes:
+                    points = self._point_set(key, rows, T, X)
+                    reductions.submit(reduce.send, (centre, points), partial(fill, rows))
+        finally:
+            reductions.close()
+        orders = [_order(float(a), float(b)) for a, b in zip(self._coarse, self._fine)]
         return fields, orders
+
+    def _reduce(self, part, combine):
+        """Reductions of :meth:`sweep`, sent ``(centre, point_set)`` in
+        the order of ``self._axes`` block after block; yields a block's
+        matched fields after its last point set and None otherwise."""
+        matched = None
+        while True:
+            centre, points = yield matched
+            self._magnitude = _fold_max(self._magnitude, [np.abs(c) for c in centre])
+            t_part = part(centre, *points)
+            centre, points = yield None
+            self._fine = _fold_max(self._fine, combine(t_part, part(centre, *points)))
+            del t_part
+            centre, points = yield None
+            t_part = part(centre, *points)
+            centre, points = yield None
+            self._coarse = _fold_max(self._coarse, combine(t_part, part(centre, *points)))
+            centre, points = yield None
+            matched = combine(t_part, part(centre, *points))
+            del t_part
 
     def floor(self, k):
         """Rounding floor ``512 * eps * (1 + max|f|) / h**k`` at the nodes,
@@ -444,17 +491,98 @@ class _Stencil:
             )
         return 512.0 * _EPS * (1.0 + mag) / scale
 
-    @staticmethod
-    def _first(f_up, f_dn, coord, up, dn):
-        span = up - dn
-        return [(u - d) / span for u, d in zip(f_up, f_dn)]
 
-    @staticmethod
-    def _second(centre, f_up, f_dn, coord, up, dn):
-        return [
-            _second_diff(u, c, d, coord, up, dn)
-            for u, c, d in zip(f_up, centre, f_dn)
-        ]
+class _Reductions:
+    """The reductions of one sweep, run in submission order on the
+    helper thread, at most two in flight.
+
+    Each job runs under the numpy errstate of the thread that made this
+    object (a new thread starts at numpy's defaults), and its result is
+    handed to its ``then`` on that thread.  Once a job has raised, the
+    jobs after it are skipped.  :meth:`close` waits for every pending
+    job and raises the first failure, which precedes, in the sequential
+    order, any exception the caller met meanwhile.  ``inline`` runs each
+    job at once on the calling thread.
+    """
+
+    def __init__(self, inline: bool):
+        self._inline = inline
+        self._pending = deque()
+        self._errstate = {**np.geterr(), "call": np.geterrcall()}
+        self._done = None if inline else SimpleQueue()
+        self._failed = False
+
+    def submit(self, job, arg, then):
+        if self._inline:
+            then(job(arg))
+            return
+        if len(self._pending) == 2:
+            self._collect()
+        self._pending.append(then)
+        _helper_jobs().put(partial(self._run, job, arg))
+
+    def _run(self, job, arg):
+        # On the helper thread.
+        if self._failed:
+            self._done.put((False, None))
+            return
+        try:
+            with np.errstate(**self._errstate):
+                outcome = (True, job(arg))
+        except BaseException as exc:
+            self._failed = True
+            outcome = (False, exc)
+        self._done.put(outcome)
+
+    def _collect(self):
+        then = self._pending.popleft()
+        ok, value = self._done.get()
+        if ok:
+            then(value)
+        elif value is not None:
+            raise value
+
+    def close(self):
+        """Wait for every pending job, then raise the first failure."""
+        failure = None
+        while self._pending:
+            try:
+                self._collect()
+            except BaseException as exc:
+                failure = failure or exc
+        if failure is not None:
+            raise failure
+
+
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _helper_jobs() -> SimpleQueue:
+    """Job queue of the one helper thread, started on first use."""
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            jobs = SimpleQueue()
+            threading.Thread(
+                target=_serve, args=(jobs,), name="mwsync-reductions", daemon=True
+            ).start()
+            _helper = jobs
+        return _helper
+
+
+def _serve(jobs):
+    while True:
+        jobs.get()()
+
+
+def _forget_helper():
+    # A forked child has no helper thread; it starts its own on first use.
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
 
 
 def _holo_fields(signs):

@@ -1,5 +1,9 @@
 """Test doubles shared by the test modules."""
 
+import threading
+
+import numpy as np
+
 from mwsync import PlaneMap
 
 
@@ -15,3 +19,31 @@ class FunctionMap(PlaneMap):
 
     def __repr__(self):
         return f"FunctionMap({self.label})"
+
+
+class RecordingMap(PlaneMap):
+    """``inner`` with each call of ``components`` (and of
+    ``conformal_components``) logged as the calling thread, the method,
+    the argument shapes and a hash of the argument bytes."""
+
+    def __init__(self, inner, log: list):
+        self.inner = inner
+        self.log = log
+
+    def _record(self, method, t, x):
+        t, x = np.asarray(t), np.asarray(x)
+        self.log.append((
+            threading.get_ident(), method, t.shape, x.shape,
+            hash(t.tobytes()), hash(x.tobytes()),
+        ))
+
+    def components(self, t, x):
+        self._record("components", t, x)
+        return self.inner.components(t, x)
+
+    def conformal_components(self, t, x, mode):
+        self._record("conformal_components", t, x)
+        return self.inner.conformal_components(t, x, mode=mode)
+
+    def __repr__(self):
+        return f"RecordingMap({self.inner!r})"

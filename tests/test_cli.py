@@ -534,10 +534,31 @@ class TestValidationAndErrors:
 
 def test_import_leaves_scipy_unloaded():
     # scipy.interpolate is most of the import time; only sampled
-    # trajectories need it, so importing the CLI must not load it.
+    # trajectories need it, so importing the CLI must not load it.  The
+    # stencil's helper thread needs no concurrent.futures (~8 ms).
     src = os.path.dirname(os.path.dirname(mwsync.__file__))
-    code = "import sys, mwsync.cli; print('scipy' in sys.modules)"
+    code = ("import sys, mwsync.cli; "
+            "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "False False"
+
+
+# 3 columns make one block, reduced inline; 20000 make three blocks of
+# one row, reduced on the helper thread.
+@pytest.mark.parametrize("n_x", [3, 20000])
+def test_overflowing_run_prints_only_its_error_line(n_x):
+    # Rindler positions overflow at 1e150 and the stencil differences
+    # NaNs; numpy's RuntimeWarnings must not reach stderr.
+    src = os.path.dirname(os.path.dirname(mwsync.__file__))
+    demo = os.path.join(os.path.dirname(__file__), "..", "scenarios", "demo.json")
+    argv = [sys.executable, "-m", "mwsync.cli", "counterexample", "--scenario", demo,
+            "--g1", "rocket", "--g2", "wobble",
+            f"--grid=-1e150,1e150,-1e150,1e150,3,{n_x}", "--pairs", "50"]
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="always")
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stdout) == (3, "")
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1, run.stderr
+    assert lines[0].startswith("error: map output separation is not finite for the pair (")

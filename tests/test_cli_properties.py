@@ -3,15 +3,17 @@
 Each example starts from one golden case (``test_golden.CASES``) on the
 demo scenario cut down to a 9x9 grid, with at most 100 pairs, and
 changes one flag or one scenario field.  Whatever the change, the exit
-code is one of 0-3, stderr is empty or ends in its only ``error:``
-line, which is never the catch-all guard's ``error: <ExceptionType>: ``
-form, and a second run writes the same stdout bytes.
+code is one of 0-3, no warning is issued, stderr is empty or ends in
+its only ``error:`` line, which is never the catch-all guard's
+``error: <ExceptionType>: `` form, and a second run writes the same
+stdout bytes.
 """
 
 import builtins
 import io
 import json
 import re
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -106,8 +108,12 @@ def _argv(case, changes, path):
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with redirect_stdout(out), redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main(argv)
+    # a warning would print to stderr before the one `error:` line
+    assert [str(w.message) for w in caught] == [], argv
     return code, out.getvalue(), err.getvalue()
 
 

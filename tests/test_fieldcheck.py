@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -41,7 +45,7 @@ from mwsync import (
 )
 from mwsync import fieldcheck
 from mwsync.causal import DEFAULT_NULL_BAND, cone
-from fakes import FunctionMap
+from fakes import FunctionMap, RecordingMap
 
 E = SplitComplex
 
@@ -554,19 +558,15 @@ class _WholeArrayStencil:
         return at(up), at(dn), nodes, up, dn
 
     def first(self, h, along_t):
-        return fieldcheck._Stencil._first(*self._point_set(h, along_t))
+        return fieldcheck._Stencil.first(None, *self._point_set(h, along_t))
 
     def second(self, h, along_t):
         centre = self._centre()
-        return fieldcheck._Stencil._second(centre, *self._point_set(h, along_t))
+        return fieldcheck._Stencil.second(centre, *self._point_set(h, along_t))
 
     def both(self, h, along_t):
         centre = self._centre()
-        points = self._point_set(h, along_t)
-        return (
-            fieldcheck._Stencil._first(*points),
-            fieldcheck._Stencil._second(centre, *points),
-        )
+        return fieldcheck._Stencil.both(centre, *self._point_set(h, along_t))
 
     def _centre(self):
         if self._f0 is None:
@@ -770,3 +770,280 @@ class TestBlockedSweep:
             with pytest.raises(EvaluationFailure, match="underflows"):
                 run(F, grid)
         assert calls == []
+
+
+# -- reductions on the helper thread against the sequential sweep --------
+
+
+class _SequentialStencil:
+    """The blocked stencil before its reductions moved to the helper
+    thread: every point set evaluated and then reduced on the calling
+    thread, one after the other.  Swapped in for ``fieldcheck._Stencil``
+    by :func:`_sequentially`, it is the reference for report bytes, for
+    the order of map calls and for the exception raised."""
+
+    def __init__(self, f, grid):
+        self.f = f
+        self.grid = grid
+        h = grid.h
+        axes = {True: grid.t_nodes[:, None], False: grid.x_nodes[None, :]}
+        self._axes = {
+            (step, along_t): (axes[along_t], *fieldcheck._stencil_points(axes[along_t], step))
+            for step, along_t in (
+                (h / 2.0, True), (h / 4.0, False), (h, True), (h / 2.0, False), (h, False)
+            )
+        }
+        self._magnitude = None
+
+    def _enter(self, rows, T, X):
+        self._rows, self.T, self.X = rows, T, X
+        self._f0 = self.f(T, X)
+        self._magnitude = fieldcheck._fold_max(self._magnitude, [np.abs(c) for c in self._f0])
+
+    def _point_set(self, h, along_t):
+        nodes, up, dn = self._axes[h, along_t]
+        if along_t:
+            nodes, up, dn = nodes[self._rows], up[self._rows], dn[self._rows]
+
+        def at(coord):
+            coord = np.broadcast_to(coord, self.T.shape).copy()
+            return self.f(coord, self.X) if along_t else self.f(self.T, coord)
+
+        return at(up), at(dn), nodes, up, dn
+
+    def first(self, h, along_t):
+        return self._first(*self._point_set(h, along_t))
+
+    def second(self, h, along_t):
+        return self._second(self._f0, *self._point_set(h, along_t))
+
+    def both(self, h, along_t):
+        points = self._point_set(h, along_t)
+        return self._first(*points), self._second(self._f0, *points)
+
+    def sweep(self, part, combine):
+        grid = self.grid
+        h = grid.h
+        fields = fine = coarse = None
+        for rows, T, X in grid.row_blocks():
+            self._enter(rows, T, X)
+            t_part = part(h / 2.0, True)
+            fine = fieldcheck._fold_max(fine, combine(t_part, part(h / 4.0, False)))
+            del t_part
+            t_part = part(h, True)
+            coarse = fieldcheck._fold_max(coarse, combine(t_part, part(h / 2.0, False)))
+            matched = combine(t_part, part(h, False))
+            del t_part
+            if fields is None:
+                fields = [np.empty((grid.n_t, grid.n_x), f.dtype) for f in matched]
+            for out, f in zip(fields, matched):
+                out[rows] = f
+        orders = [fieldcheck._order(float(a), float(b)) for a, b in zip(coarse, fine)]
+        return fields, orders
+
+    def floor(self, k):
+        mag = float(max(self._magnitude))
+        h = self.grid.h
+        try:
+            scale = h ** k
+        except OverflowError:
+            scale = math.inf
+        if not 0.0 < scale < math.inf:
+            raise EvaluationFailure(
+                f"rounding floor needs h**{k}, out of float range for h = {h!r}"
+            )
+        return 512.0 * EPS * (1.0 + mag) / scale
+
+    @staticmethod
+    def _first(f_up, f_dn, coord, up, dn):
+        span = up - dn
+        return [(u - d) / span for u, d in zip(f_up, f_dn)]
+
+    @staticmethod
+    def _second(centre, f_up, f_dn, coord, up, dn):
+        return [
+            fieldcheck._second_diff(u, c, d, coord, up, dn)
+            for u, c, d in zip(f_up, centre, f_dn)
+        ]
+
+
+def _sequentially(run):
+    """``run()`` with the sequential stencil in place of ``_Stencil``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fieldcheck, "_Stencil", _SequentialStencil)
+        return run()
+
+
+def _outcome(run):
+    """``run()``'s result, or the type and message of what it raised."""
+    try:
+        return run()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _stencil_runs(F, m):
+    """Every stencil entry point on plane map ``F`` and chart-like ``m``."""
+    return {
+        "holo": lambda grid: holomorphy_residual(F, grid),
+        "antiholo": lambda grid: holomorphy_residual(F, grid, anti=True),
+        "wave": lambda grid: wave_residual(F, grid),
+        "conformal": lambda grid: conformality_report(F, grid),
+        "loggwave": lambda grid: log_factor_wave_residual(m, grid),
+    }
+
+
+def _low(grid):
+    return low_counterexample(PerturbedInertial(0.3, 1.0), Rindler(1.0), grid, 0, 100)
+
+
+# Grids of one, two, three (the last one row) and four blocks, and rows
+# longer than a block: one row per block.
+HELPER_GRIDS = {
+    "1 block": _wide_grid(ROWS),
+    "2 blocks": _wide_grid(ROWS + 1),
+    "3 blocks": _wide_grid(2 * ROWS + 1),
+    "4 blocks": _wide_grid(3 * ROWS + 2),
+    "row per block": GridSpec(-2.0, 2.0, -2.0, 2.0, 4, fieldcheck._BLOCK_NODES + 1),
+}
+
+
+class TestHelperThread:
+    def test_grids_have_the_named_blocks(self):
+        shapes = {
+            name: [T.shape for _, T, _ in grid.row_blocks()]
+            for name, grid in HELPER_GRIDS.items()
+        }
+        wide, long_row = WIDE_N_X, fieldcheck._BLOCK_NODES + 1
+        assert shapes == {
+            "1 block": [(ROWS, wide)],
+            "2 blocks": [(ROWS, wide), (1, wide)],
+            "3 blocks": [(ROWS, wide), (ROWS, wide), (1, wide)],
+            "4 blocks": [(ROWS, wide)] * 3 + [(2, wide)],
+            "row per block": [(1, long_row)] * 4,
+        }
+
+    @pytest.mark.parametrize("name", sorted(HELPER_GRIDS))
+    def test_reports_equal_the_sequential_sweep(self, name):
+        grid = HELPER_GRIDS[name]
+        wobble = MarzkeWheelerMap(PerturbedInertial(0.3, 1.0))
+        square = FunctionMap(lambda t, x: (t * t, x * t), "t squared, x t")
+        for F in (wobble, square):
+            for run in _stencil_runs(F, wobble).values():
+                assert _same(run(grid), _sequentially(lambda: run(grid)))
+        assert _same(_low(grid), _sequentially(lambda: _low(grid)))
+
+    def test_map_calls_stay_on_the_calling_thread_in_sequential_order(self, monkeypatch):
+        grid = HELPER_GRIDS["3 blocks"]
+        caller = threading.get_ident()
+        folds = []
+        fold_max = fieldcheck._fold_max
+
+        def recorded_fold_max(maxima, fields):
+            folds.append(threading.get_ident())
+            return fold_max(maxima, fields)
+
+        monkeypatch.setattr(fieldcheck, "_fold_max", recorded_fold_max)
+        chart = MarzkeWheelerMap(PerturbedInertial(0.3, 1.0))
+        new_log, ref_log = [], []
+        runs = _stencil_runs(*[RecordingMap(chart, new_log)] * 2)
+        refs = _stencil_runs(*[RecordingMap(chart, ref_log)] * 2)
+        for kind in runs:
+            for log in (new_log, ref_log, folds):
+                log.clear()
+            new = runs[kind](grid)
+            # magnitude, fine and coarse maxima of three blocks, on the helper
+            assert len(folds) == 9 and caller not in folds and len(set(folds)) == 1
+            assert _same(new, _sequentially(lambda: refs[kind](grid)))
+            assert {ident for ident, *_ in new_log} == {caller}
+            assert new_log == ref_log and len(new_log) == 3 * 11
+
+        real = fieldcheck.MarzkeWheelerMap
+        new_log.clear()
+        ref_log.clear()
+        monkeypatch.setattr(fieldcheck, "MarzkeWheelerMap", lambda g: RecordingMap(real(g), new_log))
+        new = _low(grid)
+        monkeypatch.setattr(fieldcheck, "MarzkeWheelerMap", lambda g: RecordingMap(real(g), ref_log))
+        assert _same(new, _sequentially(lambda: _low(grid)))
+        assert {ident for ident, *_ in new_log} == {caller}
+        # two charts per stencil point, then the axis and the samplers
+        assert new_log == ref_log and len(new_log) > 2 * 3 * 11
+
+    def test_one_block_runs_inline(self, monkeypatch):
+        def no_helper():
+            raise AssertionError("a one-block grid started the helper")
+
+        monkeypatch.setattr(fieldcheck, "_helper_jobs", no_helper)
+        grid = HELPER_GRIDS["1 block"]
+        chart = MarzkeWheelerMap(PerturbedInertial(0.3, 1.0))
+        for run in _stencil_runs(chart, chart).values():
+            assert _same(run(grid), _sequentially(lambda: run(grid)))
+        assert _same(_low(grid), _sequentially(lambda: _low(grid)))
+
+    def test_failure_in_block_three_raises_once_the_helper_drained(self, monkeypatch):
+        grid = HELPER_GRIDS["4 blocks"]
+        block_three = grid.t_nodes[2 * ROWS]
+
+        def fn(t, x):
+            if np.any(t >= block_three - grid.h):
+                raise EvaluationFailure(f"no value at t = {float(np.max(t))!r}")
+            return t * t, x * t
+
+        F = FunctionMap(fn, "fails in block three")
+        expected = _sequentially(lambda: _outcome(lambda: holomorphy_residual(F, grid)))
+        assert expected[0] is EvaluationFailure
+
+        events = []
+        first = fieldcheck._Stencil.first
+
+        def slow_first(centre, *points):
+            events.append("start")
+            time.sleep(0.005)
+            try:
+                return first(centre, *points)
+            finally:
+                events.append("end")
+
+        monkeypatch.setattr(fieldcheck._Stencil, "first", staticmethod(slow_first))
+        assert _outcome(lambda: holomorphy_residual(F, grid)) == expected
+        # the five point sets of blocks one and two were reduced, and
+        # nothing runs after the exception surfaced
+        settled = list(events)
+        assert settled == ["start", "end"] * 10
+        time.sleep(0.05)
+        assert events == settled
+
+    def test_floating_point_errors_raise_from_the_helper_as_before(self):
+        grid = HELPER_GRIDS["3 blocks"]
+        jump = grid.t_nodes[ROWS + 2]  # in block two
+
+        def fn(t, x):
+            # a step up and a step down from the jump differ by 2e308
+            return np.where(t > jump, 1e308, -1e308), x
+
+        runs = _stencil_runs(FunctionMap(fn, "jumps by 2e308"), None)
+        del runs["loggwave"]
+        with np.errstate(all="raise"):
+            for run in runs.values():
+                expected = _sequentially(lambda: _outcome(lambda: run(grid)))
+                assert expected[0] is FloatingPointError
+                assert _outcome(lambda: run(grid)) == expected
+        # the helper survives a failed job
+        chart = MarzkeWheelerMap(PerturbedInertial(0.3, 1.0))
+        assert _same(wave_residual(chart, grid), _sequentially(lambda: wave_residual(chart, grid)))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_starts_its_own_helper(self):
+        grid = HELPER_GRIDS["2 blocks"]
+        chart = MarzkeWheelerMap(PerturbedInertial(0.3, 1.0))
+        expected = repr(wave_residual(chart, grid))  # the helper runs here
+        pid = os.fork()
+        if pid == 0:  # the parent's helper thread is not in the child
+            code = 1
+            try:
+                signal.alarm(10)  # a child waiting on no helper dies
+                code = 0 if repr(wave_residual(chart, grid)) == expected else 1
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
