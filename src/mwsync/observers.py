@@ -71,12 +71,23 @@ class Observer(ABC):
     """Future-directed timelike worldline with array-aware evaluation.
 
     Subclasses implement :meth:`position` and :meth:`velocity` over
-    floats or numpy arrays and declare their :attr:`smoothness`.  The
-    scalar entry points :meth:`__call__` and :meth:`derivative` wrap
-    the results in :class:`~mwsync.algebra.SplitComplex`.
+    floats or numpy arrays and declare their :attr:`smoothness`.  Both
+    must be elementwise, returning arrays of the shape of ``s`` whose
+    every element depends on that element of ``s`` alone: for an
+    observer with a :attr:`costly_profile` the radar chart evaluates
+    them on one null coordinate per grid diagonal and spreads the values
+    over the grid.  A whole-array check such as
+    :class:`PiecewiseLinear`'s domain test still sees every distinct
+    value.  The scalar entry points :meth:`__call__` and
+    :meth:`derivative` wrap the results in
+    :class:`~mwsync.algebra.SplitComplex`.
     """
 
     smoothness: Smoothness = Smoothness.C2
+    #: Whether :meth:`position` and :meth:`velocity` cost several numpy
+    #: passes per element (``sin``, ``cos``), so that the radar chart
+    #: evaluates them once per grid diagonal rather than at every node.
+    costly_profile: bool = False
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -261,6 +272,7 @@ class PerturbedInertial(Observer):
     """
 
     smoothness = Smoothness.C2
+    costly_profile = True
 
     def __init__(self, amplitude: float, frequency: float):
         self.amplitude = float(amplitude)
@@ -388,6 +400,10 @@ class SumObserver(Observer):
         self.smoothness = Smoothness(min(c.smoothness for c in children))
 
     @property
+    def costly_profile(self):
+        return any(c.costly_profile for c in self.children)
+
+    @property
     def domain(self):
         los, his = zip(*(c.domain for c in self.children))
         return max(los), min(his)
@@ -433,6 +449,10 @@ class BoostedObserver(Observer):
         self.smoothness = child.smoothness
 
     @property
+    def costly_profile(self):
+        return self.child.costly_profile
+
+    @property
     def domain(self):
         return self.child.domain
 
@@ -471,6 +491,10 @@ class TranslatedObserver(Observer):
         self.offset = offset
         self.child = child
         self.smoothness = child.smoothness
+
+    @property
+    def costly_profile(self):
+        return self.child.costly_profile
 
     @property
     def domain(self):

@@ -45,7 +45,7 @@ from mwsync import (
 )
 from mwsync import fieldcheck
 from mwsync.causal import DEFAULT_NULL_BAND, cone
-from fakes import FunctionMap, RecordingMap
+from fakes import CountingObserver, FunctionMap, RecordingMap, TwoCallChart
 
 E = SplitComplex
 
@@ -1047,3 +1047,25 @@ class TestHelperThread:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+class TestDiagonalProfiles:
+    def test_wave_residual_evaluates_positions_once_per_diagonal(self):
+        # The chart reads its null profiles along the grid diagonals; the
+        # stencil still hands it the same point sets in the same order.
+        # The grid is the first two row blocks of a 1025 x 1025 grid on
+        # [-2, 2]**2, where about 3% of the stencil's nodes round off
+        # their diagonal (at 257 x 257, ~20%, too many to tabulate).
+        grid = GridSpec(-2.0, -2.0 + 61 / 256, -2.0, 2.0, 62, 1025)
+        nodes = grid.n_t * grid.n_x
+        counted = CountingObserver(PerturbedInertial(0.1, 2.0))
+        ref_counted = CountingObserver(PerturbedInertial(0.1, 2.0))
+        new_log, ref_log = [], []
+        new = wave_residual(RecordingMap(MarzkeWheelerMap(counted), new_log), grid)
+        ref = wave_residual(RecordingMap(TwoCallChart(ref_counted), ref_log), grid)
+        assert _same(new, ref)
+        assert new_log == ref_log
+        assert [method for _, method, *_ in new_log] == ["components"] * len(new_log)
+        assert sum(math.prod(t_shape) for _, _, t_shape, *_ in new_log) == 11 * nodes
+        assert ref_counted.points == 22 * nodes
+        assert counted.points <= 22 * nodes / 10

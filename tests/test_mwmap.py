@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mwsync import (
     DegenerateFactor,
+    DomainExceeded,
     EvaluationFailure,
     Inertial,
     MarzkeWheelerMap,
@@ -24,6 +25,7 @@ from mwsync import (
     J,
 )
 from mwsync import mwmap
+from fakes import TwoCallChart
 
 E = SplitComplex
 
@@ -469,3 +471,209 @@ def test_convergence_on_the_last_allowed_round_returns(monkeypatch):
     obs = CHUNKED["wobble"][0]
     targets = np.full(3, obs.null_plus(1.0))
     assert np.array_equal(MarzkeWheelerMap(obs)._solve(1.0, targets), np.ones(3))
+
+
+# -- null profiles evaluated once per grid diagonal -------------------------
+
+
+KINDS = {
+    "inertial": Inertial(0.5, base=E(0.25, -0.125)),
+    "rindler": Rindler(1.0),
+    "perturbed_inertial": PerturbedInertial(0.3, 1.7),
+    "piecewise_linear": PiecewiseLinear([(-4.0, 0.0), (-1.0, 0.5), (0.5, 0.25), (4.0, -0.25)]),
+    "sum": SumObserver([Inertial(0.25), PerturbedInertial(0.1, 3.0)]),
+    "boosted": PerturbedInertial(0.1, 2.0).boosted(0.3),
+    "translated": Rindler(1.0).translated(E(0.5, -0.25)),
+}
+
+
+def _mesh(rows, cols, dt=0.125, dx=0.125, shift=0.0):
+    t = -1.25 + dt * np.arange(rows)
+    x = -0.75 + dx * np.arange(cols) + shift
+    return np.meshgrid(t, x, indexing="ij")
+
+
+def _special_mesh():
+    # An exact 40x40 grid with inf, -inf, NaN and a signed zero among its
+    # entries, in the first row and off it.  t + x is 0.0 along the
+    # anti-diagonal i + j = 40 but -0.0 at (20, 20), and t - x is -0.0
+    # there once x is reflected.
+    t, x = np.meshgrid(
+        -1.25 + 0.0625 * np.arange(40), -1.25 + 0.0625 * np.arange(40), indexing="ij"
+    )
+    t[20, 20] = x[20, 20] = -0.0
+    t[5, 30] = math.inf
+    t[12, 12] = -math.inf
+    x[33, 2] = math.nan
+    t[0, 7] = math.nan
+    return t, x
+
+
+CASES = {}
+for _rows, _cols, _step in [
+    (2, 2, 0.125), (5, 7, 0.125), (13, 22, 0.125), (31, 40, 0.125), (40, 31, 0.125),
+    (4, 5, 0.125), (31, 600, 2.0 ** -6),
+]:
+    # R + C - 1 is 3, 11, 34, 70, 70, 8 and 630 nodes of line; 31 x 600
+    # is above _TABULATED_NODES, the others only with the tabulate fixture.
+    CASES[f"square_{_rows}x{_cols}"] = _mesh(_rows, _cols, _step, _step)
+    CASES[f"square_shifted_{_rows}x{_cols}"] = _mesh(_rows, _cols, _step, _step, 0.1 / 40)
+# Shifted by a non-dyadic step, as fieldcheck's stencil shifts its
+# nodes: 1.7% of the nodes of t + x and of t - x round off their
+# diagonal, too few to give up the tabulation.
+CASES["rounded_31x200"] = _mesh(31, 200, 2.0 ** -6, 2.0 ** -6, 0.1 / 40)
+# Steps of 0.1 round differently along a diagonal at most nodes of the
+# middle row.
+CASES["inexact_13x22"] = _mesh(13, 22, dt=0.1, dx=0.1)
+CASES["inexact_31x40"] = _mesh(31, 40, dt=0.1, dx=0.1)
+# The middle row on its diagonals, half the last 11 rows off them.
+CASES["late_rounding_31x40"] = _mesh(31, 40)
+CASES["late_rounding_31x40"][0][20:, ::2] += 2.0 ** -40
+CASES["unequal_spacing"] = _mesh(13, 22, dx=0.07)
+CASES["one_row"] = _mesh(1, 37)
+CASES["one_column"] = _mesh(37, 1)
+CASES["special_entries"] = _special_mesh()
+# Under ConjugateInput the chart sees (t, -x): t + x runs along the
+# diagonals and t - x along the anti-diagonals.
+for _name, (_t, _x) in list(CASES.items()):
+    CASES["conj_" + _name] = (_t, -_x)
+
+
+def _outcome(fn, *args):
+    """The bytes of each array ``fn`` returns, or its exception."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(np.shape(a), np.asarray(a).dtype, np.asarray(a).tobytes()) for a in out]
+
+
+@pytest.fixture
+def tabulate(monkeypatch):
+    """Read blocks of any size along their diagonals, for every kind."""
+    monkeypatch.setattr(mwmap, "_TABULATED_NODES", 0)
+    monkeypatch.setattr(Observer, "costly_profile", True)
+
+
+@pytest.mark.parametrize("off_diagonal", [mwmap._OFF_DIAGONAL, 1.0])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_diagonal_profiles_match_the_two_call_formulas_bitwise(
+    kind, off_diagonal, tabulate, monkeypatch
+):
+    # At a share of 1.0 every 2-D case with diagonal structure is
+    # tabulated, however many of its nodes must be recomputed.
+    monkeypatch.setattr(mwmap, "_OFF_DIAGONAL", off_diagonal)
+    m = MarzkeWheelerMap(KINDS[kind])
+    ref = TwoCallChart(KINDS[kind])
+    smooth = m.observer.smoothness >= Smoothness.C1
+    for name, (t, x) in CASES.items():
+        assert _outcome(m.components, t, x) == _outcome(ref.components, t, x), name
+        if smooth:
+            assert _outcome(m.derivative_components, t, x) == _outcome(
+                ref.analytic_derivative, t, x
+            ), name
+            assert _outcome(lambda t, x: (m.conformal_components(t, x),), t, x) == _outcome(
+                lambda t, x: (ref.analytic_factor(t, x),), t, x
+            ), name
+
+
+def _tabulation(u):
+    """How ``_along_diagonals`` serves ``u``: the number of values the
+    profile is called on, the number of nodes off their diagonal, and
+    the strides of the result."""
+    calls = []
+    with np.errstate(all="ignore"):
+        (values,), odd = mwmap._along_diagonals(lambda s: (calls.append(s.size) or s,), u)
+    return calls[0], int(np.count_nonzero(odd)), values.strides
+
+
+def test_the_cases_take_every_path_of_the_tabulation(tabulate):
+    paths = {name: [_tabulation(t + x), _tabulation(t - x)] for name, (t, x) in CASES.items()}
+    # Exact steps: every node on its diagonal; t + x runs along the
+    # anti-diagonals (strides (8, 8)) and t - x along the diagonals
+    # (strides (-8, 8)).
+    assert paths["square_13x22"] == [(34, 0, (8, 8)), (34, 0, (-8, 8))]
+    assert paths["conj_square_13x22"] == [(34, 0, (-8, 8)), (34, 0, (8, 8))]
+    # Rounding or special entries move a few nodes off their diagonal.
+    for name in ("rounded_31x200", "special_entries", "conj_special_entries"):
+        size = CASES[name][0].size
+        for calls, odd, _ in paths[name]:
+            assert calls < size and 0 < odd <= mwmap._OFF_DIAGONAL * size, name
+    # Too many nodes off their diagonal (in the middle row or in all),
+    # no diagonal structure, a single row or column: one call on u.
+    for name in (
+        "square_shifted_31x40", "inexact_31x40", "late_rounding_31x40",
+        "unequal_spacing", "one_row", "one_column",
+    ):
+        for case in (name, "conj_" + name):
+            size = CASES[name][0].size
+            assert [(calls, odd) for calls, odd, _ in paths[case]] == [(size, 0)] * 2, case
+
+
+def test_small_blocks_are_evaluated_whole():
+    t, x = CASES["square_31x40"]
+    assert t.size < mwmap._TABULATED_NODES
+    assert _tabulation(t + x) == (t.size, 0, (8 * 40, 8))
+    t, x = CASES["rounded_31x200"]
+    assert t.size >= mwmap._TABULATED_NODES
+    assert _tabulation(t + x)[0] == 31 + 200 - 1
+
+
+def test_only_costly_observers_are_tabulated():
+    assert [name for name in sorted(KINDS) if KINDS[name].costly_profile] == [
+        "boosted", "perturbed_inertial", "sum",
+    ]
+    seen = []
+
+    class Recording(Inertial):
+        def position(self, s):
+            seen.append(s.shape)
+            return super().position(s)
+
+    t, x = CASES["square_31x600"]
+    MarzkeWheelerMap(Recording()).components(t, x)
+    assert seen == [t.shape] * 2
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_identity_profile_tabulates_to_the_exact_bits(name, tabulate):
+    t, x = CASES[name]
+    with np.errstate(all="ignore"):
+        plus, minus = mwmap._null_profiles(
+            lambda s: (s,), t, x, lambda p, m: (np.copy(p), np.copy(m)), True
+        )
+        assert plus.tobytes() == (t + x).tobytes()
+        assert minus.tobytes() == (t - x).tobytes()
+
+
+def test_profiles_are_called_on_contiguous_lines_and_off_diagonal_nodes():
+    seen = []
+
+    class Checking(Observer):
+        costly_profile = True
+
+        def position(self, s):
+            seen.append((s.ndim, s.flags.c_contiguous, s.size))
+            return s + 0.0, np.sin(s)
+
+        def velocity(self, s):
+            return np.ones_like(s), np.cos(s)
+
+    t, x = CASES["rounded_31x200"]
+    MarzkeWheelerMap(Checking()).components(t, x)
+    assert [(ndim, contiguous) for ndim, contiguous, _ in seen] == [(1, True)] * 4
+    sizes = [size for _, _, size in seen]
+    # Two lines, then the nodes off a diagonal; evaluated whole, 2 * 6200.
+    assert sizes[:2] == [31 + 200 - 1] * 2 and sizes[2] == sizes[3]
+    assert sum(sizes) < 2 * t.size / 10
+
+
+def test_domain_is_checked_on_every_distinct_null_coordinate(tabulate):
+    # Only one node leaves the domain, off the line the profile is read
+    # on; the chart still raises.
+    m = MarzkeWheelerMap(KINDS["piecewise_linear"])
+    t, x = _mesh(13, 22)
+    t[6, 9] = 3.9
+    with pytest.raises(DomainExceeded):
+        m.components(t, x)
