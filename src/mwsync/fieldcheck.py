@@ -30,23 +30,18 @@ floor, ``512 * eps * (1 + max|f|) / h**k`` with ``f`` the function the
 stencil differences at the grid nodes and k its order.  The grid is
 swept in cache-sized blocks of rows (:meth:`GridSpec.row_blocks`), each
 point evaluated once, and the reports are bitwise those of evaluating
-the whole grid at once.  On a grid of more than one block, each point
-set's reduction (differences, residual fields and their maxima) runs on
-one helper thread while the calling thread evaluates the next point
-set; every call of the map stays on the calling thread.
+the whole grid at once.  Each block's point sets are evaluated and
+reduced (differences, residual fields and their maxima) one after the
+other on the calling thread.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-import threading
-from collections import deque
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from operator import add
-from queue import SimpleQueue
 from typing import Callable
 
 import numpy as np
@@ -321,24 +316,38 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _stencil_points(coord, h):
-    # Realized stencil nodes and spans.  Dividing differences by the
-    # spans the nodes actually have (rather than by nominal h) keeps
-    # affine maps residual-free: for them numerator and denominator
-    # are the same float.
+    """Realized stencil nodes ``up, dn`` about ``coord`` and their spans
+    ``(up - dn, up - coord, coord - dn, (up - coord) + (coord - dn))``.
+
+    Dividing differences by the spans the nodes actually have (rather
+    than by nominal h) keeps affine maps residual-free: for them
+    numerator and denominator are the same float.
+    """
     up = coord + h
     dn = coord - h
-    if np.any(up - coord <= 0.0) or np.any(coord - dn <= 0.0):
-        raise EvaluationFailure(f"stencil step {h!r} underflows on the grid")
-    return up, dn
-
-
-def _second_diff(f_up, f_0, f_dn, coord, up, dn):
-    # Divided-difference form of the second derivative over realized
-    # spans; identically zero for affine functions because each slope
-    # ratio is numerator and denominator of the very same floats.
     d_p = up - coord
     d_m = coord - dn
-    return 2.0 * ((f_up - f_0) / d_p - (f_0 - f_dn) / d_m) / (d_p + d_m)
+    if np.any(d_p <= 0.0) or np.any(d_m <= 0.0):
+        raise EvaluationFailure(f"stencil step {h!r} underflows on the grid")
+    return up, dn, (up - dn, d_p, d_m, d_p + d_m)
+
+
+def _divided(a, b):
+    a /= b
+    return a
+
+
+def _second_diff(f_up, f_0, f_dn, d_p, d_m, d_sum):
+    # 2.0 * ((f_up - f_0) / d_p - (f_0 - f_dn) / d_m) / (d_p + d_m), the
+    # divided-difference form of the second derivative over realized
+    # spans, in place on its own temporaries; identically zero for affine
+    # functions because each slope ratio is numerator and denominator of
+    # the very same floats.
+    out = _divided(f_up - f_0, d_p)
+    out -= _divided(f_0 - f_dn, d_m)
+    out *= 2.0
+    out /= d_sum
+    return out
 
 
 class _Stencil:
@@ -346,16 +355,19 @@ class _Stencil:
     block of rows at a time, one point set (a step either side along
     one axis) at a time.
 
-    The stencil nodes of every level are formed and checked on their
-    full axis once, before anything is evaluated, and kept in a shape
-    that broadcasts against a block, since a whole row (along t) or
-    column (along x) shares them.  :meth:`sweep` enters each block of
-    :meth:`GridSpec.row_blocks` in turn and evaluates the centre there
-    once; second differences reuse it, and :meth:`floor` reads the
-    function's magnitude from the centres of all blocks.  ``both``
-    serves the first-order and the wave residuals from the same point
-    sets.  ``first``, ``second`` and ``both`` only reduce a point set
-    already evaluated, so they may run on the helper thread.
+    The stencil nodes of every level and their realized spans are formed
+    and checked on their full axis once, before anything is evaluated,
+    and kept in a shape that broadcasts against a block, since a whole
+    row (along t) or column (along x) shares them.  :meth:`sweep` enters
+    each block of :meth:`GridSpec.row_blocks` in turn and evaluates the
+    centre there once; second differences reuse it, and :meth:`floor`
+    reads the function's magnitude from the centres of all blocks.
+    ``both`` serves the first-order and the wave residuals from the same
+    point sets.  ``first``, ``second`` and ``both`` reduce a point set
+    ``(f_up, f_dn, spans)`` already evaluated.  ``f`` must return float
+    arrays of its arguments' shape: the reductions work in place on
+    temporaries of that shape, and never write to the arrays ``f``
+    returned.
     """
 
     def __init__(self, f, grid: GridSpec):
@@ -364,39 +376,35 @@ class _Stencil:
         h = grid.h
         axes = {True: grid.t_nodes[:, None], False: grid.x_nodes[None, :]}
         # In sweep order: fine, coarse and matched levels, t before x.
-        self._axes = {
-            (step, along_t): (axes[along_t], *_stencil_points(axes[along_t], step))
+        self._axes = [
+            (along_t, *_stencil_points(axes[along_t], step))
             for step, along_t in (
                 (h / 2.0, True), (h / 4.0, False), (h, True), (h / 2.0, False), (h, False)
             )
-        }
-        self._magnitude = self._fine = self._coarse = None
+        ]
+        self._magnitude = None
 
-    def _point_set(self, key, rows, T, X):
-        nodes, up, dn = self._axes[key]
-        along_t = key[1]
+    def _point_set(self, axis, rows, T, X):
+        along_t, up, dn, spans = axis
         if along_t:
-            nodes, up, dn = nodes[rows], up[rows], dn[rows]
+            up, dn, spans = up[rows], dn[rows], [s[rows] for s in spans]
 
         def at(coord):
             coord = np.broadcast_to(coord, T.shape).copy()
             return self.f(coord, X) if along_t else self.f(T, coord)
 
-        return at(up), at(dn), nodes, up, dn
+        return at(up), at(dn), spans
 
     @staticmethod
-    def first(centre, f_up, f_dn, coord, up, dn):
-        """Central first differences along one axis."""
-        span = up - dn
-        return [(u - d) / span for u, d in zip(f_up, f_dn)]
+    def first(centre, f_up, f_dn, spans):
+        """Central first differences ``(f_up - f_dn) / (up - dn)`` along
+        one axis."""
+        return [_divided(u - d, spans[0]) for u, d in zip(f_up, f_dn)]
 
     @staticmethod
-    def second(centre, f_up, f_dn, coord, up, dn):
+    def second(centre, f_up, f_dn, spans):
         """Central second differences along one axis."""
-        return [
-            _second_diff(u, c, d, coord, up, dn)
-            for u, c, d in zip(f_up, centre, f_dn)
-        ]
+        return [_second_diff(u, c, d, *spans[1:]) for u, c, d in zip(f_up, centre, f_dn)]
 
     @staticmethod
     def both(centre, *points):
@@ -418,57 +426,32 @@ class _Stencil:
         levels (h_t, h_x) = (h, h/2) and (h/2, h/4), where the
         truncation term, proportional to h_t**2 - h_x**2, survives;
         those maxima are folded over the blocks.  Every stencil point
-        is evaluated once.
-
-        The calling thread evaluates the centre and the point sets in
-        order and makes every call of ``f``; each point set's reduction
-        runs on the helper thread meanwhile (:class:`_Reductions`), and
-        the calling thread assembles the matched fields.
+        is evaluated once, and each point set is reduced before the
+        next one is evaluated.
         """
         grid = self.grid
-        fields = []
+        fine_t, fine_x, coarse_t, coarse_x, matched_x = self._axes
+        fields = fine = coarse = None
+        for rows, T, X in grid.row_blocks():
+            centre = self.f(T, X)
+            self._magnitude = _fold_max(self._magnitude, [np.abs(c) for c in centre])
 
-        def fill(rows, matched):
-            if matched is None:
-                return
-            if not fields:
-                fields.extend(np.empty((grid.n_t, grid.n_x), f.dtype) for f in matched)
+            def reduced(axis):
+                return part(centre, *self._point_set(axis, rows, T, X))
+
+            t_part = reduced(fine_t)
+            fine = _fold_max(fine, combine(t_part, reduced(fine_x)))
+            del t_part
+            t_part = reduced(coarse_t)
+            coarse = _fold_max(coarse, combine(t_part, reduced(coarse_x)))
+            matched = combine(t_part, reduced(matched_x))
+            del t_part
+            if fields is None:
+                fields = [np.empty((grid.n_t, grid.n_x), f.dtype) for f in matched]
             for out, f in zip(fields, matched):
                 out[rows] = f
-
-        reduce = self._reduce(part, combine)
-        next(reduce)
-        reductions = _Reductions(inline=grid.n_t <= grid._block_rows)
-        try:
-            for rows, T, X in grid.row_blocks():
-                centre = self.f(T, X)
-                for key in self._axes:
-                    points = self._point_set(key, rows, T, X)
-                    reductions.submit(reduce.send, (centre, points), partial(fill, rows))
-        finally:
-            reductions.close()
-        orders = [_order(float(a), float(b)) for a, b in zip(self._coarse, self._fine)]
+        orders = [_order(float(a), float(b)) for a, b in zip(coarse, fine)]
         return fields, orders
-
-    def _reduce(self, part, combine):
-        """Reductions of :meth:`sweep`, sent ``(centre, point_set)`` in
-        the order of ``self._axes`` block after block; yields a block's
-        matched fields after its last point set and None otherwise."""
-        matched = None
-        while True:
-            centre, points = yield matched
-            self._magnitude = _fold_max(self._magnitude, [np.abs(c) for c in centre])
-            t_part = part(centre, *points)
-            centre, points = yield None
-            self._fine = _fold_max(self._fine, combine(t_part, part(centre, *points)))
-            del t_part
-            centre, points = yield None
-            t_part = part(centre, *points)
-            centre, points = yield None
-            self._coarse = _fold_max(self._coarse, combine(t_part, part(centre, *points)))
-            centre, points = yield None
-            matched = combine(t_part, part(centre, *points))
-            del t_part
 
     def floor(self, k):
         """Rounding floor ``512 * eps * (1 + max|f|) / h**k`` at the nodes,
@@ -492,99 +475,6 @@ class _Stencil:
         return 512.0 * _EPS * (1.0 + mag) / scale
 
 
-class _Reductions:
-    """The reductions of one sweep, run in submission order on the
-    helper thread, at most two in flight.
-
-    Each job runs under the numpy errstate of the thread that made this
-    object (a new thread starts at numpy's defaults), and its result is
-    handed to its ``then`` on that thread.  Once a job has raised, the
-    jobs after it are skipped.  :meth:`close` waits for every pending
-    job and raises the first failure, which precedes, in the sequential
-    order, any exception the caller met meanwhile.  ``inline`` runs each
-    job at once on the calling thread.
-    """
-
-    def __init__(self, inline: bool):
-        self._inline = inline
-        self._pending = deque()
-        self._errstate = {**np.geterr(), "call": np.geterrcall()}
-        self._done = None if inline else SimpleQueue()
-        self._failed = False
-
-    def submit(self, job, arg, then):
-        if self._inline:
-            then(job(arg))
-            return
-        if len(self._pending) == 2:
-            self._collect()
-        self._pending.append(then)
-        _helper_jobs().put(partial(self._run, job, arg))
-
-    def _run(self, job, arg):
-        # On the helper thread.
-        if self._failed:
-            self._done.put((False, None))
-            return
-        try:
-            with np.errstate(**self._errstate):
-                outcome = (True, job(arg))
-        except BaseException as exc:
-            self._failed = True
-            outcome = (False, exc)
-        self._done.put(outcome)
-
-    def _collect(self):
-        then = self._pending.popleft()
-        ok, value = self._done.get()
-        if ok:
-            then(value)
-        elif value is not None:
-            raise value
-
-    def close(self):
-        """Wait for every pending job, then raise the first failure."""
-        failure = None
-        while self._pending:
-            try:
-                self._collect()
-            except BaseException as exc:
-                failure = failure or exc
-        if failure is not None:
-            raise failure
-
-
-_helper = None
-_helper_lock = threading.Lock()
-
-
-def _helper_jobs() -> SimpleQueue:
-    """Job queue of the one helper thread, started on first use."""
-    global _helper
-    with _helper_lock:
-        if _helper is None:
-            jobs = SimpleQueue()
-            threading.Thread(
-                target=_serve, args=(jobs,), name="mwsync-reductions", daemon=True
-            ).start()
-            _helper = jobs
-        return _helper
-
-
-def _serve(jobs):
-    while True:
-        jobs.get()()
-
-
-def _forget_helper():
-    # A forked child has no helper thread; it starts its own on first use.
-    global _helper, _helper_lock
-    _helper, _helper_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_helper)
-
-
 def _holo_fields(signs):
     def combine(t_part, x_part):
         d0t, d0x = t_part
@@ -602,12 +492,22 @@ def _wave_fields(t_part, x_part):
 def _conformal_fields(t_part, x_part):
     d0t, d0x = t_part
     d1t, d1x = x_part
-    g00 = d0t * d0t - d0x * d0x
-    g01 = d0t * d1t - d0x * d1x
-    g11 = d1t * d1t - d1x * d1x
+    # In place, in this order: g00 = d0t * d0t - d0x * d0x,
+    # g01 = d0t * d1t - d0x * d1x, g11 = d1t * d1t - d1x * d1x and
+    # resid = sqrt(2.0 * g01 * g01 + (g11 + g00) ** 2).
+    g00 = d0t * d0t
+    product = d0x * d0x
+    g00 -= product
+    g01 = d0t * d1t
+    g01 -= np.multiply(d0x, d1x, out=product)
+    g11 = d1t * d1t
+    g11 -= np.multiply(d1x, d1x, out=product)
+    resid = np.multiply(2.0, g01, out=product)
+    resid *= g01
+    g11 += g00
+    resid += np.square(g11, out=g11)
     # Conformal iff the metric pullback is g00 * diag(1, -1).
-    resid = np.sqrt(2.0 * g01 * g01 + (g11 + g00) ** 2)
-    return resid, g00
+    return np.sqrt(resid, out=resid), g00
 
 
 def _order(max_h: float, max_half: float) -> float | None:

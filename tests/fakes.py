@@ -1,7 +1,5 @@
 """Test doubles shared by the test modules."""
 
-import threading
-
 import numpy as np
 
 from mwsync import MarzkeWheelerMap, Observer, PlaneMap
@@ -23,8 +21,8 @@ class FunctionMap(PlaneMap):
 
 class RecordingMap(PlaneMap):
     """``inner`` with each call of ``components`` (and of
-    ``conformal_components``) logged as the calling thread, the method,
-    the argument shapes and a hash of the argument bytes."""
+    ``conformal_components``) logged as the method, the argument shapes
+    and a hash of the argument bytes."""
 
     def __init__(self, inner, log: list):
         self.inner = inner
@@ -32,10 +30,7 @@ class RecordingMap(PlaneMap):
 
     def _record(self, method, t, x):
         t, x = np.asarray(t), np.asarray(x)
-        self.log.append((
-            threading.get_ident(), method, t.shape, x.shape,
-            hash(t.tobytes()), hash(x.tobytes()),
-        ))
+        self.log.append((method, t.shape, x.shape, hash(t.tobytes()), hash(x.tobytes())))
 
     def components(self, t, x):
         self._record("components", t, x)

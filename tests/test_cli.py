@@ -535,18 +535,19 @@ class TestValidationAndErrors:
 def test_import_leaves_scipy_unloaded():
     # scipy.interpolate is most of the import time; only sampled
     # trajectories need it, so importing the CLI must not load it.  The
-    # stencil's helper thread needs no concurrent.futures (~8 ms).
+    # stencil sweeps its row blocks in one loop on the calling thread, so
+    # neither concurrent.futures nor queue is imported either.
     src = os.path.dirname(os.path.dirname(mwsync.__file__))
     code = ("import sys, mwsync.cli; "
-            "print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)")
+            "print(*(m in sys.modules for m in ('scipy', 'concurrent.futures', 'queue')))")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "False False"
+    assert out.strip() == "False False False"
 
 
-# 3 columns make one block, reduced inline; 20000 make three blocks of
-# one row, reduced on the helper thread.
+# 3 columns make a grid of one row block; 20000 make three blocks of one
+# row each.
 @pytest.mark.parametrize("n_x", [3, 20000])
 def test_overflowing_run_prints_only_its_error_line(n_x):
     # Rindler positions overflow at 1e150 and the stencil differences
