@@ -341,7 +341,6 @@ def _cmd_propertime(args, scenario: Scenario, grid: GridSpec) -> int:
             window_b,
             ctx,
             tol,
-            args.n if args.n is not None else 2049,
             quad_tol,
         )
         _emit(
@@ -366,18 +365,17 @@ def _cmd_propertime(args, scenario: Scenario, grid: GridSpec) -> int:
     _need(args, ["target", "s0", "s1"], args.mode)
     window = _window(args, "s0", "s1")
     target = scenario.observer(args.target)
-    n = args.n if args.n is not None else 129
     direct = arc_length_proper_time(target, *window, ctx, quad_tol)
     if args.mode == "inertial":
         chart_obs = Inertial(0.0, ZERO, ctx)
         chart = scenario.chart(chart_obs)
-        traj = radar_trajectory_of(chart, target, window, n, ctx)
+        traj = radar_trajectory_of(chart, target, window, ctx)
         via = proper_time_inertial(traj, ctx, quad_tol)
         chart_name = "lab"
     else:
         _need(args, ["observer"], "accelerated")
         chart = scenario.chart(scenario.observer(args.observer))
-        traj = radar_trajectory_of(chart, target, window, n, ctx)
+        traj = radar_trajectory_of(chart, target, window, ctx)
         via = proper_time_accelerated(chart, traj, ctx, quad_tol)
         chart_name = args.observer
     rel = abs(via.tau - direct.tau) / abs(direct.tau)
@@ -485,7 +483,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x2", type=_finite_float, default=None)
     p.add_argument("--dt", type=_finite_float, default=None)
     p.add_argument("--accel", type=_finite_float, default=None)
-    p.add_argument("--n", type=_int_at_least(2), default=None)
+    p.add_argument("--n", type=_int_at_least(2), default=None, help="ignored")
     p.add_argument("--tol", type=_positive_float, default=1e-6)
 
     p = sub.add_parser(

@@ -12,6 +12,7 @@ import mwsync
 from mwsync import GridSpec, MarzkeWheelerMap, MwsyncError, PiecewiseLinear
 from mwsync import cli
 from mwsync.cli import main
+from test_golden import CASES, DEMO
 
 SCENARIO = {
     "c": 1.0,
@@ -241,6 +242,13 @@ class TestProperTime:
                            "--s0", "-0.4", "--s1", "0.4", "--n", "65")
         assert code == 0
         assert "consistent: true" in out
+
+    def test_n_is_ignored(self, scenario_path, capsys):
+        argv = ["propertime", "--scenario", scenario_path, "--mode", "inertial",
+                "--target", "drift", "--s0", "0.0", "--s1", "2.0"]
+        plain = run(capsys, *argv)
+        assert run(capsys, *argv, "--n", "2") == plain
+        assert run(capsys, *argv, "--n", "100000") == plain
 
     def test_partial_window_b_is_rejected(self, scenario_path, capsys):
         code, _, err = run(capsys, "propertime", "--scenario", scenario_path,
@@ -533,10 +541,10 @@ class TestValidationAndErrors:
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.interpolate is most of the import time; only sampled
-    # trajectories need it, so importing the CLI must not load it.  The
-    # stencil sweeps its row blocks in one loop on the calling thread, so
-    # neither concurrent.futures nor queue is imported either.
+    # The package depends on numpy alone, so importing the CLI loads no
+    # scipy.  The stencil sweeps its row blocks in one loop on the
+    # calling thread, so neither concurrent.futures nor queue is
+    # imported either.
     src = os.path.dirname(os.path.dirname(mwsync.__file__))
     code = ("import sys, mwsync.cli; "
             "print(*(m in sys.modules for m in ('scipy', 'concurrent.futures', 'queue')))")
@@ -544,6 +552,23 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "False False False"
+
+
+def test_no_propertime_mode_loads_scipy():
+    # Proper time pulls worldlines back exactly rather than through a
+    # scipy interpolant: the demo command of every mode runs without it.
+    src = os.path.dirname(os.path.dirname(mwsync.__file__))
+    runs = [["propertime", "--scenario", DEMO, *CASES[name][1:]]
+            for name in sorted(CASES) if name.startswith("propertime.")]
+    assert sorted(run[run.index("--mode") + 1] for run in runs) == [
+        "accelerated", "dilation", "inertial", "twin"]
+    code = ("import sys; from mwsync.cli import main; "
+            f"codes = [main(argv) for argv in {runs!r}]; "
+            "print(codes, 'scipy' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.splitlines()[-1] == "[0, 0, 0, 0] False"
 
 
 # 3 columns make a grid of one row block; 20000 make three blocks of one

@@ -1,6 +1,7 @@
 """Clock rates, arc lengths, and the twin bookkeeping."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mwsync import (
     NotTimelike,
     Observer,
     PerturbedInertial,
+    PiecewiseLinear,
     RadarTrajectory,
     Rindler,
     SpeedLimitExceeded,
@@ -22,8 +24,15 @@ from mwsync import (
     proper_time_accelerated,
     proper_time_inertial,
     radar_trajectory_of,
+    propertime,
     twin_consistency,
 )
+from mwsync.scenario import load_scenario
+
+# The demo scenario's observers.
+DEMO = load_scenario(
+    os.path.join(os.path.dirname(__file__), "..", "scenarios", "demo.json")
+).observers
 
 
 def trapezoid_oracle(f, a, b, n=2**20):
@@ -32,28 +41,25 @@ def trapezoid_oracle(f, a, b, n=2**20):
     return float(np.trapezoid(f(t), t))
 
 
+def sampled(traj, *sigma):
+    # The path's five arrays at the given parameters.
+    return traj.path(np.array(sigma, dtype=float))
+
+
 class TestRadarTrajectory:
     def test_constant(self):
         traj = RadarTrajectory.constant(0.5, (0.0, 2.0))
-        assert traj.x(1.7) == 0.5
-        assert traj.v(1.7) == 0.0
+        t, x, t_dot, x_dot, error = sampled(traj, 1.7)
+        assert (t[0], x[0], t_dot[0], x_dot[0], error) == (1.7, 0.5, 1.0, 0.0, 0.0)
         assert traj.window == (0.0, 2.0)
 
     def test_linear(self):
         traj = RadarTrajectory.linear(1.0, -0.25, (0.0, 4.0))
-        assert traj.x(2.0) == pytest.approx(0.5)
-        assert traj.v(3.0) == -0.25
-
-    def test_from_samples(self):
-        ts = np.linspace(0.0, 1.0, 33)
-        traj = RadarTrajectory.from_samples(ts, np.sin(ts))
-        assert traj.x(0.5) == pytest.approx(math.sin(0.5), abs=1e-6)
-        # the interpolated slope is only O(spacing^2) accurate
-        assert traj.v(0.5) == pytest.approx(math.cos(0.5), abs=1e-3)
-
-    def test_from_samples_needs_increasing_times(self):
-        with pytest.raises(ValueError):
-            RadarTrajectory.from_samples([0.0, 1.0, 0.5], [0.0, 0.0, 0.0])
+        t, x, t_dot, x_dot, error = sampled(traj, 2.0, 3.0)
+        assert list(t) == [2.0, 3.0]
+        assert x[0] == pytest.approx(0.5)
+        assert list(t_dot) == [1.0, 1.0] and list(x_dot) == [-0.25, -0.25]
+        assert error == 0.0
 
 
 class TestInertialProperTime:
@@ -67,20 +73,17 @@ class TestInertialProperTime:
         assert q.tau == pytest.approx(2.0 * 0.8, rel=1e-12)
 
     def test_oscillating_clock_against_dense_sum(self):
-        traj = RadarTrajectory.from_samples(
-            np.linspace(0.0, 2.0, 513),
-            0.3 * np.sin(np.linspace(0.0, 2.0, 513)),
+        traj = RadarTrajectory(
+            lambda t: (t, 0.3 * np.sin(t), np.ones_like(t), 0.3 * np.cos(t), 0.0),
+            (0.0, 2.0),
         )
         q = proper_time_inertial(traj, tol=1e-12)
-        # same interpolated rate, integrated by a dense independent rule;
-        # the rate is only C1 so the trapezoid sum limits the agreement
+        # same rate, integrated by a dense independent rule
         oracle = trapezoid_oracle(
-            lambda t: np.sqrt(1.0 - np.asarray([traj.v(ti) for ti in t]) ** 2),
-            0.0,
-            2.0,
-            n=2**14,
+            lambda t: np.sqrt(1.0 - (0.3 * np.cos(t)) ** 2), 0.0, 2.0
         )
-        assert q.tau == pytest.approx(oracle, abs=1e-6)
+        assert q.tau == pytest.approx(oracle, abs=1e-10)
+        assert q.abs_error_estimate <= 1e-12
 
     def test_speed_limit(self):
         traj = RadarTrajectory.linear(0.0, 1.2, (0.0, 1.0))
@@ -148,23 +151,29 @@ class TestRadarTrajectoryOf:
     def test_moving_clock_in_the_lab_chart(self):
         lab = MarzkeWheelerMap(Inertial(0.0))
         traj = radar_trajectory_of(lab, Inertial(0.5), (0.0, 2.0))
-        # the lab chart is the identity: x(t) = v t with v = beta
+        assert traj.window == (0.0, 2.0)
+        # the lab chart is the identity: x = beta t, t = gamma sigma
         u = Inertial(0.5).derivative(0.0)
-        beta = u.x / u.t
-        mid_t = traj.window[0] + 0.4 * (traj.window[1] - traj.window[0])
-        assert traj.x(mid_t) == pytest.approx(beta * mid_t, abs=1e-9)
-        assert traj.v(mid_t) == pytest.approx(beta, abs=1e-6)
+        t, x, t_dot, x_dot, error = sampled(traj, 0.0, 0.8, 2.0)
+        assert np.allclose(t, u.t * np.array([0.0, 0.8, 2.0]), rtol=0, atol=1e-12)
+        assert np.allclose(x, 0.5 * t, rtol=0, atol=1e-12)
+        assert np.allclose(t_dot, u.t, rtol=0, atol=1e-11)
+        assert np.allclose(x_dot, u.x, rtol=0, atol=1e-11)
+        assert np.all(error <= 1e-10)
 
     def test_static_offset_clock_in_the_rindler_chart(self):
         chart = MarzkeWheelerMap(Rindler(1.0))
         target = Inertial(0.0, base=SplitComplex(0.0, 1.0))
-        traj = radar_trajectory_of(chart, target, (-0.5, 0.5), n=65)
-        # radar position of the lab clock: x(t) = -ln cosh t, up to the
-        # interpolation error between the sampled pull-back nodes
-        for t in np.linspace(traj.window[0], traj.window[1], 7):
-            assert traj.x(float(t)) == pytest.approx(
-                -math.log(math.cosh(t)), abs=1e-6
-            )
+        traj = radar_trajectory_of(chart, target, (-0.5, 0.5))
+        # the lab clock at x = 1 has radar time t = atanh(sigma) and
+        # radar position x = -ln cosh t
+        sigma = np.linspace(-0.5, 0.5, 7)
+        t, x, t_dot, x_dot, error = traj.path(sigma)
+        assert np.allclose(t, np.arctanh(sigma), rtol=0, atol=1e-12)
+        assert np.allclose(x, -np.log(np.cosh(t)), rtol=0, atol=1e-12)
+        assert np.allclose(t_dot, 1.0 / (1.0 - sigma**2), rtol=0, atol=1e-10)
+        assert np.allclose(x_dot, -sigma / (1.0 - sigma**2), rtol=0, atol=1e-10)
+        assert np.all(error <= 1e-7)
 
     def test_backwards_target_is_rejected(self):
         class Backwards(Observer):
@@ -177,15 +186,46 @@ class TestRadarTrajectoryOf:
                 return -np.ones_like(s), np.zeros_like(s)
 
         lab = MarzkeWheelerMap(Inertial(0.0))
+        traj = radar_trajectory_of(lab, Backwards(), (0.0, 1.0))
         with pytest.raises(NonMonotoneRadarTime):
-            radar_trajectory_of(lab, Backwards(), (0.0, 1.0), n=17)
+            proper_time_inertial(traj)
+
+    @pytest.mark.parametrize("chart, target, window", [
+        ("rocket", "lab_shifted", (-0.6, 0.6)),
+        ("rocket", "lab_shifted", (-0.5, 0.5)),
+        ("lab", "wobble", (-0.5, 0.5)),
+        ("wobble", "lab", (-0.5, 0.5)),
+    ])
+    def test_error_estimate_covers_the_demo_disagreements(self, chart, target, window):
+        chart = MarzkeWheelerMap(DEMO[chart])
+        target = DEMO[target]
+        direct = arc_length_proper_time(target, *window)
+        via = proper_time_accelerated(chart, radar_trajectory_of(chart, target, window))
+        gap = abs(via.tau - direct.tau)
+        assert gap <= via.abs_error_estimate + direct.abs_error_estimate
+        assert gap <= 1e-9 * direct.tau
+        assert via.abs_error_estimate <= 1e-6 * direct.tau
+
+    def test_kinked_target_over_its_whole_domain(self):
+        # At the domain ends the difference moves inward, exactly on
+        # straight end segments; at the vertex it blends the two slopes.
+        zigzag = PiecewiseLinear([(0.0, 0.0), (1.0, 0.5), (2.0, 0.0)])
+        traj = radar_trajectory_of(MarzkeWheelerMap(Inertial(0.0)), zigzag, (0.0, 2.0))
+        _, _, t_dot, x_dot, error = sampled(traj, 0.0, 2.0)
+        assert list(t_dot) == pytest.approx([1.0, 1.0], abs=1e-11)
+        assert list(x_dot) == pytest.approx([0.5, -0.5], abs=1e-11)
+        assert list(error) == pytest.approx([0.0, 0.0], abs=1e-11)
+        q = proper_time_inertial(traj)
+        gap = abs(q.tau - 2.0 * math.sqrt(0.75))
+        assert 1e-7 < gap <= q.abs_error_estimate
+        assert gap <= 1e-5
 
 
 class TestTwins:
     def test_boosted_pair_reproduces_the_gamma_factor(self):
-        rep = twin_consistency(Inertial(0.0), Inertial(0.6), (0.0, 2.0),
-                               n_samples=513)
+        rep = twin_consistency(Inertial(0.0), Inertial(0.6), (0.0, 2.0))
         assert rep.consistent
+        assert rep.max_rel_disagreement <= 1e-9
         assert rep.tau_a == pytest.approx(2.0, rel=1e-12)
         # radar matching stretches B's window by gamma
         assert rep.window_b[1] == pytest.approx(2.5, rel=1e-9)
@@ -195,25 +235,40 @@ class TestTwins:
 
     def test_rest_and_rindler_twins(self):
         rest = Inertial(0.0, base=SplitComplex(0.0, 1.0))
-        rep = twin_consistency(rest, Rindler(1.0), (-0.6, 0.6), n_samples=513,
-                               tol=1e-5)
+        rep = twin_consistency(rest, Rindler(1.0), (-0.6, 0.6))
         assert rep.consistent
         assert rep.tau_a == pytest.approx(1.2, rel=1e-10)
         assert rep.tau_b == pytest.approx(2.0 * math.atanh(0.6), rel=1e-9)
         assert rep.younger == "a"
-        assert rep.max_rel_disagreement <= 1e-5
+        assert rep.max_rel_disagreement <= 1e-9
 
     def test_identical_twins_age_equally(self):
-        rep = twin_consistency(Inertial(0.3), Inertial(0.3), (0.0, 1.0),
-                               n_samples=257)
+        rep = twin_consistency(Inertial(0.3), Inertial(0.3), (0.0, 1.0))
         assert rep.consistent
         assert rep.younger == "equal"
 
     def test_explicit_window_b(self):
         rep = twin_consistency(Inertial(0.0), Inertial(0.6), (0.0, 2.0),
-                               window_b=(0.0, 2.5), n_samples=257)
+                               window_b=(0.0, 2.5))
         assert rep.consistent
         assert rep.window_b == (0.0, 2.5)
+
+    @pytest.mark.parametrize("a, b", [
+        ("lab_shifted", "rocket"), ("wobble", "lab"), ("lab", "wobble"),
+    ])
+    def test_a_biased_inverse_is_caught(self, monkeypatch, a, b):
+        # An inverse off by 1e-6 along the worldline must show as a
+        # disagreement: the chart velocity comes from the pulled-back
+        # points, never from the worldline's own velocity.
+        class Biased(MarzkeWheelerMap):
+            def radar_inverse_components(self, t, x):
+                s, x_radar = super().radar_inverse_components(t, x)
+                return s + 1e-6 * np.sin(3.0 * np.asarray(t)), x_radar
+
+        monkeypatch.setattr(propertime, "MarzkeWheelerMap", Biased)
+        rep = twin_consistency(DEMO[a], DEMO[b], (-0.5, 0.5))
+        assert not rep.consistent
+        assert rep.max_rel_disagreement > 1e-6
 
 
 class TestGravitationalDilation:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mwsync import (
-    Inertial,
     MarzkeWheelerMap,
     PerturbedInertial,
     QuadratureLimit,
@@ -18,7 +17,6 @@ from mwsync import (
     proper_time_accelerated,
     proper_time_inertial,
     quadrature,
-    radar_trajectory_of,
 )
 
 
@@ -129,13 +127,12 @@ def test_batched_levels_match_the_recursion_bitwise(f, a, b, tol):
     )
 
 
-def _scalar_rate(traj):
-    # The pre-batching per-node clock rate, unit lightspeed.
-    def rate(t):
-        beta = float(traj.v(t))
-        return math.sqrt((1.0 - beta) * (1.0 + beta))
-
-    return rate
+def _scalar_clock(traj, s):
+    # The path at one parameter as floats, with the per-node clock rate
+    # t_dot * sqrt(1 - beta**2) at unit lightspeed.
+    t, x, t_dot, x_dot = (float(a[0]) for a in traj.path(np.array([s]))[:4])
+    beta = x_dot / t_dot
+    return t, x, t_dot * math.sqrt((1.0 - beta) * (1.0 + beta))
 
 
 def test_wobble_arc_length_matches_the_recursion_bitwise():
@@ -149,24 +146,32 @@ def test_wobble_arc_length_matches_the_recursion_bitwise():
 
 def test_rocket_chart_integrand_matches_the_recursion_bitwise():
     rocket = MarzkeWheelerMap(Rindler(1.0))
-    shifted = Inertial(0.0, base=SplitComplex(0.0, 1.0))
-    traj = radar_trajectory_of(rocket, shifted, (-0.5, 0.5), n=129)
-    rate = _scalar_rate(traj)
 
-    def integrand(t):
-        z = SplitComplex(t, float(traj.x(t)))
-        return math.sqrt(rocket.conformal_factor(z)) * rate(t)
+    def lab_shifted(sigma):
+        # The lab clock at x = 1 in the rocket's chart, in closed form.
+        t = np.arctanh(sigma)
+        t_dot = 1.0 / ((1.0 - sigma) * (1.0 + sigma))
+        return t, -np.log(np.cosh(t)), t_dot, -sigma * t_dot, 0.0
+
+    traj = RadarTrajectory(lab_shifted, (-0.5, 0.5))
+
+    def integrand(s):
+        t, x, rate = _scalar_clock(traj, s)
+        return math.sqrt(rocket.conformal_factor(SplitComplex(t, x))) * rate
 
     q = proper_time_accelerated(rocket, traj)
     ref = recursive_simpson(integrand, *traj.window)
     assert (q.tau, q.abs_error_estimate, q.n_evals) == ref
+    assert q.tau == pytest.approx(1.0, abs=1e-12)
 
 
-def test_interpolated_trajectory_matches_the_recursion_bitwise():
-    ts = np.linspace(0.0, 2.0, 513)
-    traj = RadarTrajectory.from_samples(ts, 0.3 * np.sin(ts))
+def test_sine_trajectory_matches_the_recursion_bitwise():
+    traj = RadarTrajectory(
+        lambda t: (t, 0.3 * np.sin(t), np.ones_like(t), 0.3 * np.cos(t), 0.0),
+        (0.0, 2.0),
+    )
     q = proper_time_inertial(traj, tol=1e-12)
-    ref = recursive_simpson(_scalar_rate(traj), 0.0, 2.0, 1e-12)
+    ref = recursive_simpson(lambda s: _scalar_clock(traj, s)[2], 0.0, 2.0, 1e-12)
     assert (q.tau, q.abs_error_estimate, q.n_evals) == ref
 
 
