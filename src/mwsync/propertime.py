@@ -53,7 +53,7 @@ FD_STEP = 1e-4
 
 @dataclass(frozen=True)
 class ProperTimeResult:
-    """Elapsed proper time with the quadrature's own error bound."""
+    """Elapsed proper time with its error bound (quadrature and path)."""
 
     tau: float
     abs_error_estimate: float
