@@ -335,8 +335,8 @@ def _cmd_propertime(args, scenario: Scenario, grid: GridSpec) -> int:
         window_a = _window(args, "a0", "a1")
         window_b = None if args.b0 is None else _window(args, "b0", "b1")
         rep = twin_consistency(
-            scenario.observer(args.a),
-            scenario.observer(args.b),
+            scenario.chart(scenario.observer(args.a)),
+            scenario.chart(scenario.observer(args.b)),
             window_a,
             window_b,
             ctx,

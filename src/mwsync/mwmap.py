@@ -241,40 +241,30 @@ class MarzkeWheelerMap:
 
     # -- inverse chart -------------------------------------------------
 
-    def _null_bounds(self):
-        pr = self.observer.null_plus_range
-        mr = self.observer.null_minus_range
-        if pr is not None and mr is not None:
-            return pr, mr, True
-        window = self.observer.null_window()
-        if window is None:
-            raise EvaluationFailure(
-                f"{self.observer!r} reports neither null ranges nor a window"
-            )
-        return window[0], window[1], False
-
     def _gate(self, e_plus, e_minus):
         # Strict interior for declared open ranges, closed membership
         # for sampled windows.
-        (plo, phi), (mlo, mhi), is_open = self._null_bounds()
-        if is_open:
-            bad_p = (e_plus <= plo) | (e_plus >= phi)
-            bad_m = (e_minus <= mlo) | (e_minus >= mhi)
-        else:
-            bad_p = (e_plus < plo) | (e_plus > phi)
-            bad_m = (e_minus < mlo) | (e_minus > mhi)
-        bad = bad_p | bad_m
-        if bad.any():
-            i = int(np.argmax(bad))
-            parts = []
-            if bad_p.flat[i]:
-                parts.append(
-                    f"t+x = {float(e_plus.flat[i]):g} outside ({plo:g}, {phi:g})"
+        ranges = [self.observer.null_range(sign) for sign in (1.0, -1.0)]
+        is_open = all(r is not None for r in ranges)
+        if not is_open:
+            ranges = self.observer.null_window()
+            if ranges is None:
+                raise EvaluationFailure(
+                    f"{self.observer!r} reports neither null ranges nor a window"
                 )
-            if bad_m.flat[i]:
-                parts.append(
-                    f"t-x = {float(e_minus.flat[i]):g} outside ({mlo:g}, {mhi:g})"
-                )
+        events = (e_plus, e_minus)
+        bad = [
+            (e <= lo) | (e >= hi) if is_open else (e < lo) | (e > hi)
+            for e, (lo, hi) in zip(events, ranges)
+        ]
+        either = bad[0] | bad[1]
+        if either.any():
+            i = int(np.argmax(either))
+            parts = [
+                f"t{op}x = {float(e.flat[i]):g} outside ({lo:g}, {hi:g})"
+                for op, e, (lo, hi), b in zip("+-", events, ranges, bad)
+                if b.flat[i]
+            ]
             raise NoRadarCoordinate(
                 "event is outside the radar chart: " + "; ".join(parts)
             )

@@ -14,9 +14,11 @@ reaches the whole plane.  :func:`lip_status` reports that verdict:
 an observer from whose worldline no light ray can escape in either
 direction sees every event, one with a bounded null range does not.
 
-Kinds whose null profiles invert in closed form provide that inverse
-through :meth:`Observer.null_inverse`; the radar chart root-finds the
-others.
+Both null questions take a ``sign``, +1 for ``t + x`` and -1 for
+``t - x``: :meth:`Observer.null_range` declares the range of that
+coordinate, and kinds whose null profiles invert in closed form provide
+the inverse through :meth:`Observer.null_inverse`; the radar chart
+root-finds the others.
 """
 
 from __future__ import annotations
@@ -94,14 +96,11 @@ class Observer(ABC):
         """Closed parameter interval on which the curve is defined."""
         return _FULL_LINE
 
-    @property
-    def null_plus_range(self) -> tuple[float, float] | None:
-        """Open range of ``s -> t(s) + x(s)``, or None if only sampled."""
-        return _FULL_LINE
+    def null_range(self, sign: float) -> tuple[float, float] | None:
+        """Open range of ``s -> t(s) + sign*x(s)``, or None if only sampled.
 
-    @property
-    def null_minus_range(self) -> tuple[float, float] | None:
-        """Open range of ``s -> t(s) - x(s)``, or None if only sampled."""
+        ``sign`` is +1 or -1, as in :meth:`null_inverse`.
+        """
         return _FULL_LINE
 
     @abstractmethod
@@ -154,8 +153,8 @@ class Observer(ABC):
         """Achieved null-coordinate window over the (finite) domain.
 
         Meaningful for sampled kinds; analytic kinds report their
-        ranges through the range properties instead and return None
-        here when the domain is unbounded.
+        ranges through :meth:`null_range` instead and return None here
+        when the domain is unbounded.
         """
         lo, hi = self.domain
         if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -244,15 +243,10 @@ class Rindler(Observer):
         w = s / self.scale
         return np.cosh(w), np.sinh(w)
 
-    @property
-    def null_plus_range(self):
-        # t + x = scale * exp(s/scale): one signed half-line.
-        return (0.0, math.inf) if self.scale > 0 else (-math.inf, 0.0)
-
-    @property
-    def null_minus_range(self):
-        # t - x = -scale * exp(-s/scale): the opposite half-line.
-        return (-math.inf, 0.0) if self.scale > 0 else (0.0, math.inf)
+    def null_range(self, sign):
+        # t +- x = +-scale * exp(+-s/scale): the half-line of the sign
+        # of sign*scale.
+        return (0.0, math.inf) if sign * self.scale > 0 else (-math.inf, 0.0)
 
     def null_inverse(self, sign, value):
         # s = k*log(p/k) for t + x = p and s = -k*log(-m/k) for t - x = m.
@@ -328,12 +322,7 @@ class PiecewiseLinear(Observer):
     def domain(self):
         return float(self.ts[0]), float(self.ts[-1])
 
-    @property
-    def null_plus_range(self):
-        return None
-
-    @property
-    def null_minus_range(self):
+    def null_range(self, sign):
         return None
 
     def _check(self, s):
@@ -378,19 +367,10 @@ class PiecewiseLinear(Observer):
         return f"PiecewiseLinear({len(self.ts)} vertices on [{self.ts[0]:g}, {self.ts[-1]:g}])"
 
 
-def _sum_ends(values):
-    # Endpoint sum with infinities; mixed-sign infinities cannot occur
-    # because all summands are endpoints of the same side.
-    total = 0.0
-    for v in values:
-        if math.isinf(v):
-            return v
-        total += v
-    return total
-
-
-class SumObserver(Observer):
-    """Pointwise sum of worldlines (sum of timelike is timelike)."""
+class _Combinator(Observer):
+    """Worldline built from ``children``: the least of their smoothness,
+    costly if any of their profiles is, on the intersection of their
+    domains."""
 
     def __init__(self, children):
         children = tuple(children)
@@ -408,21 +388,20 @@ class SumObserver(Observer):
         los, his = zip(*(c.domain for c in self.children))
         return max(los), min(his)
 
-    def _range(self, attr):
-        ranges = [getattr(c, attr) for c in self.children]
+
+class SumObserver(_Combinator):
+    """Pointwise sum of worldlines (sum of timelike is timelike)."""
+
+    def null_range(self, sign):
+        ranges = [c.null_range(sign) for c in self.children]
         if any(r is None for r in ranges):
             return None
         # Each child's null coordinate increases in s, so the sum's
-        # range endpoints are the sums of the children's endpoints.
-        return _sum_ends(r[0] for r in ranges), _sum_ends(r[1] for r in ranges)
-
-    @property
-    def null_plus_range(self):
-        return self._range("null_plus_range")
-
-    @property
-    def null_minus_range(self):
-        return self._range("null_minus_range")
+        # range endpoints are the sums of the children's endpoints.  No
+        # inf - inf arises: lower ends are finite or -inf, upper ends
+        # finite or +inf.
+        lows, highs = zip(*ranges)
+        return reduce(add, lows, 0.0), reduce(add, highs, 0.0)
 
     def position(self, s):
         ts, xs = zip(*(c.position(s) for c in self.children))
@@ -436,7 +415,7 @@ class SumObserver(Observer):
         return f"SumObserver({list(self.children)!r})"
 
 
-class BoostedObserver(Observer):
+class BoostedObserver(_Combinator):
     """Child worldline boosted by a fixed two-velocity.
 
     Boosting scales the null coordinates by the positive factors
@@ -444,30 +423,14 @@ class BoostedObserver(Observer):
     """
 
     def __init__(self, u: TwoVelocity, child: Observer):
+        super().__init__((child,))
         self.u = u
         self.child = child
-        self.smoothness = child.smoothness
 
-    @property
-    def costly_profile(self):
-        return self.child.costly_profile
-
-    @property
-    def domain(self):
-        return self.child.domain
-
-    def _scaled(self, r, factor):
-        if r is None:
-            return None
-        return r[0] * factor, r[1] * factor
-
-    @property
-    def null_plus_range(self):
-        return self._scaled(self.child.null_plus_range, self.u.u.t + self.u.u.x)
-
-    @property
-    def null_minus_range(self):
-        return self._scaled(self.child.null_minus_range, self.u.u.t - self.u.u.x)
+    def null_range(self, sign):
+        r = self.child.null_range(sign)
+        factor = self.u.u.t + sign * self.u.u.x
+        return None if r is None else (r[0] * factor, r[1] * factor)
 
     def position(self, s):
         t, x = self.child.position(s)
@@ -484,34 +447,18 @@ class BoostedObserver(Observer):
         return f"BoostedObserver(u={self.u!r}, child={self.child!r})"
 
 
-class TranslatedObserver(Observer):
+class TranslatedObserver(_Combinator):
     """Child worldline shifted by a constant event offset."""
 
     def __init__(self, offset: SplitComplex, child: Observer):
+        super().__init__((child,))
         self.offset = offset
         self.child = child
-        self.smoothness = child.smoothness
 
-    @property
-    def costly_profile(self):
-        return self.child.costly_profile
-
-    @property
-    def domain(self):
-        return self.child.domain
-
-    def _shifted(self, r, amount):
-        if r is None:
-            return None
-        return r[0] + amount, r[1] + amount
-
-    @property
-    def null_plus_range(self):
-        return self._shifted(self.child.null_plus_range, self.offset.t + self.offset.x)
-
-    @property
-    def null_minus_range(self):
-        return self._shifted(self.child.null_minus_range, self.offset.t - self.offset.x)
+    def null_range(self, sign):
+        r = self.child.null_range(sign)
+        amount = self.offset.t + sign * self.offset.x
+        return None if r is None else (r[0] + amount, r[1] + amount)
 
     def position(self, s):
         t, x = self.child.position(s)
@@ -556,19 +503,18 @@ def lip_status(obs: Observer) -> LipStatus:
     ray and radar coordinates exist globally.  Analytic kinds declare
     their ranges; sampled kinds only support a windowed verdict.
     """
-    pr = obs.null_plus_range
-    mr = obs.null_minus_range
-    if pr is None or mr is None:
+    ranges = [obs.null_range(sign) for sign in (1.0, -1.0)]
+    if any(r is None for r in ranges):
         return LipStatus(
             LipVerdict.WINDOW_ONLY,
             "null ranges are known only over the sampled parameter window",
             obs.null_window(),
         )
-    problems = []
-    if pr != _FULL_LINE:
-        problems.append(f"null coordinate t+x has range {_span_text(pr)}")
-    if mr != _FULL_LINE:
-        problems.append(f"null coordinate t-x has range {_span_text(mr)}")
+    problems = [
+        f"null coordinate {name} has range {_span_text(r)}"
+        for name, r in zip(("t+x", "t-x"), ranges)
+        if r != _FULL_LINE
+    ]
     if problems:
         return LipStatus(LipVerdict.FAILS, "; ".join(problems))
     return LipStatus(

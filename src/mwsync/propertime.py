@@ -143,23 +143,19 @@ def proper_time_inertial(
 
 
 def proper_time_accelerated(
-    chart,
+    chart: MarzkeWheelerMap,
     traj: RadarTrajectory,
     ctx: LightspeedContext = NATURAL_UNITS,
     tol: float = 1e-10,
-    mode: str = "analytic",
 ) -> ProperTimeResult:
     """Proper time of a clock moving along ``traj`` in a radar chart.
 
-    ``chart`` is a :class:`~mwsync.mwmap.MarzkeWheelerMap` or the
-    observer carrying it.  The chart metric is conformally flat, so the
-    flat-case rate picks up ``sqrt(factor)`` evaluated at the moving
-    point.  Worldlines below C1 have no conformal factor and are
-    refused by the chart itself.
+    The chart metric is conformally flat, so the flat-case rate picks
+    up ``sqrt(factor)`` evaluated at the moving point.  Worldlines below
+    C1 have no conformal factor and are refused by the chart itself.
     """
-    m = MarzkeWheelerMap(chart) if isinstance(chart, Observer) else chart
     return _proper_time(
-        traj, ctx, tol, lambda t, x: np.sqrt(m.conformal_components(ctx.c * t, x, mode))
+        traj, ctx, tol, lambda t, x: np.sqrt(chart.conformal_components(ctx.c * t, x))
     )
 
 
@@ -198,7 +194,7 @@ def arc_length_proper_time(
 
 
 def radar_trajectory_of(
-    chart,
+    chart: MarzkeWheelerMap,
     target: Observer,
     window: tuple[float, float],
     ctx: LightspeedContext = NATURAL_UNITS,
@@ -215,7 +211,6 @@ def radar_trajectory_of(
     |sigma z_dot|) / h`` and, where the chart root-finds, ``root_tol / h``.
     An event outside the chart raises :class:`~mwsync.errors.NoRadarCoordinate`.
     """
-    m = MarzkeWheelerMap(chart) if isinstance(chart, Observer) else chart
     c, h = ctx.c, FD_STEP
     lo, hi = target.domain
 
@@ -223,18 +218,18 @@ def radar_trajectory_of(
         centre = np.clip(sigma, lo + 2.0 * h, hi - 2.0 * h)
         steps = np.clip(centre + h * np.array([[-2.0], [-1.0], [1.0], [2.0]]), lo, hi)
         et, ex = target.position(np.concatenate((sigma[None], steps)).ravel())
-        z = np.stack(m.radar_inverse_components(et, ex)).reshape(2, 5, -1)
+        z = np.stack(chart.radar_inverse_components(et, ex)).reshape(2, 5, -1)
         here, back2, back1, ahead1, ahead2 = z.transpose(1, 0, 2)
         slope = (8.0 * (ahead1 - back1) - (ahead2 - back2)) / (12.0 * h)
         # The chart root-finds where its observer has no closed-form
         # inverse of a null coordinate (MarzkeWheelerMap._solve).
-        p, q = (m.observer.null_inverse(k, et[:1] + k * ex[:1]) for k in (1.0, -1.0))
+        p, q = (chart.observer.null_inverse(k, et[:1] + k * ex[:1]) for k in (1.0, -1.0))
         curvature = (ahead2 + back2 - ahead1 - back1) / (3.0 * h * h)
         error = (
             np.abs(slope - (ahead1 - back1) / (2.0 * h))
             + np.abs(sigma - centre) * np.abs(curvature)
             + np.finfo(float).eps * (np.abs(here) + np.abs(sigma * slope)) / h
-            + (m.root_tol / h if p is None or q is None else 0.0)
+            + (chart.root_tol / h if p is None or q is None else 0.0)
         )
         return here[0] / c, here[1], slope[0] / c, slope[1], error.max(axis=0) / c
 
@@ -263,8 +258,8 @@ class TwinReport:
 
 
 def twin_consistency(
-    obs_a: Observer,
-    obs_b: Observer,
+    map_a: MarzkeWheelerMap,
+    map_b: MarzkeWheelerMap,
     window_a: tuple[float, float],
     window_b: tuple[float, float] | None = None,
     ctx: LightspeedContext = NATURAL_UNITS,
@@ -273,15 +268,15 @@ def twin_consistency(
 ) -> TwinReport:
     """Compare two clocks directly and through each other's charts.
 
-    ``window_a`` bounds twin A's parameter.  When ``window_b`` is not
-    given it is matched by radar simultaneity: B's window endpoints are
-    the radar times at which B's chart places A's endpoint events (for
-    twins that actually meet at both ends this is exactly B's parameter
-    at the meeting events).
+    Twin A is the observer of the radar chart ``map_a``, twin B that of
+    ``map_b``.  ``window_a`` bounds twin A's parameter.  When
+    ``window_b`` is not given it is matched by radar simultaneity: B's
+    window endpoints are the radar times at which B's chart places A's
+    endpoint events (for twins that actually meet at both ends this is
+    exactly B's parameter at the meeting events).
     """
     a0, a1 = float(window_a[0]), float(window_a[1])
-    map_a = MarzkeWheelerMap(obs_a)
-    map_b = MarzkeWheelerMap(obs_b)
+    obs_a, obs_b = map_a.observer, map_b.observer
 
     if window_b is None:
         b0 = map_b.radar_inverse(obs_a(a0)).t

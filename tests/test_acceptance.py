@@ -222,10 +222,14 @@ def test_criterion_08_wave_cauchy_data_reconstructs_the_chart():
 def test_criterion_09_twin_consistency():
     # a rest clock placed inside the wedge so the two charts overlap
     rest = Inertial(0.0, base=SplitComplex(0.0, 1.0))
-    rep = twin_consistency(rest, Rindler(1.0), (-0.6, 0.6))
+    rep = twin_consistency(
+        MarzkeWheelerMap(rest), MarzkeWheelerMap(Rindler(1.0)), (-0.6, 0.6)
+    )
     ok = rep.consistent and rep.max_rel_disagreement <= 1e-6
 
-    boosted = twin_consistency(Inertial(0.0), Inertial(0.6), (0.0, 2.0))
+    boosted = twin_consistency(
+        MarzkeWheelerMap(Inertial(0.0)), MarzkeWheelerMap(Inertial(0.6)), (0.0, 2.0)
+    )
     gamma = two_velocity(0.6).gamma
     dilation_err = abs(boosted.tau_a / boosted.tau_b - 1.0 / gamma)
     ok = ok and boosted.consistent and dilation_err <= 1e-9

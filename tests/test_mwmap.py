@@ -473,6 +473,22 @@ def test_convergence_on_the_last_allowed_round_returns(monkeypatch):
     assert np.array_equal(MarzkeWheelerMap(obs)._solve(1.0, targets), np.ones(3))
 
 
+def test_the_gate_keeps_a_sampled_window_closed():
+    zig = MarzkeWheelerMap(PiecewiseLinear([(0.0, 0.0), (1.0, 0.5), (2.0, 0.0)]))
+    # Both null coordinates have the window [0, 2], reached at its ends.
+    assert zig.radar_inverse(E(2.0, 0.0)) == E(2.0, 0.0)
+    assert zig.radar_inverse(E(0.0, 0.0)) == E(0.0, 0.0)
+    with pytest.raises(NoRadarCoordinate) as info:
+        zig.radar_inverse(E(2.0, 0.5))
+    assert str(info.value) == "event is outside the radar chart: t+x = 2.5 outside (0, 2)"
+
+
+def test_the_gate_keeps_a_declared_range_open():
+    with pytest.raises(NoRadarCoordinate) as info:
+        MarzkeWheelerMap(Rindler(1.0)).radar_inverse(E(-1.0, 1.0))
+    assert str(info.value) == "event is outside the radar chart: t+x = 0 outside (0, inf)"
+
+
 # -- null profiles evaluated once per grid diagonal -------------------------
 
 
@@ -485,6 +501,28 @@ KINDS = {
     "boosted": PerturbedInertial(0.1, 2.0).boosted(0.3),
     "translated": Rindler(1.0).translated(E(0.5, -0.25)),
 }
+
+
+RANGED = {
+    **KINDS,
+    "left_rindler_boosted": Rindler(-1.0).boosted(0.6),
+    "left_rindler_translated": Rindler(-1.0).translated(E(0.5, -0.25)),
+    "rindler_sum": Rindler(1.0) + Rindler(2.0),
+}
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("kind", sorted(RANGED))
+def test_profiles_stay_inside_their_declared_range(kind, sign):
+    obs = RANGED[kind]
+    declared = obs.null_range(sign)
+    if declared is None:
+        assert kind == "piecewise_linear"
+        return
+    lo, hi = np.clip(obs.domain, -4.0, 4.0)
+    profile = obs.null_plus if sign > 0 else obs.null_minus
+    values = profile(np.linspace(lo, hi, 101))
+    assert np.all((declared[0] < values) & (values < declared[1]))
 
 
 def _mesh(rows, cols, dt=0.125, dx=0.125, shift=0.0):

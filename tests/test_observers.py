@@ -67,11 +67,11 @@ def test_rindler_closed_form():
 
 def test_rindler_null_ranges_follow_the_wedge():
     right = Rindler(1.0)
-    assert right.null_plus_range == (0.0, math.inf)
-    assert right.null_minus_range == (-math.inf, 0.0)
+    assert right.null_range(1.0) == (0.0, math.inf)
+    assert right.null_range(-1.0) == (-math.inf, 0.0)
     left = Rindler(-1.0)
-    assert left.null_plus_range == (-math.inf, 0.0)
-    assert left.null_minus_range == (0.0, math.inf)
+    assert left.null_range(1.0) == (-math.inf, 0.0)
+    assert left.null_range(-1.0) == (0.0, math.inf)
 
 
 def test_scalar_position_must_be_finite():
@@ -140,11 +140,11 @@ def test_sum_observer():
     assert p == a(0.3) + b(0.3)
     assert s.smoothness is Smoothness.C2
     # a full-line summand stretches the wedge ranges back to the line
-    assert s.null_plus_range == (-math.inf, math.inf)
+    assert s.null_range(1.0) == (-math.inf, math.inf)
     # two like wedges stay a wedge
     w = Rindler(1.0) + Rindler(2.0)
-    assert w.null_plus_range == (0.0, math.inf)
-    assert w.null_minus_range == (-math.inf, 0.0)
+    assert w.null_range(1.0) == (0.0, math.inf)
+    assert w.null_range(-1.0) == (-math.inf, 0.0)
 
 
 def test_sum_of_piecewise_drops_smoothness():
@@ -162,7 +162,7 @@ def test_boosted_observer():
     # boosting scales the null ranges of a wedge observer
     w = Rindler(1.0).boosted(0.6)
     factor_plus = u.t + u.x
-    lo, hi = w.null_plus_range
+    lo, hi = w.null_range(1.0)
     assert lo == 0.0 * factor_plus and hi == math.inf
 
 
@@ -170,8 +170,8 @@ def test_translated_observer():
     obs = Inertial(0.0).translated(SplitComplex(0.0, 1.0))
     assert obs(0.5) == SplitComplex(0.5, 1.0)
     w = Rindler(1.0).translated(SplitComplex(0.0, 1.0))
-    assert w.null_plus_range == (1.0, math.inf)
-    assert w.null_minus_range == (-math.inf, -1.0)
+    assert w.null_range(1.0) == (1.0, math.inf)
+    assert w.null_range(-1.0) == (-math.inf, -1.0)
 
 
 def test_lip_status_verified_for_full_line_observers():
