@@ -300,13 +300,9 @@ class ResidualReport:
 
 
 @dataclass(frozen=True)
-class ConformalityReport:
-    max_abs: float
-    mean_abs: float
-    location_of_max: tuple[float, float]
-    convergence_order: float | None
-    h: float
-    floor: float
+class ConformalityReport(ResidualReport):
+    """A :class:`ResidualReport` plus the observed range of the factor."""
+
     factor_min: float
     factor_max: float
     n_nonpositive: int
@@ -531,10 +527,10 @@ def _location(field, grid: GridSpec) -> tuple[float, float]:
     return float(grid.t_nodes[i]), float(grid.x_nodes[j])
 
 
-def _report(field, order, grid: GridSpec, floor: float) -> ResidualReport:
-    return ResidualReport(
+def _report(field, order, grid: GridSpec, floor: float, *extra, cls=ResidualReport):
+    return cls(
         float(field.max()), float(field.mean()), _location(field, grid), order,
-        grid.h, floor,
+        grid.h, floor, *extra,
     )
 
 
@@ -563,11 +559,9 @@ def conformality_report(F, grid: GridSpec) -> ConformalityReport:
     Minkowski metric, plus the observed range of the factor."""
     stencil = _Stencil(F.components, grid)
     (field, lam), (order, _) = stencil.sweep(stencil.first, _conformal_fields)
-    return ConformalityReport(
-        **vars(_report(field, order, grid, stencil.floor(1))),
-        factor_min=float(lam.min()),
-        factor_max=float(lam.max()),
-        n_nonpositive=int(np.count_nonzero(lam <= 0.0)),
+    return _report(
+        field, order, grid, stencil.floor(1), float(lam.min()), float(lam.max()),
+        int(np.count_nonzero(lam <= 0.0)), cls=ConformalityReport,
     )
 
 
@@ -852,6 +846,15 @@ class _InverseChart:
         return self.m.radar_inverse_components(t, x)
 
 
+def _axis_max(F, grid: GridSpec, ref_position) -> float:
+    """Largest componentwise gap between ``F`` on the axis x = 0 and the
+    worldline ``ref_position`` at the grid's t nodes."""
+    axis_t = grid.t_nodes
+    out_t, out_x = F.components(axis_t, np.zeros_like(axis_t))
+    ref_t, ref_x = ref_position(axis_t)
+    return float(max(np.max(np.abs(out_t - ref_t)), np.max(np.abs(out_x - ref_x))))
+
+
 def automorphism_suite(
     m: MarzkeWheelerMap,
     grid: GridSpec,
@@ -888,12 +891,7 @@ def automorphism_suite(
     )
     orientation = orientation_of(m, center, span=grid.diameter / 4.0)
 
-    axis_t = grid.t_nodes
-    out_t, out_x = m.components(axis_t, np.zeros_like(axis_t))
-    ref_t, ref_x = m.observer.position(axis_t)
-    axis_max = float(
-        max(np.max(np.abs(out_t - ref_t)), np.max(np.abs(out_x - ref_x)))
-    )
+    axis_max = _axis_max(m, grid, m.observer.position)
 
     roundtrip_tol = 100.0 * m.root_tol * (1.0 + grid.diameter)
     ok = (
@@ -991,15 +989,8 @@ def low_counterexample(
         for f, o, k in zip(fields, orders, (2, 1, 1))
     )
 
-    axis_t = grid.t_nodes
-    zeros = np.zeros_like(axis_t)
-    out_t, out_x = F.components(axis_t, zeros)
-    p1 = g1.position(axis_t)
-    p2 = g2.position(axis_t)
-    ref_t = p1[0] + p2[0]
-    ref_x = p1[1] + p2[1]
-    axis_max = float(
-        max(np.max(np.abs(out_t - ref_t)), np.max(np.abs(out_x - ref_x)))
+    axis_max = _axis_max(
+        F, grid, lambda t: tuple(map(add, g1.position(t), g2.position(t)))
     )
 
     s_forward, s_equiv = _child_seeds(seed, 2)

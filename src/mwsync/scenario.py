@@ -40,7 +40,9 @@ Schema (all numbers JSON numbers, all names strings)::
     }
 
 ``fd_step`` is in units of the grid diameter; radar charts are built
-with the absolute step ``fd_step * diameter``.
+with the absolute step ``fd_step * diameter``.  It is only the default
+step of the charts' ``"fd"`` (finite-difference) derivative mode, which
+no CLI verb uses; the key stays accepted so existing scenarios keep loading.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .observers import (
     PerturbedInertial,
     PiecewiseLinear,
     Rindler,
+    SumObserver,
 )
 
 __all__ = ["Tolerances", "Scenario", "parse_scenario", "load_scenario"]
@@ -191,145 +194,112 @@ def _parse_tolerances(table) -> Tolerances:
         raise ScenarioError(f"bad tolerances: {exc}") from exc
 
 
+class _Entry:
+    """Typed reads of one observer or map definition ``table`` at ``where``."""
+
+    def __init__(self, builder: "_Builder", table: dict, where: str):
+        self.builder, self.table, self.where = builder, table, where
+        self.ctx = builder.scenario.ctx
+
+    def number(self, key: str, default=None) -> float:
+        return _number(self.table.get(key, default), f"{self.where}.{key}")
+
+    def point(self, t_key: str, x_key: str) -> SplitComplex:
+        return SplitComplex(self.number(t_key, 0.0), self.number(x_key, 0.0))
+
+    def array(self, key: str, nonempty: bool = False) -> list:
+        value = self.table.get(key)
+        if not isinstance(value, list) or (nonempty and not value):
+            raise ScenarioError(
+                f"{self.where}.{key} must be a {'nonempty ' * nonempty}list"
+            )
+        return value
+
+    def ref(self, section: str, key: str = "of"):
+        return self.builder.resolve(section, self.table.get(key))
+
+    def refs(self, section: str) -> list:
+        return [self.builder.resolve(section, n) for n in self.array("of", True)]
+
+
+# Section -> kind -> (keys besides "kind", builder of an _Entry).  Keyword
+# arguments follow the order in which the fields are checked, so an entry
+# reports its first bad field.
+_KINDS = {
+    "observers": {
+        "inertial": (("v", "base_t", "base_x"), lambda e: Inertial(
+            base=e.point("base_t", "base_x"), v=e.number("v"), ctx=e.ctx)),
+        "rindler": (("a",), lambda e: Rindler(e.number("a"), e.ctx)),
+        "perturbed_inertial": (("amplitude", "frequency"), lambda e: PerturbedInertial(
+            e.number("amplitude"), e.number("frequency"))),
+        "piecewise_linear": (("vertices",), lambda e: PiecewiseLinear(
+            e.array("vertices"))),
+        "sum": (("of",), lambda e: SumObserver(e.refs("observers"))),
+        "boosted": (("v", "of"), lambda e: e.ref("observers").boosted(
+            e.number("v"), e.ctx)),
+        "translated": (("dt", "dx", "of"), lambda e: e.ref("observers").translated(
+            e.point("dt", "dx"))),
+    },
+    "maps": {
+        "mw": (("observer",), lambda e: e.builder.scenario.chart(
+            e.ref("observers", "observer"))),
+        "pre_conj": (("of",), lambda e: ConjugateInput(e.ref("maps"))),
+        "post_conj": (("of",), lambda e: ConjugateOutput(e.ref("maps"))),
+        "sum": (("of",), lambda e: MapSum(e.refs("maps"))),
+        "affine_lorentz": (
+            ("v", "scale", "offset_t", "offset_x"),
+            lambda e: AffineLorentzMap(u=two_velocity(e.number("v", 0.0), e.ctx),
+                                       offset=e.point("offset_t", "offset_x"),
+                                       scale=e.number("scale", 1.0)),
+        ),
+    },
+}
+
+
 class _Builder:
     """Resolves named observer and map definitions, catching cycles."""
 
-    def __init__(self, raw_observers, raw_maps, scenario: Scenario):
-        self.raw_observers = raw_observers
-        self.raw_maps = raw_maps
+    def __init__(self, raw: dict, scenario: Scenario):
+        self.raw = raw  # section -> name -> definition table
         self.scenario = scenario
         self.stack: list[str] = []
 
-    def _enter(self, label: str):
+    def resolve(self, section: str, name):
+        """The built object ``name`` of ``section`` ("observers" or "maps")."""
+        noun = section[:-1]
+        name = _string(name, f"{noun} reference")
+        built = getattr(self.scenario, section)
+        if name in built:
+            return built[name]
+        if name not in self.raw[section]:
+            raise ScenarioError(f"{noun} {name!r} is not defined")
+        label = f"{noun} {name}"
         if label in self.stack:
             cycle = " -> ".join(self.stack + [label])
             raise ScenarioError(f"reference cycle: {cycle}")
         self.stack.append(label)
-
-    def observer(self, name: str) -> Observer:
-        name = _string(name, "observer reference")
-        if name in self.scenario.observers:
-            return self.scenario.observers[name]
-        if name not in self.raw_observers:
-            raise ScenarioError(f"observer {name!r} is not defined")
-        self._enter(f"observer {name}")
         try:
-            obs = self._build_observer(name, self.raw_observers[name])
+            built[name] = self._build(section, name, self.raw[section][name])
         finally:
             self.stack.pop()
-        self.scenario.observers[name] = obs
-        return obs
+        return built[name]
 
-    def _build_observer(self, name: str, table) -> Observer:
-        where = f"observers.{name}"
+    def _build(self, section: str, name: str, table):
+        where = f"{section}.{name}"
         table = _require_table(table, where)
         kind = _string(table.get("kind", ""), f"{where}.kind")
-        ctx = self.scenario.ctx
+        if kind not in _KINDS[section]:
+            raise ScenarioError(
+                f"{where}.kind = {kind!r} is not a known {section[:-1]} kind"
+            )
+        keys, build = _KINDS[section][kind]
+        _no_extras(table, ("kind", *keys), where)
         try:
-            if kind == "inertial":
-                _no_extras(table, {"kind", "v", "base_t", "base_x"}, where)
-                base = SplitComplex(
-                    _number(table.get("base_t", 0.0), f"{where}.base_t"),
-                    _number(table.get("base_x", 0.0), f"{where}.base_x"),
-                )
-                return Inertial(_number(table.get("v"), f"{where}.v"), base, ctx)
-            if kind == "rindler":
-                _no_extras(table, {"kind", "a"}, where)
-                return Rindler(_number(table.get("a"), f"{where}.a"), ctx)
-            if kind == "perturbed_inertial":
-                _no_extras(table, {"kind", "amplitude", "frequency"}, where)
-                return PerturbedInertial(
-                    _number(table.get("amplitude"), f"{where}.amplitude"),
-                    _number(table.get("frequency"), f"{where}.frequency"),
-                )
-            if kind == "piecewise_linear":
-                _no_extras(table, {"kind", "vertices"}, where)
-                vertices = table.get("vertices")
-                if not isinstance(vertices, list):
-                    raise ScenarioError(f"{where}.vertices must be a list")
-                return PiecewiseLinear(vertices)
-            if kind == "sum":
-                _no_extras(table, {"kind", "of"}, where)
-                names = table.get("of")
-                if not isinstance(names, list) or not names:
-                    raise ScenarioError(f"{where}.of must be a nonempty list")
-                children = [self.observer(child) for child in names]
-                total = children[0]
-                for child in children[1:]:
-                    total = total + child
-                return total
-            if kind == "boosted":
-                _no_extras(table, {"kind", "v", "of"}, where)
-                child = self.observer(table.get("of"))
-                return child.boosted(_number(table.get("v"), f"{where}.v"), ctx)
-            if kind == "translated":
-                _no_extras(table, {"kind", "dt", "dx", "of"}, where)
-                child = self.observer(table.get("of"))
-                offset = SplitComplex(
-                    _number(table.get("dt", 0.0), f"{where}.dt"),
-                    _number(table.get("dx", 0.0), f"{where}.dx"),
-                )
-                return child.translated(offset)
+            return build(_Entry(self, table, where))
         except ScenarioError:
             raise
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"bad {where}: {exc}") from exc
-        raise ScenarioError(f"{where}.kind = {kind!r} is not a known observer kind")
-
-    def map(self, name: str):
-        name = _string(name, "map reference")
-        if name in self.scenario.maps:
-            return self.scenario.maps[name]
-        if name not in self.raw_maps:
-            raise ScenarioError(f"map {name!r} is not defined")
-        self._enter(f"map {name}")
-        try:
-            built = self._build_map(name, self.raw_maps[name])
-        finally:
-            self.stack.pop()
-        self.scenario.maps[name] = built
-        return built
-
-    def _build_map(self, name: str, table):
-        where = f"maps.{name}"
-        table = _require_table(table, where)
-        kind = _string(table.get("kind", ""), f"{where}.kind")
-        try:
-            if kind == "mw":
-                _no_extras(table, {"kind", "observer"}, where)
-                obs = self.observer(table.get("observer"))
-                return self.scenario.chart(obs)
-            if kind == "pre_conj":
-                _no_extras(table, {"kind", "of"}, where)
-                return ConjugateInput(self.map(table.get("of")))
-            if kind == "post_conj":
-                _no_extras(table, {"kind", "of"}, where)
-                return ConjugateOutput(self.map(table.get("of")))
-            if kind == "sum":
-                _no_extras(table, {"kind", "of"}, where)
-                names = table.get("of")
-                if not isinstance(names, list) or not names:
-                    raise ScenarioError(f"{where}.of must be a nonempty list")
-                return MapSum([self.map(child) for child in names])
-            if kind == "affine_lorentz":
-                _no_extras(
-                    table, {"kind", "v", "scale", "offset_t", "offset_x"}, where
-                )
-                u = two_velocity(
-                    _number(table.get("v", 0.0), f"{where}.v"), self.scenario.ctx
-                )
-                offset = SplitComplex(
-                    _number(table.get("offset_t", 0.0), f"{where}.offset_t"),
-                    _number(table.get("offset_x", 0.0), f"{where}.offset_x"),
-                )
-                return AffineLorentzMap(
-                    u, _number(table.get("scale", 1.0), f"{where}.scale"), offset
-                )
-        except ScenarioError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"bad {where}: {exc}") from exc
-        raise ScenarioError(f"{where}.kind = {kind!r} is not a known map kind")
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -348,13 +318,11 @@ def parse_scenario(data: dict) -> Scenario:
     tolerances = _parse_tolerances(data.get("tolerances", {}))
     scenario = Scenario(c=c, seed=seed, grid=grid, tolerances=tolerances)
 
-    raw_observers = _require_table(data.get("observers", {}), "observers")
-    raw_maps = _require_table(data.get("maps", {}), "maps")
-    builder = _Builder(raw_observers, raw_maps, scenario)
-    for name in raw_observers:
-        builder.observer(name)
-    for name in raw_maps:
-        builder.map(name)
+    raw = {key: _require_table(data.get(key, {}), key) for key in _KINDS}
+    builder = _Builder(raw, scenario)
+    for section, names in raw.items():
+        for name in names:
+            builder.resolve(section, name)
     return scenario
 
 

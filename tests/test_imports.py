@@ -1,10 +1,10 @@
 """Source hygiene of the package, read from its syntax trees.
 
-No linter ships with the test environment, so these two checks stand in
-for one: a module of ``src/mwsync`` uses every name it imports, and every
+No linter ships with the test environment, so these checks stand in for
+one: a module of ``src/mwsync`` uses every name it imports, and every
 ``__all__`` entry names an attribute of its module.  The package
-``__init__`` re-exports what it imports, so only its ``__all__`` is
-checked.
+``__init__`` star-imports the modules, so only its ``__all__`` is
+checked, and it must be exactly the modules' ``__all__`` lists in turn.
 """
 
 import ast
@@ -55,3 +55,16 @@ def test_every_all_entry_resolves(module):
     mod = importlib.import_module(name)
     exported = getattr(mod, "__all__", [])
     assert [entry for entry in exported if not hasattr(mod, entry)] == []
+
+
+def test_the_package_exports_exactly_its_modules_public_names():
+    import mwsync
+
+    names = [
+        name
+        for module in MODULES
+        if module not in ("__init__", "cli")
+        for name in importlib.import_module(f"mwsync.{module}").__all__
+    ]
+    assert len(names) == len(set(names)) == 88
+    assert mwsync.__all__ == names
