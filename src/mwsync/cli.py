@@ -13,6 +13,12 @@ apply), 1 a property violation was found, 2 input validation failed,
 3 a runtime evaluation error occurred.  Output is deterministic: no
 timestamps, fixed float formatting, seeds always explicit.
 
+Reports: each verb returns its report and exit code, and ``main``
+writes the report.  A report is ``key: value`` lines, one per field and
+each key once; ``_text`` renders every value: floats as ``%.17g``,
+booleans as ``true``/``false``, enums by their value, None as ``none``,
+pairs as ``[a, b]``, anything else by ``str``.  ``eval`` writes CSV.
+
 A residual check passes when its maximum at the matched step ``h``
 either sits at the rounding floor the report carries,
 ``512 * eps * (1 + max|F|) / h**k`` (k = 1 for first-order stencils,
@@ -29,6 +35,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
+from enum import Enum
 
 import numpy as np
 
@@ -61,8 +69,24 @@ from .scenario import Scenario, load_scenario
 _FMT = "%.17g"
 
 
-def _fmt(value: float) -> str:
-    return _FMT % float(value)
+def _text(value) -> str:
+    """The report text of one field value."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return _FMT % value
+    if isinstance(value, Enum):
+        return _text(value.value)
+    if value is None:
+        return "none"
+    if isinstance(value, tuple):
+        return f"[{', '.join(map(_text, value))}]"
+    return str(value)
+
+
+def _words(*values) -> str:
+    """One field value of several parts, each rendered by ``_text``."""
+    return " ".join(map(_text, values))
 
 
 def _emit(lines, out_path):
@@ -72,17 +96,12 @@ def _emit(lines, out_path):
     lines are complete before the file is opened, so a report that fails
     writes nothing.
     """
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            _write_lines(handle, lines)
-    else:
-        _write_lines(sys.stdout, lines)
-
-
-def _write_lines(stream, lines):
-    for line in lines:
-        stream.write(line)
-        stream.write("\n")
+    with (
+        open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout)
+    ) as stream:
+        for line in lines:
+            stream.write(line)
+            stream.write("\n")
 
 
 def _int_at_least(minimum: int):
@@ -135,29 +154,30 @@ def _grid_from_flag(text: str) -> GridSpec:
         raise ScenarioError(f"bad --grid: {exc}") from exc
 
 
-def _grid_lines(grid: GridSpec):
-    return [
-        f"grid_t: [{_fmt(grid.t_min)}, {_fmt(grid.t_max)}] n={grid.n_t}",
-        f"grid_x: [{_fmt(grid.x_min)}, {_fmt(grid.x_max)}] n={grid.n_x}",
-        f"grid_h: {_fmt(grid.h)}",
-    ]
+def _grid_fields(grid: GridSpec) -> list:
+    return [("grid_t", _words((grid.t_min, grid.t_max), f"n={grid.n_t}")),
+            ("grid_x", _words((grid.x_min, grid.x_max), f"n={grid.n_x}")),
+            ("grid_h", grid.h)]
 
 
-def _witness_lines(witness):
-    if witness is None:
-        return ["witness: none"]
-    return [
-        f"witness_z1: {_fmt(witness.z1.t)} {_fmt(witness.z1.x)}",
-        f"witness_z2: {_fmt(witness.z2.t)} {_fmt(witness.z2.x)}",
-        f"relation_in: {witness.relation_in.value}",
-        f"relation_out: {witness.relation_out.value}",
-    ]
+def _chronology_fields(label: str, rep) -> list:
+    fields = [("pairs", rep.n_pairs), ("seed", rep.seed),
+              ("min_margin", rep.min_margin), ("passed", rep.passed)]
+    witness = rep.witness
+    if witness is not None:
+        fields += [
+            ("witness_z1", _words(witness.z1.t, witness.z1.x)),
+            ("witness_z2", _words(witness.z2.t, witness.z2.x)),
+            ("relation_in", witness.relation_in),
+            ("relation_out", witness.relation_out),
+        ]
+    return [(f"{label}_{key}", value) for key, value in fields]
 
 
-# -- verbs ---------------------------------------------------------------
+# -- verbs: each returns (report, exit code); a report is (key, value) fields
 
 
-def _cmd_eval(args, scenario: Scenario, grid: GridSpec) -> int:
+def _cmd_eval(args, scenario: Scenario, grid: GridSpec) -> tuple:
     m = scenario.map(args.map)
     t_text = [_FMT % t for t in grid.t_nodes.tolist()]
     x_cells = [f"{_FMT % x},{_FMT},{_FMT}" for x in grid.x_nodes.tolist()]
@@ -172,8 +192,7 @@ def _cmd_eval(args, scenario: Scenario, grid: GridSpec) -> int:
         for t, row in zip(t_text[block], values):
             lead = t + ","
             rows.append((lead + ("\n" + lead).join(x_cells)) % tuple(row))
-    _emit(rows, args.out)
-    return 0
+    return rows, 0
 
 
 def _locate_eval_failure(m, grid: GridSpec):
@@ -189,7 +208,7 @@ def _locate_eval_failure(m, grid: GridSpec):
                     m.components(np.asarray(tv), np.asarray(xv))
                 except MwsyncError as exc:
                     raise MwsyncError(
-                        f"evaluation failed at node t={_fmt(tv)} x={_fmt(xv)}: {exc}"
+                        f"evaluation failed at node t={_text(tv)} x={_text(xv)}: {exc}"
                     ) from exc
 
 
@@ -202,87 +221,64 @@ _CHECKS = {
 }
 
 
-def _cmd_check(args, scenario: Scenario, grid: GridSpec) -> int:
+def _cmd_check(args, scenario: Scenario, grid: GridSpec) -> tuple:
     m = scenario.map(args.map)
     if args.kind == "loggwave" and not hasattr(m, "conformal_components"):
         raise ScenarioError(
             f"map {args.map!r} has no conformal factor; loggwave applies "
             "to radar charts only"
         )
-    report = _CHECKS[args.kind](m, grid)
-    order = report.convergence_order
+    res = _CHECKS[args.kind](m, grid)
+    order = res.convergence_order
     order_ok = order is not None and 1.6 <= order <= 2.4
-    passed = report.max_abs <= report.floor or order_ok
-    lines = [
-        f"check: {args.kind}",
-        f"map: {args.map}",
-        *_grid_lines(grid),
-        f"max_abs: {_fmt(report.max_abs)}",
-        f"mean_abs: {_fmt(report.mean_abs)}",
-        f"location_t: {_fmt(report.location_of_max[0])}",
-        f"location_x: {_fmt(report.location_of_max[1])}",
-        f"order: {'none' if order is None else _fmt(order)}",
-        f"floor: {_fmt(report.floor)}",
+    passed = res.max_abs <= res.floor or order_ok
+    report = [
+        ("check", args.kind), ("map", args.map), *_grid_fields(grid),
+        ("max_abs", res.max_abs), ("mean_abs", res.mean_abs),
+        ("location_t", res.location_of_max[0]),
+        ("location_x", res.location_of_max[1]),
+        ("order", order), ("floor", res.floor),
     ]
     if args.kind == "conformal":
-        lines += [
-            f"factor_min: {_fmt(report.factor_min)}",
-            f"factor_max: {_fmt(report.factor_max)}",
-            f"n_nonpositive: {report.n_nonpositive}",
+        report += [
+            ("factor_min", res.factor_min), ("factor_max", res.factor_max),
+            ("n_nonpositive", res.n_nonpositive),
         ]
-        passed = passed and report.n_nonpositive == 0
-    lines.append(f"verdict: {'pass' if passed else 'fail'}")
-    _emit(lines, args.out)
-    return 0 if passed else 1
+        passed = passed and res.n_nonpositive == 0
+    report.append(("verdict", "pass" if passed else "fail"))
+    return report, 0 if passed else 1
 
 
-def _chronology_lines(label: str, rep) -> list:
-    lines = [
-        f"{label}_pairs: {rep.n_pairs}",
-        f"{label}_seed: {rep.seed}",
-        f"{label}_min_margin: {_fmt(rep.min_margin)}",
-        f"{label}_passed: {str(rep.passed).lower()}",
-    ]
-    if rep.witness is not None:
-        lines += [f"{label}_{line}" for line in _witness_lines(rep.witness)]
-    return lines
-
-
-def _cmd_causal(args, scenario: Scenario, grid: GridSpec) -> int:
+def _cmd_causal(args, scenario: Scenario, grid: GridSpec) -> tuple:
     m = scenario.map(args.map)
-    pairs = args.pairs
     seed = scenario.seed if args.seed is None else args.seed
     tol = scenario.tolerances.null_band
-    lines = [f"map: {args.map}", *_grid_lines(grid)]
+    report = [("map", args.map), *_grid_fields(grid)]
     if isinstance(m, MarzkeWheelerMap):
-        rep = automorphism_suite(m, grid, pairs, seed, tol)
-        lines.append(f"status: {rep.outcome.value}")
-        lines.append(f"lip: {rep.lip.verdict.value}")
-        lines.append(f"lip_reason: {rep.lip.reason}")
+        rep = automorphism_suite(m, grid, args.pairs, seed, tol)
+        report += [("status", rep.outcome), ("lip", rep.lip.verdict),
+                   ("lip_reason", rep.lip.reason)]
         if rep.lip.null_window is not None:
-            (plo, phi), (mlo, mhi) = rep.lip.null_window
-            lines.append(
-                f"lip_null_window: plus [{_fmt(plo)}, {_fmt(phi)}] "
-                f"minus [{_fmt(mlo)}, {_fmt(mhi)}]"
-            )
+            plus, minus = rep.lip.null_window
+            report.append(("lip_null_window", _words("plus", plus, "minus", minus)))
         if rep.outcome is AutomorphismOutcome.NOT_APPLICABLE:
-            _emit(lines, args.out)
-            return 0
-        lines += _chronology_lines("forward", rep.forward)
-        lines += _chronology_lines("inverse", rep.inverse)
-        lines.append(f"roundtrip_max: {_fmt(rep.roundtrip_max)}")
-        lines.append(f"orientation: {rep.orientation.value}")
-        lines.append(f"axis_max: {_fmt(rep.axis_max)}")
-        _emit(lines, args.out)
-        return 0 if rep.outcome is AutomorphismOutcome.PASS else 1
-    forward = chronology_check(m, grid, pairs, seed, tol)
-    equivalence = causal_equivalence_check(m, grid, pairs, seed, tol)
+            return report, 0
+        report += [
+            *_chronology_fields("forward", rep.forward),
+            *_chronology_fields("inverse", rep.inverse),
+            ("roundtrip_max", rep.roundtrip_max), ("orientation", rep.orientation),
+            ("axis_max", rep.axis_max),
+        ]
+        return report, 0 if rep.outcome is AutomorphismOutcome.PASS else 1
+    forward = chronology_check(m, grid, args.pairs, seed, tol)
+    equivalence = causal_equivalence_check(m, grid, args.pairs, seed, tol)
     passed = forward.passed and equivalence.passed
-    lines.append(f"status: {'pass' if passed else 'fail'}")
-    lines += _chronology_lines("forward", forward)
-    lines += _chronology_lines("equivalence", equivalence)
-    _emit(lines, args.out)
-    return 0 if passed else 1
+    report += [
+        ("status", "pass" if passed else "fail"),
+        *_chronology_fields("forward", forward),
+        *_chronology_fields("equivalence", equivalence),
+    ]
+    return report, 0 if passed else 1
 
 
 def _need(args, names: list, mode: str):
@@ -307,10 +303,9 @@ def _window(args, lo: str, hi: str) -> tuple:
     return start, end
 
 
-def _cmd_propertime(args, scenario: Scenario, grid: GridSpec) -> int:
+def _cmd_propertime(args, scenario: Scenario, grid: GridSpec) -> tuple:
     ctx = scenario.ctx
     quad_tol = scenario.tolerances.quad_tol
-    tol = args.tol
     if args.mode == "dilation":
         _need(args, ["accel", "x1", "x2", "dt"], "dilation")
         if args.accel == 0.0 or args.dt == 0.0:
@@ -318,16 +313,10 @@ def _cmd_propertime(args, scenario: Scenario, grid: GridSpec) -> int:
                 f"--accel and --dt must be nonzero, got {args.accel!r} and {args.dt!r}"
             )
         value = gravitational_dilation(args.accel, args.x1, args.x2, args.dt, ctx)
-        _emit(
-            [
-                "mode: dilation",
-                f"dt_at_x1: {_fmt(args.dt)}",
-                f"dt_at_x2: {_fmt(value)}",
-                f"ratio: {_fmt(value / args.dt)}",
-            ],
-            args.out,
-        )
-        return 0
+        return [
+            ("mode", "dilation"), ("dt_at_x1", args.dt), ("dt_at_x2", value),
+            ("ratio", value / args.dt),
+        ], 0
     if args.mode == "twin":
         _need(args, ["a", "b", "a0", "a1"], "twin")
         if (args.b0 is None) != (args.b1 is None):
@@ -337,38 +326,24 @@ def _cmd_propertime(args, scenario: Scenario, grid: GridSpec) -> int:
         rep = twin_consistency(
             scenario.chart(scenario.observer(args.a)),
             scenario.chart(scenario.observer(args.b)),
-            window_a,
-            window_b,
-            ctx,
-            tol,
-            quad_tol,
+            window_a, window_b, ctx, args.tol, quad_tol,
         )
-        _emit(
-            [
-                "mode: twin",
-                f"observer_a: {args.a}",
-                f"observer_b: {args.b}",
-                f"window_a: [{_fmt(rep.window_a[0])}, {_fmt(rep.window_a[1])}]",
-                f"window_b: [{_fmt(rep.window_b[0])}, {_fmt(rep.window_b[1])}]",
-                f"tau_a: {_fmt(rep.tau_a)}",
-                f"tau_b: {_fmt(rep.tau_b)}",
-                f"tau_a_by_b: {_fmt(rep.tau_a_by_b)}",
-                f"tau_b_by_a: {_fmt(rep.tau_b_by_a)}",
-                f"younger: {rep.younger}",
-                f"max_rel_disagreement: {_fmt(rep.max_rel_disagreement)}",
-                f"consistent: {str(rep.consistent).lower()}",
-            ],
-            args.out,
-        )
-        return 0 if rep.consistent else 1
+        return [
+            ("mode", "twin"), ("observer_a", args.a), ("observer_b", args.b),
+            ("window_a", rep.window_a), ("window_b", rep.window_b),
+            ("tau_a", rep.tau_a), ("tau_b", rep.tau_b),
+            ("tau_a_by_b", rep.tau_a_by_b), ("tau_b_by_a", rep.tau_b_by_a),
+            ("younger", rep.younger),
+            ("max_rel_disagreement", rep.max_rel_disagreement),
+            ("consistent", rep.consistent),
+        ], 0 if rep.consistent else 1
     # Dual-route modes: chart integral against direct arc length.
     _need(args, ["target", "s0", "s1"], args.mode)
     window = _window(args, "s0", "s1")
     target = scenario.observer(args.target)
     direct = arc_length_proper_time(target, *window, ctx, quad_tol)
     if args.mode == "inertial":
-        chart_obs = Inertial(0.0, ZERO, ctx)
-        chart = scenario.chart(chart_obs)
+        chart = scenario.chart(Inertial(0.0, ZERO, ctx))
         traj = radar_trajectory_of(chart, target, window, ctx)
         via = proper_time_inertial(traj, ctx, quad_tol)
         chart_name = "lab"
@@ -379,25 +354,16 @@ def _cmd_propertime(args, scenario: Scenario, grid: GridSpec) -> int:
         via = proper_time_accelerated(chart, traj, ctx, quad_tol)
         chart_name = args.observer
     rel = abs(via.tau - direct.tau) / abs(direct.tau)
-    agree = rel <= tol
-    _emit(
-        [
-            f"mode: {args.mode}",
-            f"target: {args.target}",
-            f"chart: {chart_name}",
-            f"window: [{_fmt(args.s0)}, {_fmt(args.s1)}]",
-            f"tau_direct: {_fmt(direct.tau)}",
-            f"tau_chart: {_fmt(via.tau)}",
-            f"rel_disagreement: {_fmt(rel)}",
-            f"n_evals: {direct.n_evals + via.n_evals}",
-            f"consistent: {str(agree).lower()}",
-        ],
-        args.out,
-    )
-    return 0 if agree else 1
+    agree = rel <= args.tol
+    return [
+        ("mode", args.mode), ("target", args.target), ("chart", chart_name),
+        ("window", window), ("tau_direct", direct.tau), ("tau_chart", via.tau),
+        ("rel_disagreement", rel), ("n_evals", direct.n_evals + via.n_evals),
+        ("consistent", agree),
+    ], 0 if agree else 1
 
 
-def _cmd_counterexample(args, scenario: Scenario, grid: GridSpec) -> int:
+def _cmd_counterexample(args, scenario: Scenario, grid: GridSpec) -> tuple:
     g1 = scenario.observer(args.g1)
     g2 = scenario.observer(args.g2)
     seed = scenario.seed if args.seed is None else args.seed
@@ -407,24 +373,17 @@ def _cmd_counterexample(args, scenario: Scenario, grid: GridSpec) -> int:
     wave_ok = rep.wave.max_abs <= rep.wave.floor
     found = rep.equivalence.witness is not None
     ok = found and rep.axis_ok and wave_ok
-    lines = [
-        f"g1: {args.g1}",
-        f"g2: {args.g2}",
-        *_grid_lines(grid),
-        f"wave_max_abs: {_fmt(rep.wave.max_abs)}",
-        f"wave_floor: {_fmt(rep.wave.floor)}",
-        f"wave_ok: {str(wave_ok).lower()}",
-        f"holo_max_abs: {_fmt(rep.holo.max_abs)}",
-        f"antiholo_max_abs: {_fmt(rep.antiholo.max_abs)}",
-        f"axis_max: {_fmt(rep.axis_max)}",
-        f"axis_ok: {str(rep.axis_ok).lower()}",
-        *_chronology_lines("forward", rep.forward),
-        *_chronology_lines("equivalence", rep.equivalence),
-        f"witness_found: {str(found).lower()}",
-        f"status: {'pass' if ok else 'fail'}",
-    ]
-    _emit(lines, args.out)
-    return 0 if ok else 1
+    return [
+        ("g1", args.g1), ("g2", args.g2), *_grid_fields(grid),
+        ("wave_max_abs", rep.wave.max_abs), ("wave_floor", rep.wave.floor),
+        ("wave_ok", wave_ok), ("holo_max_abs", rep.holo.max_abs),
+        ("antiholo_max_abs", rep.antiholo.max_abs),
+        ("axis_max", rep.axis_max), ("axis_ok", rep.axis_ok),
+        *_chronology_fields("forward", rep.forward),
+        *_chronology_fields("equivalence", rep.equivalence),
+        ("witness_found", found),
+        ("status", "pass" if ok else "fail"),
+    ], 0 if ok else 1
 
 
 # -- parser and entry point ----------------------------------------------
@@ -548,7 +507,11 @@ def main(argv=None) -> int:
         # Overflow and NaN surface as exit codes and report values, so
         # numpy's RuntimeWarnings would only put lines before `error:`.
         with np.errstate(all="ignore"):
-            return _VERBS[args.verb](args, scenario, grid)
+            report, code = _VERBS[args.verb](args, scenario, grid)
+        if args.verb != "eval":  # eval's report is its CSV rows
+            report = [f"{key}: {_text(value)}" for key, value in report]
+        _emit(report, args.out)
+        return code
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

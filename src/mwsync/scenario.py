@@ -1,9 +1,9 @@
 """Scenario files: named observers, maps, grid, and tolerances in JSON.
 
 A scenario is the single input format of the command line tools.  The
-loader is strict: unknown keys, unknown kinds, dangling references, and
-reference cycles are all hard errors, so a typo cannot silently change
-what a run measures.
+loader is strict: unknown or missing keys, unknown kinds, dangling
+references, and reference cycles are all hard errors, so a typo cannot
+silently change what a run measures.
 
 Schema (all numbers JSON numbers, all names strings)::
 
@@ -106,20 +106,17 @@ class Scenario:
         return LightspeedContext(self.c)
 
     def observer(self, name: str) -> Observer:
-        try:
-            return self.observers[name]
-        except KeyError:
-            raise ScenarioError(
-                f"no observer named {name!r}; have {sorted(self.observers)}"
-            ) from None
+        return self._lookup("observers", name)
 
     def map(self, name: str):
-        try:
-            return self.maps[name]
-        except KeyError:
+        return self._lookup("maps", name)
+
+    def _lookup(self, section: str, name: str):
+        built = getattr(self, section)
+        if name not in built:
             raise ScenarioError(
-                f"no map named {name!r}; have {sorted(self.maps)}"
-            ) from None
+                f"no {section[:-1]} named {name!r}; have {sorted(built)}")
+        return built[name]
 
     def chart(self, obs: Observer) -> MarzkeWheelerMap:
         """Radar chart of an observer under this scenario's tolerances."""
@@ -201,14 +198,22 @@ class _Entry:
         self.builder, self.table, self.where = builder, table, where
         self.ctx = builder.scenario.ctx
 
+    def _get(self, key: str, default=None):
+        """``table[key]``, else ``default``; absent with no default is an error."""
+        if key in self.table:
+            return self.table[key]
+        if default is None:
+            raise ScenarioError(f"{self.where}.{key} is missing")
+        return default
+
     def number(self, key: str, default=None) -> float:
-        return _number(self.table.get(key, default), f"{self.where}.{key}")
+        return _number(self._get(key, default), f"{self.where}.{key}")
 
     def point(self, t_key: str, x_key: str) -> SplitComplex:
         return SplitComplex(self.number(t_key, 0.0), self.number(x_key, 0.0))
 
     def array(self, key: str, nonempty: bool = False) -> list:
-        value = self.table.get(key)
+        value = self._get(key)
         if not isinstance(value, list) or (nonempty and not value):
             raise ScenarioError(
                 f"{self.where}.{key} must be a {'nonempty ' * nonempty}list"
@@ -216,7 +221,7 @@ class _Entry:
         return value
 
     def ref(self, section: str, key: str = "of"):
-        return self.builder.resolve(section, self.table.get(key))
+        return self.builder.resolve(section, self._get(key))
 
     def refs(self, section: str) -> list:
         return [self.builder.resolve(section, n) for n in self.array("of", True)]

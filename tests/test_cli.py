@@ -12,6 +12,7 @@ import mwsync
 from mwsync import GridSpec, MarzkeWheelerMap, MwsyncError, PiecewiseLinear
 from mwsync import cli
 from mwsync.cli import main
+from mwsync.fieldcheck import AutomorphismOutcome
 from test_golden import CASES, DEMO
 
 SCENARIO = {
@@ -46,6 +47,21 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("value, text", [
+    (0.1, "0.10000000000000001"),
+    (float("nan"), "nan"),
+    (-0.0, "-0"),
+    (np.float64(2.0), "2"),
+    (True, "true"),
+    (AutomorphismOutcome.PASS, "pass"),
+    (None, "none"),
+    (7, "7"),
+    ((-0.5, 0.5), "[-0.5, 0.5]"),
+], ids=repr)
+def test_a_report_value_renders_by_its_type(value, text):
+    assert cli._text(value) == text
 
 
 class TestEval:

@@ -107,6 +107,16 @@ def test_every_golden_file_belongs_to_a_case(manifest):
     assert outs == set(CASES) - HASHED
 
 
+def test_every_text_report_is_key_value_lines_with_unique_keys():
+    # The contract a second rendering of the same fields relies on.
+    for name in sorted(set(CASES) - HASHED):
+        lines = (GOLDEN / f"{name}.out").read_text(encoding="utf-8").splitlines()
+        keys = [line.split(": ", 1)[0] for line in lines]
+        assert all(": " in line for line in lines), name
+        assert all(key and " " not in key for key in keys), name
+        assert len(set(keys)) == len(keys), name
+
+
 def _regenerate():
     GOLDEN.mkdir(exist_ok=True)
     for stale in GOLDEN.glob("*.out"):

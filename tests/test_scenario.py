@@ -15,6 +15,7 @@ from mwsync import (
     load_scenario,
     parse_scenario,
 )
+from mwsync.cli import main
 
 
 def test_empty_scenario_gets_defaults():
@@ -63,10 +64,42 @@ def test_full_round_trip(tmp_path):
 
 def test_lookup_errors_list_choices():
     sc = parse_scenario({"observers": {"lab": {"kind": "inertial", "v": 0.0}}})
-    with pytest.raises(ScenarioError, match="lab"):
+    with pytest.raises(ScenarioError) as info:
         sc.observer("missing")
-    with pytest.raises(ScenarioError, match="no map"):
+    assert str(info.value) == "no observer named 'missing'; have ['lab']"
+    with pytest.raises(ScenarioError) as info:
         sc.map("missing")
+    assert str(info.value) == "no map named 'missing'; have []"
+
+
+# An absent required key is "missing"; an explicit null keeps the type
+# error of any other wrong value.
+@pytest.mark.parametrize("section, name, table, key, null_message", [
+    ("observers", "r", {"kind": "rindler"}, "a",
+     "observers.r.a must be a number, got None"),
+    ("observers", "w", {"kind": "perturbed_inertial", "amplitude": 0.1}, "frequency",
+     "observers.w.frequency must be a number, got None"),
+    ("observers", "b", {"kind": "boosted", "v": 0.5}, "of",
+     "observer reference must be a string, got None"),
+    ("maps", "m", {"kind": "mw"}, "observer",
+     "observer reference must be a string, got None"),
+    ("observers", "z", {"kind": "piecewise_linear"}, "vertices",
+     "observers.z.vertices must be a list"),
+    ("maps", "m", {"kind": "sum"}, "of", "maps.m.of must be a nonempty list"),
+], ids=["rindler.a", "perturbed_inertial.frequency", "boosted.of", "mw.observer",
+        "piecewise_linear.vertices", "sum.of"])
+def test_a_missing_required_key_is_named(
+        tmp_path, capsys, section, name, table, key, null_message):
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario({section: {name: table}})
+    assert str(info.value) == f"{section}.{name}.{key} is missing"
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario({section: {name: {**table, key: None}}})
+    assert str(info.value) == null_message
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps({section: {name: table}}))
+    assert main(["causal", "--scenario", str(path), "--map", "m"]) == 2
+    assert capsys.readouterr().err == f"error: {section}.{name}.{key} is missing\n"
 
 
 def test_chart_helper_scales_the_fd_step():
