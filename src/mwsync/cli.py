@@ -11,7 +11,9 @@ Verbs:
 Exit codes: 0 the certified property holds (or the check does not
 apply), 1 a property violation was found, 2 input validation failed,
 3 a runtime evaluation error occurred.  Output is deterministic: no
-timestamps, fixed float formatting, seeds always explicit.
+timestamps, fixed float formatting, seeds always explicit.  ``main(argv)``
+returns the exit code, so it can be called repeatedly in one process: it
+builds its parser once, on the first call, and keeps no other state.
 
 Reports: each verb returns its report and exit code, and ``main``
 writes the report.  A report is ``key: value`` lines, one per field and
@@ -33,7 +35,9 @@ the floor alone decides.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import os
 import sys
 from contextlib import nullcontext
 from enum import Enum
@@ -89,6 +93,15 @@ def _words(*values) -> str:
     return " ".join(map(_text, values))
 
 
+def _check_out(out_path):
+    """Reject an ``--out`` that can never be written, before any work."""
+    folder = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path) or not os.path.isdir(folder):
+        reason = ("is a directory" if os.path.isdir(out_path)
+                  else f"no directory {folder!r}")
+        raise ScenarioError(f"cannot write --out {out_path!r}: {reason}")
+
+
 def _emit(lines, out_path):
     """Write ``lines``, each ending in a newline, to ``out_path`` or stdout.
 
@@ -96,12 +109,18 @@ def _emit(lines, out_path):
     lines are complete before the file is opened, so a report that fails
     writes nothing.
     """
-    with (
-        open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout)
-    ) as stream:
-        for line in lines:
-            stream.write(line)
-            stream.write("\n")
+    try:
+        with (
+            open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout)
+        ) as stream:
+            for line in lines:
+                stream.write(line)
+                stream.write("\n")
+    except OSError as exc:
+        if not out_path:
+            raise
+        reason = exc.strerror or exc
+        raise ScenarioError(f"cannot write --out {out_path!r}: {reason}") from exc
 
 
 def _int_at_least(minimum: int):
@@ -389,6 +408,7 @@ def _cmd_counterexample(args, scenario: Scenario, grid: GridSpec) -> tuple:
 # -- parser and entry point ----------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mwsync",
@@ -500,6 +520,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        if args.out:
+            _check_out(args.out)
         scenario = load_scenario(args.scenario)
         grid = (
             _grid_from_flag(args.grid) if args.grid is not None else scenario.grid

@@ -338,6 +338,8 @@ def load_scenario(path: str) -> Scenario:
             data = json.load(handle)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario {path!r} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario {path!r} is not valid JSON: {exc}") from exc
     return parse_scenario(data)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mwsync import GridSpec, MarzkeWheelerMap, MwsyncError, PiecewiseLinear
 from mwsync import cli
 from mwsync.cli import main
 from mwsync.fieldcheck import AutomorphismOutcome
-from test_golden import CASES, DEMO
+from test_golden import CASES, DEMO, GOLDEN
 
 SCENARIO = {
     "c": 1.0,
@@ -570,11 +571,107 @@ class TestValidationAndErrors:
                              "--map", "lab_chart")
         assert (code, out, err) == (3, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("out, reason", [
+        ("absent/report.txt", "no directory 'absent'"),
+        (".", "is a directory"),
+    ])
+    def test_an_unwritable_out_exits_2_before_the_run(
+            self, scenario_path, capsys, monkeypatch, tmp_path, out, reason):
+        def never(args, scenario, grid):
+            raise AssertionError("the verb ran")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setitem(cli._VERBS, "eval", never)
+        code, stdout, err = run(capsys, "eval", "--scenario", scenario_path,
+                                "--map", "lab_chart", "--out", out)
+        assert (code, stdout, err) == (
+            2, "", f"error: cannot write --out {out!r}: {reason}\n")
+
+    def test_a_failed_write_of_out_exits_2(self, scenario_path, capsys,
+                                           monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        out = str(tmp_path / "report.txt")
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+        code, stdout, err = run(capsys, "causal", "--scenario", scenario_path,
+                                "--map", "lab_chart", "--pairs", "10",
+                                "--out", out)
+        assert (code, stdout, err) == (
+            2, "", f"error: cannot write --out {out!r}: Permission denied\n")
+
+    def test_a_failing_run_leaves_out_unwritten(self, scenario_path, capsys, tmp_path):
+        out = tmp_path / "report.txt"
+        code, _, err = run(capsys, "causal", "--scenario", scenario_path,
+                           "--map", "ghost", "--out", str(out))
+        assert code == 2 and err.startswith("error:")
+        assert not out.exists()
+
+    def test_a_scenario_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "causal", "--scenario", str(path),
+                             "--map", "low")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: scenario {str(path)!r} is not valid UTF-8: ")
+
     def test_unknown_verb_exits_2(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
     def test_no_arguments_exits_2(self, capsys):
         assert run(capsys)[0] == 2
+
+
+def test_main_builds_its_parser_once_per_process():
+    # One top-level parser and five verb parsers, however often main runs.
+    src = os.path.dirname(os.path.dirname(mwsync.__file__))
+    argv = ["propertime", "--scenario", DEMO, *CASES["propertime.dilation"][1:]]
+    code = textwrap.dedent(f"""
+        import argparse, contextlib, io
+        from mwsync.cli import main
+        made = []
+        init = argparse.ArgumentParser.__init__
+        def counting(self, *args, **kwargs):
+            made.append(self)
+            init(self, *args, **kwargs)
+        argparse.ArgumentParser.__init__ = counting
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main({argv!r}) for _ in range(3)]
+        print(codes, len(made))
+    """)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[0, 0, 0] 6"
+
+
+def test_a_failed_parse_leaves_the_next_call_unchanged(capsys):
+    code, out, err = run(capsys, "causal", "--scenario", DEMO, "--map", "low",
+                         "--pairs", "0")
+    assert (code, out) == (2, "")
+    assert "--pairs: must be at least 1, got 0" in err
+    code, out, err = run(capsys, "causal", "--scenario", DEMO, "--map", "low")
+    manifest = json.loads((GOLDEN / "manifest.json").read_text(encoding="utf-8"))
+    assert (code, err) == (manifest["causal.low"]["exit"], "")
+    assert out == (GOLDEN / "causal.low.out").read_text(encoding="utf-8")
+
+
+def test_help_wraps_at_the_columns_of_the_moment(capsys, monkeypatch):
+    def help_text(columns, parse):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        with pytest.raises(SystemExit):
+            parse(["propertime", "--help"])
+        return capsys.readouterr().out
+
+    monkeypatch.setenv("COLUMNS", "200")
+    assert run(capsys, "propertime", "--scenario", DEMO,
+               *CASES["propertime.dilation"][1:])[0] == 0
+    fresh = cli._build_parser.__wrapped__().parse_args
+    narrow = help_text(50, fresh)
+    assert run(capsys, "propertime", "--help") == (0, narrow, "")
+    monkeypatch.setenv("COLUMNS", "120")
+    wide = run(capsys, "propertime", "--help")[1]
+    assert wide == help_text(120, fresh) and wide != narrow
 
 
 def test_import_leaves_scipy_unloaded():

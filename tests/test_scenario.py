@@ -165,6 +165,10 @@ def test_load_scenario_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ScenarioError, match="not valid JSON"):
         load_scenario(bad)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ScenarioError, match="is not valid UTF-8: 'utf-8' codec"):
+        load_scenario(latin)
     array = tmp_path / "array.json"
     array.write_text("[1, 2]")
     with pytest.raises(ScenarioError):
