@@ -431,10 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="residual certificate for a map")
     common(p)
     p.add_argument("--map", required=True)
-    p.add_argument(
-        "--kind", required=True,
-        choices=["holo", "antiholo", "wave", "conformal", "loggwave"],
-    )
+    p.add_argument("--kind", required=True, choices=list(_CHECKS))
 
     p = sub.add_parser("causal", help="chronology / automorphism checks")
     common(p)

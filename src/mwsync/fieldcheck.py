@@ -575,7 +575,7 @@ def log_factor_wave_residual(m, grid: GridSpec) -> ResidualReport:
     """
 
     def log_factor(t, x):
-        return (np.log(m.conformal_components(t, x, mode="analytic")),)
+        return (np.log(m.conformal_components(t, x)),)
 
     def combine(t_part, x_part):
         return (np.abs(t_part[0] - x_part[0]),)
@@ -777,29 +777,29 @@ def causal_equivalence_check(
 # -- orientation and the automorphism suite ------------------------------
 
 
+# Samples along the probed ray, and the relative spread of a constant level.
+_ORIENTATION_NODES = 65
+_ORIENTATION_TOL = 1e-8
+
+
 class MapOrientation(enum.Enum):
     PRESERVING = "preserving"
     REVERSING = "reversing"
     NEITHER = "neither"
 
 
-def orientation_of(
-    F,
-    probe: SplitComplex = ZERO,
-    span: float = 1.0,
-    n: int = 65,
-    tol: float = 1e-8,
-) -> MapOrientation:
+def orientation_of(F, probe: SplitComplex = ZERO, span: float = 1.0) -> MapOrientation:
     """Which ray family does the image of a right-moving ray lie in?
 
-    Samples the ray of constant ``t - x`` through ``probe``.  If the
-    image keeps ``t - x`` constant the map preserves the two null
+    Samples the ray of constant ``t - x`` through ``probe`` at
+    ``_ORIENTATION_NODES`` points.  If the image keeps ``t - x``
+    constant (to ``_ORIENTATION_TOL``) the map preserves the two null
     directions; if it keeps ``t + x`` constant instead, the map swaps
     them; if neither level stays constant the map does not act on rays
     at all.
     """
-    zeta_plus = (probe.t + probe.x) + np.linspace(0.0, span, n)
-    zeta_minus = np.full(n, probe.t - probe.x)
+    zeta_plus = (probe.t + probe.x) + np.linspace(0.0, span, _ORIENTATION_NODES)
+    zeta_minus = np.full(_ORIENTATION_NODES, probe.t - probe.x)
     t = (zeta_plus + zeta_minus) / 2.0
     x = (zeta_plus - zeta_minus) / 2.0
     out_t, out_x = F.components(t, x)
@@ -807,7 +807,7 @@ def orientation_of(
     minus = out_t - out_x
     spread_plus = float(plus.max() - plus.min())
     spread_minus = float(minus.max() - minus.min())
-    level = tol * (
+    level = _ORIENTATION_TOL * (
         1.0 + max(np.abs(plus).max(), np.abs(minus).max())
     )
     plus_const = spread_plus <= level

@@ -55,6 +55,10 @@ __all__ = ["MarzkeWheelerMap"]
 # 2**60 * root_tol wide down to root_tol.
 _ITERATION_CAP = 100
 
+# Safety bound on the bracket-doubling search of an unbounded domain;
+# exceeding it raises EvaluationFailure rather than looping.
+_BRACKET_LIMIT = 1e6
+
 # Elements per chunk of batched work: 2**15 float64 values, 256 kB per
 # temporary, so the temporaries of one chunk stay near the L2 cache and
 # are reused by the allocator instead of being faulted in afresh.  The
@@ -188,24 +192,11 @@ class MarzkeWheelerMap:
         Absolute parameter tolerance of the radar inverse's root finder:
         an element stops once its Newton step or its bracket is this
         small.  Closed-form inverses do not use it.
-    bracket_limit : float
-        Safety bound on the bracket-doubling search; exceeding it
-        raises :class:`EvaluationFailure` rather than looping.
-    fd_step : float
-        Default absolute step of the finite-difference derivative mode.
     """
 
-    def __init__(
-        self,
-        observer: Observer,
-        root_tol: float = 1e-12,
-        bracket_limit: float = 1e6,
-        fd_step: float = 1e-5,
-    ):
+    def __init__(self, observer: Observer, root_tol: float = 1e-12):
         self.observer = observer
         self.root_tol = float(root_tol)
-        self.bracket_limit = float(bracket_limit)
-        self.fd_step = float(fd_step)
 
     def __call__(self, z: SplitComplex) -> SplitComplex:
         """Scalar reading of :meth:`components`."""
@@ -295,9 +286,9 @@ class MarzkeWheelerMap:
         table = [fn(np.array([-reach, reach]))]
         while not (table[-1][0] <= lowest and table[-1][1] >= highest):
             reach *= 2.0
-            if reach > self.bracket_limit or len(table) == 64:
+            if reach > _BRACKET_LIMIT or len(table) == 64:
                 raise EvaluationFailure(
-                    f"bracket search exceeded bracket_limit = {self.bracket_limit:g}"
+                    f"bracket search exceeded bracket_limit = {_BRACKET_LIMIT:g}"
                 )
             table.append(fn(np.array([-reach, reach])))
         f_lo, f_hi = np.array(table).T
@@ -443,8 +434,9 @@ class MarzkeWheelerMap:
         ``M'(s-x)``.  Mode "analytic" reads those off the worldline's
         velocity; mode "fd" takes a symmetric difference of the chart
         itself in the ``s`` direction (which equals the derivative for
-        a holomorphic map) using steps snapped to the floating-point
-        grid so that representable nodes are hit exactly.
+        a holomorphic map) with the required absolute ``step``, divided
+        by the span its two nodes have after rounding, so the quotient
+        uses the points the chart was actually evaluated at.
         """
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -454,7 +446,9 @@ class MarzkeWheelerMap:
                 self.observer.velocity, t, x, _derivative, self.observer.costly_profile
             )
         if mode == "fd":
-            h = self.fd_step if step is None else float(step)
+            if step is None:
+                raise ValueError('derivative mode "fd" needs a step')
+            h = float(step)
             tu = t + h
             td = t - h
             span = tu - td
@@ -473,8 +467,9 @@ class MarzkeWheelerMap:
         )
         return SplitComplex(float(dt_[0]), float(dx_[0]))
 
-    def conformal_components(self, t, x, mode: str = "analytic", step=None):
-        """Conformal factor ``norm_sq(derivative)`` as an array.
+    def conformal_components(self, t, x):
+        """Conformal factor ``norm_sq(derivative)`` as an array, read off
+        the worldline's velocity as ``P'(s+x) * M'(s-x)``.
 
         Positive wherever the chart is a genuine local Lorentz-conformal
         change of coordinates.
@@ -482,21 +477,16 @@ class MarzkeWheelerMap:
         Raises
         ------
         NotDifferentiable
-            For worldlines below C1 (in either mode; the factor is a
-            statement about the derivative, which must exist).
+            For worldlines below C1, whose derivative need not exist.
         DegenerateFactor
             If the factor is not strictly positive at some node.
         """
         self._require_smooth("the conformal factor")
-        if mode == "analytic":
-            t = np.asarray(t, dtype=float)
-            x = np.asarray(x, dtype=float)
-            (lam,) = _null_profiles(
-                self.observer.velocity, t, x, _factor, self.observer.costly_profile
-            )
-        else:
-            dt_, dx_ = self.derivative_components(t, x, mode, step)
-            lam = (dt_ - dx_) * (dt_ + dx_)
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float)
+        (lam,) = _null_profiles(
+            self.observer.velocity, t, x, _factor, self.observer.costly_profile
+        )
         lam = np.asarray(lam)
         if np.any(lam <= 0.0):
             i = int(np.argmax(lam <= 0.0))
@@ -505,10 +495,8 @@ class MarzkeWheelerMap:
             )
         return lam
 
-    def conformal_factor(self, z: SplitComplex, mode: str = "analytic", step=None) -> float:
-        lam = self.conformal_components(
-            np.asarray([z.t]), np.asarray([z.x]), mode, step
-        )
+    def conformal_factor(self, z: SplitComplex) -> float:
+        lam = self.conformal_components(np.asarray([z.t]), np.asarray([z.x]))
         return float(lam[0])
 
     def __repr__(self):

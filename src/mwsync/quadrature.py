@@ -33,6 +33,9 @@ __all__ = ["QuadratureResult", "adaptive_simpson"]
 # 30 MB of arrays before the budget stops it.
 MAX_EVALS = 2**20
 
+# Bisections a panel may take before it must agree, read at call time.
+MAX_DEPTH = 50
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -57,7 +60,6 @@ def adaptive_simpson(
     a: float,
     b: float,
     tol: float = 1e-10,
-    max_depth: int = 50,
 ) -> QuadratureResult:
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
 
@@ -70,7 +72,7 @@ def adaptive_simpson(
     ``f`` maps a 1-d array of nodes to an array of the same shape.  It
     is called once for the three starting nodes and once per refinement
     level with the two new nodes of every pending panel, in increasing
-    order, so at most ``max_depth + 2`` times.  A successful result is
+    order, so at most ``MAX_DEPTH + 2`` times.  A successful result is
     bitwise that of the depth-first recursion: accepted panels are
     summed back up the bisection tree as left child plus right child.
     A failing one may raise a different error than the recursion would
@@ -79,7 +81,7 @@ def adaptive_simpson(
     Raises
     ------
     QuadratureLimit
-        If any panel still disagrees at ``max_depth`` bisections, if
+        If any panel still disagrees at ``MAX_DEPTH`` bisections, if
         the next level would take the evaluation count past
         ``MAX_EVALS``, or at once if the integrand is NaN at a node: a
         panel with a NaN node keeps it through every bisection and can
@@ -141,11 +143,11 @@ def adaptive_simpson(
         if done.all():
             break
         more = ~done
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             i = int(np.argmax(more))
             raise QuadratureLimit(
                 f"panel [{float(lo[i])!r}, {float(hi[i])!r}] still disagrees "
-                f"by {float(err[i])!r} at depth {max_depth}"
+                f"by {float(err[i])!r} at depth {MAX_DEPTH}"
             )
         lo, hi = _pairs(lo[more], mid[more]), _pairs(mid[more], hi[more])
         flo, fmid, fhi = (

@@ -39,10 +39,9 @@ Schema (all numbers JSON numbers, all names strings)::
       }
     }
 
-``fd_step`` is in units of the grid diameter; radar charts are built
-with the absolute step ``fd_step * diameter``.  It is only the default
-step of the charts' ``"fd"`` (finite-difference) derivative mode, which
-no CLI verb uses; the key stays accepted so existing scenarios keep loading.
+``fd_step`` is accepted and validated, so existing scenarios keep
+loading, but reaches nothing: radar charts take only ``root_tol``, and
+their conformal factor is read off the observer's velocity.
 """
 
 from __future__ import annotations
@@ -120,11 +119,7 @@ class Scenario:
 
     def chart(self, obs: Observer) -> MarzkeWheelerMap:
         """Radar chart of an observer under this scenario's tolerances."""
-        return MarzkeWheelerMap(
-            obs,
-            root_tol=self.tolerances.root_tol,
-            fd_step=self.tolerances.fd_step * self.grid.diameter,
-        )
+        return MarzkeWheelerMap(obs, root_tol=self.tolerances.root_tol)
 
 
 def _require_table(value, where: str) -> dict:

@@ -36,9 +36,9 @@ class RecordingMap(PlaneMap):
         self._record("components", t, x)
         return self.inner.components(t, x)
 
-    def conformal_components(self, t, x, mode):
+    def conformal_components(self, t, x):
         self._record("conformal_components", t, x)
-        return self.inner.conformal_components(t, x, mode=mode)
+        return self.inner.conformal_components(t, x)
 
     def __repr__(self):
         return f"RecordingMap({self.inner!r})"

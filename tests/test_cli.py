@@ -656,6 +656,16 @@ def test_a_failed_parse_leaves_the_next_call_unchanged(capsys):
     assert out == (GOLDEN / "causal.low.out").read_text(encoding="utf-8")
 
 
+def test_an_unknown_check_kind_names_every_kind(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "check", "--scenario", DEMO, "--map", "low",
+               "--kind", "bogus") == (2, "", (
+        "usage: mwsync check [-h] --scenario SCENARIO [--out OUT] [--grid GRID] --map\n"
+        "                    MAP --kind {holo,antiholo,wave,conformal,loggwave}\n"
+        "mwsync check: error: argument --kind: invalid choice: 'bogus' (choose from "
+        "'holo', 'antiholo', 'wave', 'conformal', 'loggwave')\n"))
+
+
 def test_help_wraps_at_the_columns_of_the_moment(capsys, monkeypatch):
     def help_text(columns, parse):
         monkeypatch.setenv("COLUMNS", str(columns))

@@ -676,7 +676,7 @@ def _reference_conformal(F, grid):
 
 def _reference_loggwave(m, grid):
     def log_factor(t, x):
-        return (np.log(m.conformal_components(t, x, mode="analytic")),)
+        return (np.log(m.conformal_components(t, x)),)
 
     def combine(t_part, x_part):
         return (np.abs(t_part[0] - x_part[0]),)
@@ -915,9 +915,9 @@ class TestBlockedSweep:
             return chart.components(t, x)
 
         class CountedFactor:
-            def conformal_components(self, t, x, mode):
+            def conformal_components(self, t, x):
                 nodes.append(np.size(t))
-                return chart.conformal_components(t, x, mode=mode)
+                return chart.conformal_components(t, x)
 
         F = FunctionMap(counted, "counted chart")
         for run in (

@@ -174,9 +174,31 @@ def test_bracketing_failure_on_a_bounded_chart():
             s = np.asarray(s, dtype=float)
             return 1.0 / (1.0 + s * s), np.zeros_like(s)
 
-    m = MarzkeWheelerMap(Saturating(), bracket_limit=1e3)
-    with pytest.raises(EvaluationFailure):
+    m = MarzkeWheelerMap(Saturating())
+    with pytest.raises(EvaluationFailure, match=r"bracket_limit = 1e\+06$"):
         m.radar_inverse(E(3.0, 0.0))
+
+
+def test_an_unbounded_observer_without_null_ranges_is_refused():
+    class Unranged(Observer):
+        # the full line as domain, so no sampled window either
+        def position(self, s):
+            s = np.asarray(s, dtype=float)
+            return s, np.zeros_like(s)
+
+        def velocity(self, s):
+            s = np.asarray(s, dtype=float)
+            return np.ones_like(s), np.zeros_like(s)
+
+        def null_range(self, sign):
+            return None
+
+        def __repr__(self):
+            return "Unranged()"
+
+    with pytest.raises(EvaluationFailure) as info:
+        MarzkeWheelerMap(Unranged()).radar_inverse(E(0.0, 0.0))
+    assert str(info.value) == "Unranged() reports neither null ranges nor a window"
 
 
 def test_derivative_of_the_rindler_chart():
@@ -208,12 +230,28 @@ def test_derivative_rejects_unknown_mode():
         m.derivative(E(0.0, 0.0), mode="spectral")
 
 
+def test_fd_derivative_needs_a_step():
+    m = MarzkeWheelerMap(Inertial(0.0))
+    with pytest.raises(ValueError, match="needs a step"):
+        m.derivative(E(0.0, 0.0), mode="fd")
+    with pytest.raises(ValueError, match="needs a step"):
+        m.derivative_components(np.zeros(2), np.zeros(2), mode="fd")
+
+
+def test_fd_step_lost_to_rounding_is_refused():
+    m = MarzkeWheelerMap(Inertial(0.0))
+    with pytest.raises(EvaluationFailure) as info:
+        m.derivative(E(1e20, 0.0), mode="fd", step=1e-5)
+    assert str(info.value) == "step 1e-05 underflows at the requested nodes"
+
+
 def test_conformal_factor_of_the_rindler_chart():
     m = MarzkeWheelerMap(Rindler(1.0))
     for z in (E(0.0, 0.0), E(0.5, 0.25), E(-1.0, 0.75)):
         lam = m.conformal_factor(z)
         assert lam == pytest.approx(math.exp(2.0 * z.x), rel=1e-13)
-        lam_fd = m.conformal_factor(z, mode="fd", step=1e-5)
+        d = m.derivative(z, mode="fd", step=1e-5)
+        lam_fd = (d.t - d.x) * (d.t + d.x)
         assert lam_fd == pytest.approx(lam, rel=1e-8)
 
 
@@ -222,8 +260,6 @@ def test_conformal_factor_refuses_non_smooth_worldlines():
     m = MarzkeWheelerMap(zig)
     with pytest.raises(NotDifferentiable):
         m.conformal_factor(E(0.0, 0.1))
-    with pytest.raises(NotDifferentiable):
-        m.conformal_factor(E(0.0, 0.1), mode="fd")
 
 
 def test_degenerate_factor_where_the_worldline_goes_null():

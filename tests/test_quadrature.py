@@ -104,10 +104,11 @@ def _inverse_root(x):
     return np.divide(1, np.sqrt(x), out=np.zeros_like(x), where=x > 0)
 
 
-def test_depth_limit():
+def test_depth_limit(monkeypatch):
     # integrable singularity at the endpoint defeats a shallow recursion
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 8)
     with pytest.raises(QuadratureLimit):
-        adaptive_simpson(_inverse_root, 0.0, 1.0, tol=1e-14, max_depth=8)
+        adaptive_simpson(_inverse_root, 0.0, 1.0, tol=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -176,7 +177,8 @@ def test_sine_trajectory_matches_the_recursion_bitwise():
 
 
 @pytest.mark.parametrize("max_depth", [3, 8, 50])
-def test_one_array_call_per_level(max_depth):
+def test_one_array_call_per_level(max_depth, monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", max_depth)
     shapes = []
 
     def f(x):
@@ -184,7 +186,7 @@ def test_one_array_call_per_level(max_depth):
         return _inverse_root(x)
 
     try:
-        adaptive_simpson(f, 0.0, 1.0, tol=1e-14, max_depth=max_depth)
+        adaptive_simpson(f, 0.0, 1.0, tol=1e-14)
     except QuadratureLimit:
         pass
     assert 2 <= len(shapes) <= max_depth + 2

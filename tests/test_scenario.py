@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mwsync import (
@@ -102,15 +103,32 @@ def test_a_missing_required_key_is_named(
     assert capsys.readouterr().err == f"error: {section}.{name}.{key} is missing\n"
 
 
-def test_chart_helper_scales_the_fd_step():
-    sc = parse_scenario({
+def test_the_fd_step_key_is_validated_but_reaches_no_chart(tmp_path, capsys):
+    base = {
         "grid": {"t_min": 0, "t_max": 1, "x_min": 0, "x_max": 3,
                  "n_t": 9, "n_x": 9},
-        "tolerances": {"fd_step": 1e-4},
-        "observers": {"lab": {"kind": "inertial", "v": 0.0}},
-    })
-    chart = sc.chart(sc.observer("lab"))
-    assert chart.fd_step == pytest.approx(3e-4)  # step times grid diameter
+        "observers": {"wobble": {"kind": "perturbed_inertial",
+                                 "amplitude": 0.3, "frequency": 1.0}},
+        "maps": {"chart": {"kind": "mw", "observer": "wobble"}},
+    }
+    t, x = np.meshgrid(np.linspace(-1.0, 1.0, 65), np.linspace(-0.5, 0.5, 65))
+    readings = []
+    for tolerances in ({}, {"fd_step": 1e-5}, {"fd_step": 0.5}):
+        sc = parse_scenario({**base, "tolerances": tolerances})
+        assert sc.tolerances.fd_step == tolerances.get("fd_step", 1e-5)
+        chart = sc.map("chart")
+        readings.append([a.tobytes() for a in (
+            *chart.components(t, x), chart.conformal_components(t, x))])
+    assert readings[0] == readings[1] == readings[2]
+    path = tmp_path / "sc.json"
+    for bad, message in [
+        (0, "bad tolerances: fd_step must be a positive number, got 0.0"),
+        (-1, "bad tolerances: fd_step must be a positive number, got -1.0"),
+        ("x", "tolerances.fd_step must be a number, got 'x'"),
+    ]:
+        path.write_text(json.dumps({**base, "tolerances": {"fd_step": bad}}))
+        assert main(["causal", "--scenario", str(path), "--map", "chart"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
