@@ -81,7 +81,9 @@ def classify(
     -------
     CausalRelation
         EQUAL only for bit-identical coordinates; otherwise one of the
-        null, chronological, or spacelike relations.
+        null, chronological, or spacelike relations.  ``|q| == band``
+        is null, and a null separation with ``dt == 0`` is NULL_PAST in
+        both argument orders.
     """
     d = y - x
     if d.t == 0.0 and d.x == 0.0:

@@ -74,22 +74,6 @@ class RadarTrajectory:
     path: Callable[[np.ndarray], tuple]
     window: tuple[float, float]
 
-    @classmethod
-    def constant(cls, x0: float, window: tuple[float, float]) -> "RadarTrajectory":
-        return cls.linear(x0, 0.0, window)
-
-    @classmethod
-    def linear(
-        cls, x0: float, v0: float, window: tuple[float, float]
-    ) -> "RadarTrajectory":
-        x0, v0, lo = float(x0), float(v0), float(window[0])
-
-        def path(t):
-            one = np.ones(np.shape(t))
-            return t, x0 + v0 * (t - lo), one, v0 * one, 0.0
-
-        return cls(path, (lo, float(window[1])))
-
 
 def _proper_time(traj: RadarTrajectory, ctx, tol, scale=None) -> ProperTimeResult:
     """Integral of ``scale(t, x) t_dot sqrt(1 - beta**2)``, ``beta = x_dot /

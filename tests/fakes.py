@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from mwsync import MarzkeWheelerMap, Observer, PlaneMap
+from mwsync import MarzkeWheelerMap, Observer, PlaneMap, RadarTrajectory
 
 
 class FunctionMap(PlaneMap):
@@ -88,3 +88,20 @@ class TwoCallChart(MarzkeWheelerMap):
         vt_p, vx_p = self.observer.velocity(t + x)
         vt_m, vx_m = self.observer.velocity(t - x)
         return (vt_p + vx_p) * (vt_m - vx_m)
+
+
+def linear_trajectory(x0: float, v0: float, window: tuple) -> RadarTrajectory:
+    """Clock at chart position ``x0 + v0 * (t - window[0])``, chart time
+    ``t`` its parameter, every rate exact."""
+    x0, v0, lo = float(x0), float(v0), float(window[0])
+
+    def path(t):
+        one = np.ones(np.shape(t))
+        return t, x0 + v0 * (t - lo), one, v0 * one, 0.0
+
+    return RadarTrajectory(path, (lo, float(window[1])))
+
+
+def constant_trajectory(x0: float, window: tuple) -> RadarTrajectory:
+    """Clock at rest at chart position ``x0``."""
+    return linear_trajectory(x0, 0.0, window)

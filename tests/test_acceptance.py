@@ -25,7 +25,6 @@ from mwsync import (
     MarzkeWheelerMap,
     NoRadarCoordinate,
     PerturbedInertial,
-    RadarTrajectory,
     Rindler,
     SplitComplex,
     WaveCauchyMap,
@@ -42,6 +41,7 @@ from mwsync import (
     velocity_add,
     wave_residual,
 )
+from fakes import constant_trajectory
 
 BOX21 = GridSpec(-2.0, 2.0, -2.0, 2.0, 21, 21)
 ORDER_BAND = (1.6, 2.4)  # 2.0 +/- 0.4
@@ -245,8 +245,8 @@ def test_criterion_09_twin_consistency():
 def test_criterion_10_static_clocks_in_the_wedge_chart():
     chart = MarzkeWheelerMap(Rindler(1.0))
     dt = 2.0
-    tau1 = proper_time_accelerated(chart, RadarTrajectory.constant(0.0, (0.0, dt))).tau
-    tau2 = proper_time_accelerated(chart, RadarTrajectory.constant(0.25, (0.0, dt))).tau
+    tau1 = proper_time_accelerated(chart, constant_trajectory(0.0, (0.0, dt))).tau
+    tau2 = proper_time_accelerated(chart, constant_trajectory(0.25, (0.0, dt))).tau
     rate_err = abs(tau2 - dt * math.exp(0.25)) / (dt * math.exp(0.25))
     predicted = gravitational_dilation(1.0, 0.0, 0.25, tau1)
     dilation_err = abs(predicted - tau2) / tau2

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mwsync import (
+    DEFAULT_NULL_BAND,
     CausalRelation,
     LightRay,
     Orientation,
@@ -44,6 +45,20 @@ def test_equal_requires_bit_identity():
 def test_classify_cases(dt, dx, expected):
     base = E(0.25, -0.5)
     assert classify(base, base + E(dt, dx)) is expected
+
+
+@pytest.mark.parametrize(
+    "x, y, tol, expected",
+    [
+        # q == band == 1.0: the edge of the band is null
+        (E(0.0, 0.0), E(1.0, 0.0), 0.5, CausalRelation.NULL_FUTURE),
+        # dt == 0 inside the band reads past whichever event comes first
+        (E(0.0, 0.0), E(0.0, 1e-6), DEFAULT_NULL_BAND, CausalRelation.NULL_PAST),
+        (E(0.0, 1e-6), E(0.0, 0.0), DEFAULT_NULL_BAND, CausalRelation.NULL_PAST),
+    ],
+)
+def test_classify_band_boundaries(x, y, tol, expected):
+    assert classify(x, y, tol) is expected
 
 
 def test_null_band_scales_with_separation():

@@ -45,6 +45,7 @@ from mwsync import (
 from mwsync import fieldcheck
 from mwsync.causal import DEFAULT_NULL_BAND, cone
 from fakes import CountingObserver, FunctionMap, RecordingMap, TwoCallChart
+import test_acceptance
 
 E = SplitComplex
 
@@ -109,7 +110,7 @@ class TestResiduals:
         # the anisotropic stencil keeps an h^2 truncation term on exact
         # charts; a map that is not a solution keeps an O(1) residual
         # at every level, so its order reads about 0
-        band = (1.6, 2.4)
+        band = fieldcheck._ORDER_BAND
         for obs in (PerturbedInertial(0.3, 1.0), Rindler(1.0)):
             m = MarzkeWheelerMap(obs)
             for check in (holomorphy_residual, wave_residual, conformality_report):
@@ -126,6 +127,9 @@ class TestResiduals:
             wave_residual(square, BOX).convergence_order,
         ):
             assert abs(order) < 0.1
+
+    def test_order_band_is_the_acceptance_band(self):
+        assert fieldcheck._ORDER_BAND == test_acceptance.ORDER_BAND
 
     def test_antiholomorphy_flag(self):
         m = ConjugateInput(MarzkeWheelerMap(Inertial(0.5)))

@@ -9,7 +9,10 @@ unchanged; a change that means to alter a report regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in its description which lines moved and why.
+and says in its description which lines moved and why.  The exit codes
+of the ``check``, ``counterexample`` and chart ``causal`` cases are also
+checked against the verdicts of the library reports, computed without
+running the verbs.
 """
 
 import hashlib
@@ -20,7 +23,14 @@ from pathlib import Path
 
 import pytest
 
-from mwsync.cli import main
+from mwsync import (
+    AutomorphismOutcome,
+    MarzkeWheelerMap,
+    automorphism_suite,
+    low_counterexample,
+)
+from mwsync.cli import _CHECKS, main
+from mwsync.scenario import load_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -115,6 +125,43 @@ def test_every_text_report_is_key_value_lines_with_unique_keys():
         assert all(": " in line for line in lines), name
         assert all(key and " " not in key for key in keys), name
         assert len(set(keys)) == len(keys), name
+
+
+SCENARIO = load_scenario(DEMO)
+
+
+def _library_verdict(verb, flags):
+    """The verdict of the library report behind one case, computed
+    without running the verb; None where the CLI rejects the input."""
+    grid, seed = SCENARIO.grid, SCENARIO.seed
+    null_band = SCENARIO.tolerances.null_band
+    if verb == "counterexample":
+        g1, g2 = SCENARIO.observer(flags["--g1"]), SCENARIO.observer(flags["--g2"])
+        return low_counterexample(g1, g2, grid, seed, 100000, null_band).passed
+    m = SCENARIO.map(flags["--map"])
+    if verb == "causal":
+        rep = automorphism_suite(m, grid, 1000, seed, null_band)
+        return rep.outcome is not AutomorphismOutcome.FAIL
+    if flags["--kind"] == "loggwave" and not hasattr(m, "conformal_components"):
+        return None
+    return _CHECKS[flags["--kind"]](m, grid).passed
+
+
+# Every check and counterexample case, and the causal cases of charts.
+VERDICT_CASES = sorted(
+    name for name in CASES
+    if name.startswith(("check.", "counterexample."))
+    or name.startswith("causal.")
+    and isinstance(SCENARIO.map(CASES[name][2]), MarzkeWheelerMap)
+)
+
+
+@pytest.mark.parametrize("name", VERDICT_CASES)
+def test_exit_code_is_the_library_verdict(name, manifest):
+    verb, *rest = CASES[name]
+    verdict = _library_verdict(verb, dict(zip(rest[::2], rest[1::2])))
+    expected = 2 if verdict is None else 0 if verdict else 1
+    assert manifest[name]["exit"] == expected
 
 
 def _regenerate():

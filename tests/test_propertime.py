@@ -27,6 +27,7 @@ from mwsync import (
     twin_consistency,
 )
 from mwsync.scenario import load_scenario
+from fakes import constant_trajectory, linear_trajectory
 
 # The demo scenario's observers.
 DEMO = load_scenario(
@@ -47,13 +48,13 @@ def sampled(traj, *sigma):
 
 class TestRadarTrajectory:
     def test_constant(self):
-        traj = RadarTrajectory.constant(0.5, (0.0, 2.0))
+        traj = constant_trajectory(0.5, (0.0, 2.0))
         t, x, t_dot, x_dot, error = sampled(traj, 1.7)
         assert (t[0], x[0], t_dot[0], x_dot[0], error) == (1.7, 0.5, 1.0, 0.0, 0.0)
         assert traj.window == (0.0, 2.0)
 
     def test_linear(self):
-        traj = RadarTrajectory.linear(1.0, -0.25, (0.0, 4.0))
+        traj = linear_trajectory(1.0, -0.25, (0.0, 4.0))
         t, x, t_dot, x_dot, error = sampled(traj, 2.0, 3.0)
         assert list(t) == [2.0, 3.0]
         assert x[0] == pytest.approx(0.5)
@@ -63,11 +64,11 @@ class TestRadarTrajectory:
 
 class TestInertialProperTime:
     def test_rest_clock(self):
-        q = proper_time_inertial(RadarTrajectory.constant(0.0, (0.0, 5.0)))
+        q = proper_time_inertial(constant_trajectory(0.0, (0.0, 5.0)))
         assert q.tau == pytest.approx(5.0, abs=1e-12)
 
     def test_steady_motion_dilates(self):
-        traj = RadarTrajectory.linear(0.0, 0.6, (0.0, 2.0))
+        traj = linear_trajectory(0.0, 0.6, (0.0, 2.0))
         q = proper_time_inertial(traj)
         assert q.tau == pytest.approx(2.0 * 0.8, rel=1e-12)
 
@@ -85,13 +86,13 @@ class TestInertialProperTime:
         assert q.abs_error_estimate <= 1e-12
 
     def test_speed_limit(self):
-        traj = RadarTrajectory.linear(0.0, 1.2, (0.0, 1.0))
+        traj = linear_trajectory(0.0, 1.2, (0.0, 1.0))
         with pytest.raises(SpeedLimitExceeded):
             proper_time_inertial(traj)
 
     def test_slower_lightspeed_context(self):
         ctx = LightspeedContext(2.0)
-        traj = RadarTrajectory.linear(0.0, 1.2, (0.0, 1.0))
+        traj = linear_trajectory(0.0, 1.2, (0.0, 1.0))
         q = proper_time_inertial(traj, ctx)
         assert q.tau == pytest.approx(math.sqrt(1.0 - 0.36), rel=1e-12)
 
@@ -130,7 +131,7 @@ class TestArcLength:
 class TestAcceleratedChart:
     def test_static_clock_rate_is_exponential(self):
         chart = MarzkeWheelerMap(Rindler(1.0))
-        traj = RadarTrajectory.constant(0.25, (0.0, 2.0))
+        traj = constant_trajectory(0.25, (0.0, 2.0))
         q = proper_time_accelerated(chart, traj)
         assert q.tau == pytest.approx(2.0 * math.exp(0.25), rel=1e-12)
 
@@ -269,9 +270,9 @@ class TestGravitationalDilation:
         chart = MarzkeWheelerMap(Rindler(1.0))
         dt = 2.0
         x1, x2 = 0.0, 0.25
-        tau1 = proper_time_accelerated(chart, RadarTrajectory.constant(x1, (0.0, dt))).tau
+        tau1 = proper_time_accelerated(chart, constant_trajectory(x1, (0.0, dt))).tau
         predicted = gravitational_dilation(1.0, x1, x2, tau1)
-        tau2 = proper_time_accelerated(chart, RadarTrajectory.constant(x2, (0.0, dt))).tau
+        tau2 = proper_time_accelerated(chart, constant_trajectory(x2, (0.0, dt))).tau
         assert predicted == pytest.approx(tau2, rel=1e-12)
 
     def test_sign_and_units(self):
