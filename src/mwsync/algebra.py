@@ -223,11 +223,11 @@ def velocity_add(v: float, w: float, ctx: LightspeedContext = NATURAL_UNITS) -> 
     Raises
     ------
     SpeedLimitExceeded
-        If either input lies outside the open interval (-c, c).
+        If either input lies outside the closed interval [-c, c]; a
+        lightlike input is composed.
     IndeterminateComposition
-        If the denominator vanishes (only reachable at the light cone,
-        so in practice guarded by the speed check; kept for callers
-        that relax the check upstream).
+        If the denominator vanishes, which happens only for opposite
+        lightlike inputs, ``v = c`` and ``w = -c`` or the reverse.
     """
     v = _as_finite_float(v, "v")
     w = _as_finite_float(w, "w")

@@ -43,17 +43,7 @@ class SameOrientation(MwsyncError):
 
 
 class NotTimelike(MwsyncError):
-    """A worldline check found a segment that is not chronologically ordered.
-
-    Attributes
-    ----------
-    pair : tuple
-        The offending parameter pair ``(s1, s2)``.
-    """
-
-    def __init__(self, message: str, pair: tuple = ()):  # noqa: D401
-        super().__init__(message)
-        self.pair = pair
+    """A worldline's tangent is not timelike at a quadrature node."""
 
 
 class DomainExceeded(MwsyncError):
@@ -86,7 +76,9 @@ class NonMonotoneRadarTime(MwsyncError):
 
 
 class QuadratureLimit(MwsyncError):
-    """Adaptive quadrature exhausted its recursion depth."""
+    """Adaptive quadrature could not converge: a panel still disagreed at
+    the depth cap, the evaluation budget ran out, or the integrand was
+    NaN at a node."""
 
 
 class ScenarioError(MwsyncError):

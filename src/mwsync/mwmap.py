@@ -15,11 +15,10 @@ In null coordinates the map splits into two one-dimensional strictly
 increasing profiles, ``out_plus = P(s + x)`` and ``out_minus =
 M(s - x)`` with ``P = t + x`` and ``M = t - x`` along the worldline.
 On an equally spaced grid ``s + x`` is constant along the
-anti-diagonals and ``s - x`` along the diagonals, so for an observer
-whose evaluation is costly the chart, its derivative and its conformal
-factor evaluate it on one line of R + C - 1 values for a block of
-R x C nodes, and again only at the nodes whose null coordinate rounds
-off its diagonal's.
+anti-diagonals and ``s - x`` along the diagonals, so on a large enough
+block of R x C nodes the chart, its derivative and its conformal factor
+evaluate the observer on one line of R + C - 1 values, and again only
+at the nodes whose null coordinate rounds off its diagonal's.
 Inverting the chart reduces to inverting ``P`` and ``M``.
 Kinds with a closed-form inverse supply it
 (:meth:`~mwsync.observers.Observer.null_inverse`); every other kind is
@@ -68,13 +67,17 @@ _BLOCK_NODES = 2 ** 15
 
 # Reading a null coordinate along its diagonals (:func:`_along_diagonals`)
 # pays on blocks of at least _TABULATED_NODES nodes with at most a share
-# _OFF_DIAGONAL of them off their diagonal.  Measured in process for
-# PerturbedInertial (``sin``) on a 2-vCPU Xeon VM, against evaluating
-# every node: on exact grids 1.44x the time at 33 x 33 nodes and 0.78x
-# at 65 x 65; on fieldcheck's stencil blocks 0.37-0.59x with up to 4%
-# of their nodes off their diagonal, 0.50-0.80x at 4-13%, 0.84-1.71x at
-# 18-24% and 1.8-2.2x at 43-49%.
-_TABULATED_NODES = 2 ** 12
+# _OFF_DIAGONAL of them off their diagonal, for every observer kind.
+# Measured in process on a 2-vCPU Xeon VM (thread CPU against evaluating
+# every node; Inertial, Rindler and PerturbedInertial in turn): on exact
+# grids 1.7-2.9x, 1.0-1.7x and 0.4-0.9x the time at 65 x 65 to 113 x 113
+# nodes, but 0.5-0.8x, 0.4-0.7x and 0.2-0.3x from 129 x 129 nodes on,
+# where the temporaries of whole evaluation pass 2**14 values and its
+# time per node rises 1.6-2.2x; on fieldcheck's stencil blocks of
+# 513 x 513 and 1025 x 1025 grids 0.4-1.0x, 0.3-1.0x and 0.2-0.7x with
+# up to 6% of their nodes off their diagonal, 0.8-1.1x, 0.7-1.1x and
+# 0.5-0.9x at 6-10%, and 1.2-4.8x, 1.3-3.8x and 0.8-2.5x at 32-70%.
+_TABULATED_NODES = 2 ** 14
 _OFF_DIAGONAL = 0.1
 
 
@@ -128,17 +131,14 @@ def _along_diagonals(fn, u):
     return [spread(a) for a in fn(line)], odd if n_odd else False
 
 
-def _null_profiles(fn, t, x, combine, tabulate):
+def _null_profiles(fn, t, x, combine):
     """``combine(*fn(t + x), *fn(t - x))``, with ``fn`` read along the
-    diagonals of each null coordinate (:func:`_along_diagonals`) when
-    ``tabulate``.
+    diagonals of each null coordinate (:func:`_along_diagonals`).
 
     ``combine`` must be elementwise and return new arrays.  At the nodes
     off their diagonal in either coordinate it is evaluated again, on
     ``fn`` of their own null coordinates, and written in.
     """
-    if not tabulate:
-        return combine(*fn(t + x), *fn(t - x))
     p, p_odd = _along_diagonals(fn, t + x)
     m, m_odd = _along_diagonals(fn, t - x)
     out = combine(*p, *m)
@@ -206,15 +206,12 @@ class MarzkeWheelerMap:
     def components(self, t, x):
         """The chart on arrays of chart coordinates ``(s, x)``.
 
-        On a grid, an observer with a
-        :attr:`~mwsync.observers.Observer.costly_profile` has its
-        position evaluated once per diagonal (:func:`_null_profiles`),
-        which relies on it being elementwise; the result is bitwise that
-        of evaluating it at every node.
+        On a large enough grid block the observer's position is evaluated
+        once per diagonal (:func:`_null_profiles`), which relies on it
+        being elementwise; the result is bitwise that of evaluating it at
+        every node.
         """
-        return _null_profiles(
-            self.observer.position, t, x, _chart, self.observer.costly_profile
-        )
+        return _null_profiles(self.observer.position, t, x, _chart)
 
     def eval_geometric(self, z: SplitComplex) -> SplitComplex:
         """Evaluate the chart by intersecting the two radar rays.
@@ -442,9 +439,7 @@ class MarzkeWheelerMap:
         x = np.asarray(x, dtype=float)
         if mode == "analytic":
             self._require_smooth("the analytic derivative")
-            return _null_profiles(
-                self.observer.velocity, t, x, _derivative, self.observer.costly_profile
-            )
+            return _null_profiles(self.observer.velocity, t, x, _derivative)
         if mode == "fd":
             if step is None:
                 raise ValueError('derivative mode "fd" needs a step')
@@ -484,9 +479,7 @@ class MarzkeWheelerMap:
         self._require_smooth("the conformal factor")
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        (lam,) = _null_profiles(
-            self.observer.velocity, t, x, _factor, self.observer.costly_profile
-        )
+        (lam,) = _null_profiles(self.observer.velocity, t, x, _factor)
         lam = np.asarray(lam)
         if np.any(lam <= 0.0):
             i = int(np.argmax(lam <= 0.0))

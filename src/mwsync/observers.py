@@ -75,10 +75,9 @@ class Observer(ABC):
     Subclasses implement :meth:`position` and :meth:`velocity` over
     floats or numpy arrays and declare their :attr:`smoothness`.  Both
     must be elementwise, returning arrays of the shape of ``s`` whose
-    every element depends on that element of ``s`` alone: for an
-    observer with a :attr:`costly_profile` the radar chart evaluates
-    them on one null coordinate per grid diagonal and spreads the values
-    over the grid.  A whole-array check such as
+    every element depends on that element of ``s`` alone: on a large
+    enough grid block the radar chart evaluates them on one null
+    coordinate per diagonal and spreads the values over the block.  A whole-array check such as
     :class:`PiecewiseLinear`'s domain test still sees every distinct
     value.  The scalar entry points :meth:`__call__` and
     :meth:`derivative` wrap the results in
@@ -86,10 +85,6 @@ class Observer(ABC):
     """
 
     smoothness: Smoothness = Smoothness.C2
-    #: Whether :meth:`position` and :meth:`velocity` cost several numpy
-    #: passes per element (``sin``, ``cos``), so that the radar chart
-    #: evaluates them once per grid diagonal rather than at every node.
-    costly_profile: bool = False
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -266,7 +261,6 @@ class PerturbedInertial(Observer):
     """
 
     smoothness = Smoothness.C2
-    costly_profile = True
 
     def __init__(self, amplitude: float, frequency: float):
         self.amplitude = float(amplitude)
@@ -369,8 +363,7 @@ class PiecewiseLinear(Observer):
 
 class _Combinator(Observer):
     """Worldline built from ``children``: the least of their smoothness,
-    costly if any of their profiles is, on the intersection of their
-    domains."""
+    on the intersection of their domains."""
 
     def __init__(self, children):
         children = tuple(children)
@@ -378,10 +371,6 @@ class _Combinator(Observer):
             raise ValueError("need at least one child")
         self.children = children
         self.smoothness = Smoothness(min(c.smoothness for c in children))
-
-    @property
-    def costly_profile(self):
-        return any(c.costly_profile for c in self.children)
 
     @property
     def domain(self):

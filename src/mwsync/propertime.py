@@ -166,10 +166,8 @@ def arc_length_proper_time(
         q = vt * vt - vx * vx
         if np.any(q <= 0.0):
             i = int(np.argmax(q <= 0.0))
-            si = float(s[i])
             raise NotTimelike(
-                f"tangent at s = {si!r} has norm_sq = {float(q[i])!r}",
-                pair=(si, si),
+                f"tangent at s = {float(s[i])!r} has norm_sq = {float(q[i])!r}"
             )
         return np.sqrt(q)
 

@@ -51,7 +51,6 @@ class CountingObserver(Observer):
     def __init__(self, inner):
         self.inner = inner
         self.smoothness = inner.smoothness
-        self.costly_profile = inner.costly_profile
         self.points = 0
 
     def position(self, s):

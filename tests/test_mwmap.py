@@ -596,6 +596,9 @@ for _rows, _cols, _step in [
 # nodes: 1.7% of the nodes of t + x and of t - x round off their
 # diagonal, too few to give up the tabulation.
 CASES["rounded_31x200"] = _mesh(31, 200, 2.0 ** -6, 2.0 ** -6, 0.1 / 40)
+# The same above _TABULATED_NODES: 2.3% of the nodes of each, 4.7% of
+# either, off their diagonal.
+CASES["rounded_62x300"] = _mesh(62, 300, 2.0 ** -7, 2.0 ** -7, 0.1 / 40)
 # Steps of 0.1 round differently along a diagonal at most nodes of the
 # middle row.
 CASES["inexact_13x22"] = _mesh(13, 22, dt=0.1, dx=0.1)
@@ -625,9 +628,8 @@ def _outcome(fn, *args):
 
 @pytest.fixture
 def tabulate(monkeypatch):
-    """Read blocks of any size along their diagonals, for every kind."""
+    """Read blocks of any size along their diagonals."""
     monkeypatch.setattr(mwmap, "_TABULATED_NODES", 0)
-    monkeypatch.setattr(Observer, "costly_profile", True)
 
 
 @pytest.mark.parametrize("off_diagonal", [mwmap._OFF_DIAGONAL, 1.0])
@@ -670,7 +672,7 @@ def test_the_cases_take_every_path_of_the_tabulation(tabulate):
     assert paths["square_13x22"] == [(34, 0, (8, 8)), (34, 0, (-8, 8))]
     assert paths["conj_square_13x22"] == [(34, 0, (-8, 8)), (34, 0, (8, 8))]
     # Rounding or special entries move a few nodes off their diagonal.
-    for name in ("rounded_31x200", "special_entries", "conj_special_entries"):
+    for name in ("rounded_31x200", "rounded_62x300", "special_entries", "conj_special_entries"):
         size = CASES[name][0].size
         for calls, odd, _ in paths[name]:
             assert calls < size and 0 < odd <= mwmap._OFF_DIAGONAL * size, name
@@ -686,28 +688,27 @@ def test_the_cases_take_every_path_of_the_tabulation(tabulate):
 
 
 def test_small_blocks_are_evaluated_whole():
-    t, x = CASES["square_31x40"]
-    assert t.size < mwmap._TABULATED_NODES
-    assert _tabulation(t + x) == (t.size, 0, (8 * 40, 8))
-    t, x = CASES["rounded_31x200"]
+    for name in ("square_31x40", "rounded_31x200"):
+        t, x = CASES[name]
+        assert t.size < mwmap._TABULATED_NODES
+        assert _tabulation(t + x) == (t.size, 0, (8 * t.shape[1], 8))
+    t, x = CASES["rounded_62x300"]
     assert t.size >= mwmap._TABULATED_NODES
-    assert _tabulation(t + x)[0] == 31 + 200 - 1
+    assert _tabulation(t + x)[0] == 62 + 300 - 1
 
 
-def test_only_costly_observers_are_tabulated():
-    assert [name for name in sorted(KINDS) if KINDS[name].costly_profile] == [
-        "boosted", "perturbed_inertial", "sum",
-    ]
+@pytest.mark.parametrize("kind, args", [(Inertial, (0.5,)), (Rindler, (1.0,))])
+def test_cheap_kinds_are_tabulated_too(kind, args):
     seen = []
 
-    class Recording(Inertial):
+    class Recording(kind):
         def position(self, s):
             seen.append(s.shape)
             return super().position(s)
 
     t, x = CASES["square_31x600"]
-    MarzkeWheelerMap(Recording()).components(t, x)
-    assert seen == [t.shape] * 2
+    MarzkeWheelerMap(Recording(*args)).components(t, x)
+    assert seen == [(31 + 600 - 1,)] * 2
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -715,7 +716,7 @@ def test_identity_profile_tabulates_to_the_exact_bits(name, tabulate):
     t, x = CASES[name]
     with np.errstate(all="ignore"):
         plus, minus = mwmap._null_profiles(
-            lambda s: (s,), t, x, lambda p, m: (np.copy(p), np.copy(m)), True
+            lambda s: (s,), t, x, lambda p, m: (np.copy(p), np.copy(m))
         )
         assert plus.tobytes() == (t + x).tobytes()
         assert minus.tobytes() == (t - x).tobytes()
@@ -725,8 +726,6 @@ def test_profiles_are_called_on_contiguous_lines_and_off_diagonal_nodes():
     seen = []
 
     class Checking(Observer):
-        costly_profile = True
-
         def position(self, s):
             seen.append((s.ndim, s.flags.c_contiguous, s.size))
             return s + 0.0, np.sin(s)
@@ -734,12 +733,12 @@ def test_profiles_are_called_on_contiguous_lines_and_off_diagonal_nodes():
         def velocity(self, s):
             return np.ones_like(s), np.cos(s)
 
-    t, x = CASES["rounded_31x200"]
+    t, x = CASES["rounded_62x300"]
     MarzkeWheelerMap(Checking()).components(t, x)
     assert [(ndim, contiguous) for ndim, contiguous, _ in seen] == [(1, True)] * 4
     sizes = [size for _, _, size in seen]
-    # Two lines, then the nodes off a diagonal; evaluated whole, 2 * 6200.
-    assert sizes[:2] == [31 + 200 - 1] * 2 and sizes[2] == sizes[3]
+    # Two lines, then the nodes off a diagonal; evaluated whole, 2 * 18600.
+    assert sizes[:2] == [62 + 300 - 1] * 2 and sizes[2] == sizes[3]
     assert sum(sizes) < 2 * t.size / 10
 
 
