@@ -7,7 +7,7 @@ Everything here works on a "plane map": any object with an array-aware
   Lorentz-conformality, evaluated by central differences on a grid;
 * randomized chronology checks: does the map preserve the strict
   causal order, and does it preserve exactly the order it should
-  (the two-sided equivalence check);
+  (the two-sided equivalence check), one chunk of pairs at a time;
 * an automorphism suite that bundles those checks with the inverse
   chart, the round trip, orientation, and the worldline restriction;
 * the two-observer averaging construction that is wave-solving but
@@ -32,7 +32,9 @@ swept in cache-sized blocks of rows (:meth:`GridSpec.row_blocks`), each
 point evaluated once, and the reports are bitwise those of evaluating
 the whole grid at once.  Each block's point sets are evaluated and
 reduced (differences, residual fields and their maxima) one after the
-other on the calling thread.
+other on the calling thread.  The pair checks and the round trip take
+chunks of the same ``_BLOCK_NODES`` (:func:`mwsync.mwmap._chunks`), and
+their reports, too, are bitwise those of one whole-batch pass.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ import numpy as np
 from .algebra import ZERO, SplitComplex, TwoVelocity
 from .causal import DEFAULT_NULL_BAND, CausalRelation, classify, cone
 from .errors import DegenerateSplit, EvaluationFailure
-from .mwmap import _BLOCK_NODES, MarzkeWheelerMap
+from .mwmap import _BLOCK_NODES, MarzkeWheelerMap, _chunks
 from .observers import LipStatus, LipVerdict, Observer, lip_status
 
 __all__ = [
@@ -694,12 +696,14 @@ def _draw_events(rng, grid: GridSpec, n: int):
 def _chronological_pairs(rng, grid: GridSpec, n_pairs: int, tol: float):
     """``n_pairs`` decisively chronological pairs ``(t1, x1, t2, x2)``.
 
-    Each round draws ``2 * n_pairs`` unordered pairs, keeps those with
-    squared interval at least ``(diameter/10)**2`` and above the null
-    band, and orders only the kept pairs in time.  The interval is read
-    off the unordered separation: negating both separations is exact,
-    so it is bitwise that of the ordered pair.  Raises after 200 rounds
-    short of ``n_pairs``.
+    Each round draws ``2 * n_pairs`` unordered pairs and, one chunk of
+    ``_BLOCK_NODES`` of them at a time, keeps those with squared
+    interval at least ``(diameter/10)**2`` and above the null band, and
+    orders only the kept pairs in time.  The interval is read off the
+    unordered separation: negating both separations is exact, so it is
+    bitwise that of the ordered pair.  A round's draws are released
+    before the next round and before the kept pairs are joined, once.
+    Raises after 200 rounds short of ``n_pairs``.
     """
     need_q = _decisive_q(grid)
     have = 0
@@ -707,23 +711,63 @@ def _chronological_pairs(rng, grid: GridSpec, n_pairs: int, tol: float):
     for _ in range(200):
         if have >= n_pairs:
             break
-        ta, xa = _draw_events(rng, grid, 2 * n_pairs)
-        tb, xb = _draw_events(rng, grid, 2 * n_pairs)
-        q, band, _ = cone(tb - ta, xb - xa, tol)
-        picked = np.flatnonzero((q >= need_q) & (q > band))[: n_pairs - have]
-        ta, xa, tb, xb = (a.take(picked) for a in (ta, xa, tb, xb))
-        lo_first = ta <= tb
-        parts.append((
-            np.where(lo_first, ta, tb), np.where(lo_first, xa, xb),
-            np.where(lo_first, tb, ta), np.where(lo_first, xb, xa),
-        ))
-        have += picked.size
+        drawn = (*_draw_events(rng, grid, 2 * n_pairs), *_draw_events(rng, grid, 2 * n_pairs))
+        for chunk in _chunks(2 * n_pairs):
+            if have >= n_pairs:
+                break
+            ta, xa, tb, xb = (a[chunk] for a in drawn)
+            q, band, _ = cone(tb - ta, xb - xa, tol)
+            picked = np.flatnonzero((q >= need_q) & (q > band))[: n_pairs - have]
+            ta, xa, tb, xb = (a.take(picked) for a in (ta, xa, tb, xb))
+            lo_first = ta <= tb
+            parts.append((
+                np.where(lo_first, ta, tb), np.where(lo_first, xa, xb),
+                np.where(lo_first, tb, ta), np.where(lo_first, xb, xa),
+            ))
+            have += picked.size
+        del drawn
     if have < n_pairs:
         raise EvaluationFailure(
             "could not sample decisively chronological pairs in the box"
         )
     columns = zip(*parts) if parts else ([np.empty(0)],) * 4  # n_pairs == 0
     return tuple(np.concatenate(column) for column in columns)
+
+
+def _fold_pairs(F, pairs, tol: float, judge):
+    """Count, least score and witness of ``pairs`` under ``F``, one chunk
+    of ``_BLOCK_NODES`` pairs at a time.
+
+    ``judge(inputs, margins, band)`` gets a chunk's inputs and the
+    :func:`cone` margins and band of their images, and returns the scores
+    of the pairs that count and the mask of failing pairs.  The least
+    score is bitwise ``min`` over all scores (NaN when none count); a NaN
+    wins the ``np.minimum`` fold.  The witness is the first failing pair
+    in input order, classified once every chunk has been through ``F``.
+    """
+    n, least, found, zeros = 0, math.inf, None, []
+    for chunk in _chunks(pairs[0].size):
+        inputs = [a[chunk] for a in pairs]
+        outputs = (*F.components(*inputs[:2]), *F.components(*inputs[2:]))
+        _, band, margins = cone(outputs[2] - outputs[0], outputs[3] - outputs[1], tol)
+        scores, failing = judge(inputs, margins, band)
+        if scores.size:
+            least = np.minimum(least, scores.min())
+            at = np.flatnonzero(scores == 0.0)
+            zeros.append((n + at, scores[at]))
+        n += scores.size
+        if found is None and failing.any():
+            i = [int(np.argmax(failing))]  # copies of the pair, not views of the chunk
+            found = [a[i] for a in inputs], [a[i] for a in outputs]
+    if least == 0.0:
+        # Which of 0.0 and -0.0 ``min`` returns depends only on where the
+        # zeros sit, so +inf in place of every other score keeps its answer.
+        in_place = np.full(n, math.inf)
+        for at, values in zeros:
+            in_place[at] = values
+        least = in_place.min()
+    witness = None if found is None else _witness(0, *found, tol)
+    return n, float(least) if n else math.nan, witness
 
 
 def chronology_check(
@@ -739,22 +783,14 @@ def chronology_check(
     (squared interval at least ``(diameter/10)**2`` and above the null
     band, so classification noise cannot manufacture inputs) and
     requires every output pair to classify as chronological future.
-    The first failure is returned as the witness.
+    The first failure is returned as the witness.  ``F`` sees one chunk
+    of ``_BLOCK_NODES`` pairs at a time (:func:`_fold_pairs`).
     """
-    rng = np.random.default_rng(seed)
-    t1, x1, t2, x2 = _chronological_pairs(rng, grid, n_pairs, tol)
-
-    o1t, o1x = F.components(t1, x1)
-    o2t, o2x = F.components(t2, x2)
-    _, band, margins = cone(o2t - o1t, o2x - o1x, tol)
-    ok = margins > band
-    min_margin = float(margins.min()) if margins.size else math.nan
-
-    witness = None
-    if not ok.all():
-        i = int(np.argmax(~ok))
-        witness = _witness(i, (t1, x1, t2, x2), (o1t, o1x, o2t, o2x), tol)
-    return ChronologyReport(int(t1.size), int(seed), min_margin, witness)
+    pairs = _chronological_pairs(np.random.default_rng(seed), grid, n_pairs, tol)
+    n, min_margin, witness = _fold_pairs(
+        F, pairs, tol, lambda inputs, margins, band: (margins, ~(margins > band))
+    )
+    return ChronologyReport(n, int(seed), min_margin, witness)
 
 
 def causal_equivalence_check(
@@ -772,31 +808,23 @@ def causal_equivalence_check(
     ``(diameter/10)**2`` and above the null band), and the outputs must agree
     with the biconditional decisively (margin ten null bands).  Pairs
     whose outputs land too close to the cone are skipped rather than
-    counted either way.
+    counted either way.  The events are drawn at once; the input tests
+    and ``F`` run one chunk of ``_BLOCK_NODES`` pairs at a time.
     """
     rng = np.random.default_rng(seed)
     dec_q = _decisive_q(grid)
-    t1, x1 = _draw_events(rng, grid, n_pairs)
-    t2, x2 = _draw_events(rng, grid, n_pairs)
-    q_in, band_in, m_in = cone(t2 - t1, x2 - x1, tol)
-    in_cf = m_in >= dec_q
-    in_decisive = (np.abs(q_in) >= dec_q) & (np.abs(q_in) > band_in)
+    pairs = (*_draw_events(rng, grid, n_pairs), *_draw_events(rng, grid, n_pairs))
 
-    o1t, o1x = F.components(t1, x1)
-    o2t, o2x = F.components(t2, x2)
-    _, band, m_out = cone(o2t - o1t, o2x - o1x, tol)
-    score = np.where(in_cf, m_out, -m_out)
-    out_decisive = np.abs(m_out) > 10.0 * band
+    def judge(inputs, m_out, band):
+        t1, x1, t2, x2 = inputs
+        q_in, band_in, m_in = cone(t2 - t1, x2 - x1, tol)
+        in_decisive = (np.abs(q_in) >= dec_q) & (np.abs(q_in) > band_in)
+        score = np.where(m_in >= dec_q, m_out, -m_out)
+        counted = in_decisive & (np.abs(m_out) > 10.0 * band)
+        return score[counted], counted & (score < 0.0)
 
-    counted = in_decisive & out_decisive
-    violating = counted & (score < 0.0)
-    min_margin = float(score[counted].min()) if counted.any() else math.nan
-
-    witness = None
-    if violating.any():
-        i = int(np.argmax(violating))
-        witness = _witness(i, (t1, x1, t2, x2), (o1t, o1x, o2t, o2x), tol)
-    return ChronologyReport(int(np.count_nonzero(counted)), int(seed), min_margin, witness)
+    n, min_margin, witness = _fold_pairs(F, pairs, tol, judge)
+    return ChronologyReport(n, int(seed), min_margin, witness)
 
 
 # -- orientation and the automorphism suite ------------------------------
@@ -895,8 +923,12 @@ def automorphism_suite(
     sampled pairs, the round trip must return to the chart point, the
     chart must preserve the two ray families, and the restriction to
     the worldline's own axis must reproduce the worldline exactly.
-    ``tol`` is the null band of both chronology checks.
+    ``tol`` is the null band of both chronology checks.  The chart, its
+    radar inverse and the round trip see one chunk of ``_BLOCK_NODES``
+    pairs or events at a time.  ``n_pairs`` below 1 raises ValueError.
     """
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs!r}")
     lip = lip_status(m.observer)
     if lip.verdict is not LipVerdict.VERIFIED:
         return AutomorphismReport(AutomorphismOutcome.NOT_APPLICABLE, lip)
@@ -907,9 +939,11 @@ def automorphism_suite(
 
     rng = np.random.default_rng(s_trip)
     t, x = _draw_events(rng, grid, n_pairs)
-    et, ex = m.components(t, x)
-    rt, rx = m.radar_inverse_components(et, ex)
-    roundtrip_max = float(np.max(np.hypot(rt - t, rx - x)))
+    roundtrip_max = -math.inf
+    for chunk in _chunks(n_pairs):
+        rt, rx = m.radar_inverse_components(*m.components(t[chunk], x[chunk]))
+        roundtrip_max = np.maximum(roundtrip_max, np.hypot(rt - t[chunk], rx - x[chunk]).max())
+    roundtrip_max = float(roundtrip_max)
 
     center = SplitComplex(
         (grid.t_min + grid.t_max) / 2.0, (grid.x_min + grid.x_max) / 2.0

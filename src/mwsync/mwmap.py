@@ -61,9 +61,16 @@ _BRACKET_LIMIT = 1e6
 # Elements per chunk of batched work: 2**15 float64 values, 256 kB per
 # temporary, so the temporaries of one chunk stay near the L2 cache and
 # are reused by the allocator instead of being faulted in afresh.  The
-# root finder iterates one chunk of a batch at a time, and the grid
-# sweeps of :mod:`mwsync.fieldcheck` take blocks of rows of this size.
+# root finder iterates one chunk of a batch at a time, the pair checks of
+# :mod:`mwsync.fieldcheck` take chunks of pairs and its grid sweeps
+# blocks of rows of this size.
 _BLOCK_NODES = 2 ** 15
+
+
+def _chunks(n):
+    """Slices that cut ``range(n)`` into chunks of ``_BLOCK_NODES``, in order."""
+    return (slice(start, start + _BLOCK_NODES) for start in range(0, n, _BLOCK_NODES))
+
 
 # Reading a null coordinate along its diagonals (:func:`_along_diagonals`)
 # pays on blocks of at least _TABULATED_NODES nodes with at most a share
@@ -322,8 +329,7 @@ class MarzkeWheelerMap:
         x = np.fmax(xl, np.fmin(x, xh))  # rounding or fl == fh: stay inside
         out = np.empty(goal.shape)
         stuck = []
-        for start in range(0, goal.size, _BLOCK_NODES):
-            chunk = slice(start, start + _BLOCK_NODES)
+        for chunk in _chunks(goal.size):
             stuck.append(self._rtsafe(
                 fn, sign, goal[chunk], xl[chunk], xh[chunk], x[chunk], out[chunk]
             ))

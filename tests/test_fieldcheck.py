@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from mwsync import (
     two_velocity,
     wave_residual,
 )
-from mwsync import fieldcheck
+from mwsync import fieldcheck, mwmap
 from mwsync.causal import DEFAULT_NULL_BAND, cone
 from fakes import CountingObserver, FunctionMap, RecordingMap, TwoCallChart
 import test_acceptance
@@ -479,6 +480,14 @@ class TestAutomorphismSuite:
         assert rep.outcome is AutomorphismOutcome.NOT_APPLICABLE
         assert rep.lip.verdict is LipVerdict.FAILS
         assert rep.forward is None and rep.inverse is None
+
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_no_pairs_is_refused(self, n_pairs):
+        # The round trip has no maximum over no events; the CLI refuses
+        # --pairs below 1 already.
+        m = MarzkeWheelerMap(PerturbedInertial(0.3, 1.0))
+        with pytest.raises(ValueError, match=f"n_pairs must be at least 1, got {n_pairs}$"):
+            automorphism_suite(m, BOX, n_pairs)
 
 
 class TestLowCounterexample:
@@ -1089,3 +1098,328 @@ class TestDiagonalProfiles:
         assert sum(math.prod(t_shape) for _, t_shape, *_ in new_log) == 11 * nodes
         assert ref_counted.points == 22 * nodes
         assert counted.points <= 22 * nodes / 10
+
+
+# -- the chunked pair checks against the whole-array reference ------------
+
+
+def _ref_chronological_pairs(rng, grid, n_pairs, tol):
+    """The chronology sampler before it ran in chunks: each round's
+    filter and time ordering on the whole round at once."""
+    need_q = fieldcheck._decisive_q(grid)
+    have = 0
+    parts = []
+    for _ in range(200):
+        if have >= n_pairs:
+            break
+        ta, xa = fieldcheck._draw_events(rng, grid, 2 * n_pairs)
+        tb, xb = fieldcheck._draw_events(rng, grid, 2 * n_pairs)
+        q, band, _ = cone(tb - ta, xb - xa, tol)
+        picked = np.flatnonzero((q >= need_q) & (q > band))[: n_pairs - have]
+        ta, xa, tb, xb = (a.take(picked) for a in (ta, xa, tb, xb))
+        lo_first = ta <= tb
+        parts.append((
+            np.where(lo_first, ta, tb), np.where(lo_first, xa, xb),
+            np.where(lo_first, tb, ta), np.where(lo_first, xb, xa),
+        ))
+        have += picked.size
+    if have < n_pairs:
+        raise EvaluationFailure(
+            "could not sample decisively chronological pairs in the box"
+        )
+    columns = zip(*parts) if parts else ([np.empty(0)],) * 4
+    return tuple(np.concatenate(column) for column in columns)
+
+
+def _ref_chronology_check(F, grid, n_pairs=1000, seed=0, tol=DEFAULT_NULL_BAND):
+    """``chronology_check`` as one whole-batch pass over the pairs."""
+    rng = np.random.default_rng(seed)
+    t1, x1, t2, x2 = _ref_chronological_pairs(rng, grid, n_pairs, tol)
+    o1t, o1x = F.components(t1, x1)
+    o2t, o2x = F.components(t2, x2)
+    _, band, margins = cone(o2t - o1t, o2x - o1x, tol)
+    ok = margins > band
+    min_margin = float(margins.min()) if margins.size else math.nan
+    witness = None
+    if not ok.all():
+        i = int(np.argmax(~ok))
+        witness = fieldcheck._witness(i, (t1, x1, t2, x2), (o1t, o1x, o2t, o2x), tol)
+    return fieldcheck.ChronologyReport(int(t1.size), int(seed), min_margin, witness)
+
+
+def _ref_causal_equivalence_check(F, grid, n_pairs=1000, seed=0, tol=DEFAULT_NULL_BAND):
+    """``causal_equivalence_check`` as one whole-batch pass over the pairs."""
+    rng = np.random.default_rng(seed)
+    dec_q = fieldcheck._decisive_q(grid)
+    t1, x1 = fieldcheck._draw_events(rng, grid, n_pairs)
+    t2, x2 = fieldcheck._draw_events(rng, grid, n_pairs)
+    q_in, band_in, m_in = cone(t2 - t1, x2 - x1, tol)
+    in_cf = m_in >= dec_q
+    in_decisive = (np.abs(q_in) >= dec_q) & (np.abs(q_in) > band_in)
+    o1t, o1x = F.components(t1, x1)
+    o2t, o2x = F.components(t2, x2)
+    _, band, m_out = cone(o2t - o1t, o2x - o1x, tol)
+    score = np.where(in_cf, m_out, -m_out)
+    counted = in_decisive & (np.abs(m_out) > 10.0 * band)
+    violating = counted & (score < 0.0)
+    min_margin = float(score[counted].min()) if counted.any() else math.nan
+    witness = None
+    if violating.any():
+        i = int(np.argmax(violating))
+        witness = fieldcheck._witness(i, (t1, x1, t2, x2), (o1t, o1x, o2t, o2x), tol)
+    return fieldcheck.ChronologyReport(
+        int(np.count_nonzero(counted)), int(seed), min_margin, witness
+    )
+
+
+def _ref_automorphism_suite(m, grid, n_pairs=1000, seed=0, tol=DEFAULT_NULL_BAND):
+    """``automorphism_suite`` with whole-batch checks and round trip."""
+    lip = fieldcheck.lip_status(m.observer)
+    if lip.verdict is not LipVerdict.VERIFIED:
+        return fieldcheck.AutomorphismReport(AutomorphismOutcome.NOT_APPLICABLE, lip)
+    s_forward, s_inverse, s_trip = fieldcheck._child_seeds(seed, 3)
+    forward = _ref_chronology_check(m, grid, n_pairs, s_forward, tol)
+    inverse = _ref_chronology_check(fieldcheck._InverseChart(m), grid, n_pairs, s_inverse, tol)
+    t, x = fieldcheck._draw_events(np.random.default_rng(s_trip), grid, n_pairs)
+    rt, rx = m.radar_inverse_components(*m.components(t, x))
+    roundtrip_max = float(np.max(np.hypot(rt - t, rx - x)))
+    center = E((grid.t_min + grid.t_max) / 2.0, (grid.x_min + grid.x_max) / 2.0)
+    orientation = orientation_of(m, center, span=grid.diameter / 4.0)
+    axis_max = fieldcheck._axis_max(m, grid, m.observer.position)
+    ok = (
+        forward.passed and inverse.passed
+        and roundtrip_max <= 100.0 * m.root_tol * (1.0 + grid.diameter)
+        and orientation is MapOrientation.PRESERVING and axis_max == 0.0
+    )
+    return fieldcheck.AutomorphismReport(
+        AutomorphismOutcome.PASS if ok else AutomorphismOutcome.FAIL,
+        lip, forward, inverse, roundtrip_max, orientation, axis_max,
+    )
+
+
+# Pairs per chunk in these tests, and pair counts of one chunk (its
+# sampler rounds too), of whole chunks only and with a short last chunk.
+CHUNK = 64
+ONE_CHUNK, WHOLE_CHUNKS, SHORT_LAST = 30, 2 * CHUNK, 3 * CHUNK + 8
+LATE = 2 * CHUNK + 3  # a pair in the third chunk
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(mwmap, "_BLOCK_NODES", CHUNK)
+    monkeypatch.setattr(fieldcheck, "_BLOCK_NODES", CHUNK)
+
+
+def _ref_pairs(n, seed):
+    return _ref_chronological_pairs(np.random.default_rng(seed), BOX, n, DEFAULT_NULL_BAND)
+
+
+def _ref_draws(n, seed):
+    rng = np.random.default_rng(seed)
+    return (*fieldcheck._draw_events(rng, BOX, n), *fieldcheck._draw_events(rng, BOX, n))
+
+
+def _at_events(label, *changes):
+    """The identity map, but ``f(t, x)`` at the events whose t is in
+    ``ts``, for each ``(ts, f)`` of ``changes`` in turn."""
+
+    def fn(t, x):
+        for ts, f in changes:
+            hit = np.isin(t, ts)
+            t_out, x_out = f(t, x)
+            t, x = np.where(hit, t_out, t), np.where(hit, x_out, x)
+        return t, x
+
+    return FunctionMap(fn, label)
+
+
+def _null_at(label, pairs, future, past):
+    """The identity map, but pair ``i`` of ``future`` (of ``past``) goes
+    to the null pair (0, 0), (1, 1) (to (0, 0), (-1, -1)), whose margin
+    is +0.0 (-0.0)."""
+    t1, x1, t2, x2 = pairs
+
+    def to(c):
+        return lambda t, x: (np.full_like(t, c), np.full_like(x, c))
+
+    return _at_events(
+        label, (t1[future + past], to(0.0)), (t2[future], to(1.0)), (t2[past], to(-1.0))
+    )
+
+
+def _reversed(t, x):
+    return t - 10.0, x  # sends an event of the box to the past of every other
+
+
+def _nan(t, x):
+    return t * math.nan, x
+
+
+def _chronology_maps(n, seed):
+    """Maps for the chronology check on ``n`` pairs of ``seed``: passing,
+    failing at once, failing only at pair ``LATE`` (the last pair if
+    there are fewer), NaN there after a witness a chunk before it or at
+    the witness, and outputs exactly on the cone with margins of +0.0,
+    of -0.0, of +0.0 in the first chunk and -0.0 after it and the other
+    way round, or of both signs at a few pairs among positive margins
+    (placed where a plain ``np.minimum`` fold picks the other zero)."""
+    pairs = t1, x1, t2, x2 = _ref_pairs(n, seed)
+    late = min(LATE, n - 1)
+    before = [t2[max(late - CHUNK, 0)]]
+    first, rest = list(range(min(CHUNK, n))), list(range(CHUNK, n))
+    return {
+        "wobble chart": MarzkeWheelerMap(PerturbedInertial(0.3, 1.0)),
+        "boost": AffineLorentzMap(two_velocity(0.9)),
+        "reversal": FunctionMap(lambda t, x: (-t, -x), "reversal"),
+        "late witness": _at_events("late witness", ([t2[late]], _reversed)),
+        "NaN after the witness": _at_events(
+            "NaN after the witness", (before, _reversed), ([t2[late]], _nan)),
+        "NaN at the witness": _at_events("NaN at the witness", ([t2[late]], _nan)),
+        "+0.0": _null_at("+0.0", pairs, first + rest, []),
+        "-0.0": _null_at("-0.0", pairs, [], first + rest),
+        "+0.0 then -0.0": _null_at("+0.0 then -0.0", pairs, first, rest),
+        "-0.0 then +0.0": _null_at("-0.0 then +0.0", pairs, rest, first),
+        "scattered": _null_at("scattered", pairs, [1 % n, 66 % n], [64 % n, 127 % n]),
+        "scattered too": _null_at("scattered too", pairs, [60 % n, 127 % n], [2 % n, 64 % n]),
+    }
+
+
+def _forward(t, x):
+    return t + 100.0, x  # sends an event of the box to the future of every other
+
+
+def _equivalence_maps(n, seed):
+    """Maps for the equivalence check on ``n`` pairs of ``seed``: passing,
+    failing at once, failing only at the first decisively spacelike pair
+    from pair ``LATE`` on (from the middle if there are fewer), with NaN
+    at the last pair after that witness, and NaN at that pair alone."""
+    t1, x1, t2, x2 = _ref_draws(n, seed)
+    q, band, _ = cone(t2 - t1, x2 - x1, DEFAULT_NULL_BAND)
+    spacelike = (-q >= (0.1 * BOX.diameter) ** 2) & (-q > band)
+    start = LATE if n > LATE else n // 2
+    late = start + int(np.flatnonzero(spacelike[start:])[0])
+    return late, {
+        "wobble chart": MarzkeWheelerMap(PerturbedInertial(0.3, 1.0)),
+        "time doubler": FunctionMap(lambda t, x: (2.0 * t, x), "time doubler"),
+        "late witness": _at_events("late witness", ([t2[late]], _forward)),
+        "NaN after the witness": _at_events(
+            "NaN after the witness", ([t2[late]], _forward), ([t2[-1]], _nan)),
+        "NaN": _at_events("NaN", ([t2[late]], _nan)),
+    }
+
+
+SIZES = pytest.mark.parametrize("n", [ONE_CHUNK, WHOLE_CHUNKS, SHORT_LAST])
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestChunkedPairChecks:
+    """The pair checks, run ``CHUNK`` pairs at a time, against frozen
+    copies of their whole-batch passes: the reports must agree by
+    ``repr``, so NaN and the sign of zero count."""
+
+    def test_chunks_cut_a_batch_in_order(self):
+        assert [(c.start, c.stop) for c in mwmap._chunks(SHORT_LAST)] == [
+            (0, 64), (64, 128), (128, 192), (192, 256),
+        ]
+        assert list(mwmap._chunks(0)) == []
+
+    @SIZES
+    def test_chronology_check_equals_the_whole_batch(self, n):
+        for name, F in _chronology_maps(n, 5).items():
+            new = _outcome(lambda: chronology_check(F, BOX, n, 5))
+            assert _same(new, _outcome(lambda: _ref_chronology_check(F, BOX, n, 5))), name
+
+    @SIZES
+    def test_the_cases_are_what_they_are_named(self, n):
+        t2 = _ref_pairs(n, 5)[2]
+        late = min(LATE, n - 1)
+        reports = {
+            name: _outcome(lambda: chronology_check(F, BOX, n, 5))
+            for name, F in _chronology_maps(n, 5).items()
+        }
+        assert reports["wobble chart"].passed and reports["boost"].passed
+        assert reports["late witness"].witness.z2.t == t2[late]
+        assert late // CHUNK == {ONE_CHUNK: 0, WHOLE_CHUNKS: 1, SHORT_LAST: 2}[n]
+        nan_late = reports["NaN after the witness"]
+        assert math.isnan(nan_late.min_margin)
+        assert nan_late.witness.z2.t == t2[max(late - CHUNK, 0)]
+        assert reports["NaN at the witness"][0] is EvaluationFailure
+        assert repr(reports["+0.0"].min_margin) == "0.0"
+        assert repr(reports["-0.0"].min_margin) == "-0.0"
+        for name in ("+0.0", "-0.0", "+0.0 then -0.0", "-0.0 then +0.0", "scattered",
+                     "scattered too"):
+            assert reports[name].min_margin == 0.0
+            assert reports[name].witness.relation_out in (
+                CausalRelation.NULL_FUTURE, CausalRelation.NULL_PAST
+            )
+
+    @SIZES
+    def test_equivalence_check_equals_the_whole_batch(self, n):
+        late, maps = _equivalence_maps(n, 9)
+        t2 = _ref_draws(n, 9)[2]
+        for name, F in maps.items():
+            new = _outcome(lambda: causal_equivalence_check(F, BOX, n, 9))
+            assert _same(new, _outcome(lambda: _ref_causal_equivalence_check(F, BOX, n, 9))), name
+        assert causal_equivalence_check(maps["late witness"], BOX, n, 9).witness.z2.t == t2[late]
+        assert late // CHUNK == {ONE_CHUNK: 0, WHOLE_CHUNKS: 1, SHORT_LAST: 2}[n]
+
+    @SIZES
+    def test_automorphism_suite_equals_the_whole_batch(self, n):
+        for obs in (PerturbedInertial(0.3, 1.0), PerturbedInertial(0.1, 2.0), Inertial(0.5)):
+            m = MarzkeWheelerMap(obs)
+            assert _same(automorphism_suite(m, BOX, n, 3), _ref_automorphism_suite(m, BOX, n, 3))
+
+    @SIZES
+    def test_a_nan_in_the_round_trip_wins(self, n):
+        # The radar inverse reads NaN at the image of round-trip event
+        # LATE (the last one if there are fewer), and only there.
+        t, x = fieldcheck._draw_events(
+            np.random.default_rng(fieldcheck._child_seeds(3, 3)[2]), BOX, n)
+        late = min(LATE, n - 1)
+        wobble = PerturbedInertial(0.3, 1.0)
+        (bad,), _ = MarzkeWheelerMap(wobble).components(t[late:late + 1], x[late:late + 1])
+
+        class NaNInverse(MarzkeWheelerMap):
+            def radar_inverse_components(self, t, x):
+                s, xr = super().radar_inverse_components(t, x)
+                return np.where(t == bad, math.nan, s), xr
+
+        m = NaNInverse(wobble)
+        rep = automorphism_suite(m, BOX, n, 3)
+        assert math.isnan(rep.roundtrip_max) and rep.outcome is AutomorphismOutcome.FAIL
+        assert rep.forward.passed and rep.inverse.passed
+        assert _same(rep, _ref_automorphism_suite(m, BOX, n, 3))
+
+    @SIZES
+    def test_low_counterexample_equals_the_whole_batch(self, n, monkeypatch):
+        g1, g2 = Inertial(0.0), Inertial(0.5)
+        new = low_counterexample(g1, g2, BOX, 4, n)
+        monkeypatch.setattr(fieldcheck, "chronology_check", _ref_chronology_check)
+        monkeypatch.setattr(fieldcheck, "causal_equivalence_check", _ref_causal_equivalence_check)
+        assert _same(new, low_counterexample(g1, g2, BOX, 4, n))
+
+
+# The tracemalloc peaks of the pair checks at 1e5 pairs, with numpy 2.4.6:
+# 11.35 MB for the suite and 7.67 MB for the equivalence check (23.17 and
+# 13.90 MB when they ran on whole batches).  The ceilings leave ~2.5 MB of
+# room, and a whole-batch temporary of the suite's round trip or samplers
+# (0.8-1.6 MB each, several at a time) breaks them.
+MEMORY_CEILINGS = {"suite": 14e6, "equivalence": 10e6}
+
+
+def test_pair_checks_at_scale_stay_under_a_memory_ceiling():
+    grid = GridSpec(-2.0, 2.0, -2.0, 2.0)
+    m = MarzkeWheelerMap(PerturbedInertial(0.1, 2.0))
+    runs = {
+        "suite": lambda: automorphism_suite(m, grid, 100_000, 0).outcome,
+        "equivalence": lambda: causal_equivalence_check(m, grid, 100_000, 0).passed,
+    }
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            result = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result in (AutomorphismOutcome.PASS, True)
+        assert peak < MEMORY_CEILINGS[name], (name, peak)
