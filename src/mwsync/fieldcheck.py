@@ -27,12 +27,12 @@ floor, and takes its convergence order from an anisotropic stencil,
 (h_t, h_x) = (h, h/2) against (h/2, h/4), where the truncation error of
 a solution survives and shrinks at second order.  It also carries that
 floor, ``512 * eps * (1 + max|f|) / h**k`` with ``f`` the function the
-stencil differences at the grid nodes and k its order.  The grid is
-swept in cache-sized blocks of rows (:meth:`GridSpec.row_blocks`), each
-point evaluated once, and the reports are bitwise those of evaluating
-the whole grid at once.  Each block's point sets are evaluated and
-reduced (differences, residual fields and their maxima) one after the
-other on the calling thread.  The pair checks and the round trip take
+stencil differences at the grid nodes and k its order.  Every residual
+report comes from one stateless pass, :func:`_sweep`: it evaluates each
+point once, in cache-sized blocks of rows (:meth:`GridSpec.row_blocks`),
+reduces each block's point sets one after the other on the calling
+thread and returns the finished reports, bitwise those of evaluating the
+whole grid at once.  The pair checks and the round trip take
 chunks of the same ``_BLOCK_NODES`` (:func:`mwsync.mwmap._chunks`), and
 their reports, too, are bitwise those of one whole-batch pass.
 """
@@ -52,7 +52,7 @@ from .algebra import ZERO, SplitComplex, TwoVelocity
 from .causal import DEFAULT_NULL_BAND, CausalRelation, classify, cone
 from .errors import DegenerateSplit, EvaluationFailure
 from .mwmap import _BLOCK_NODES, MarzkeWheelerMap, _chunks
-from .observers import LipStatus, LipVerdict, Observer, lip_status
+from .observers import LipStatus, LipVerdict, Observer, _scalar, lip_status
 
 __all__ = [
     "PlaneMap",
@@ -93,8 +93,8 @@ class PlaneMap:
         raise NotImplementedError
 
     def __call__(self, z: SplitComplex) -> SplitComplex:
-        t_out, x_out = self.components(np.asarray(z.t), np.asarray(z.x))
-        return SplitComplex(float(t_out), float(x_out))
+        return _scalar(self, "value", f"z = ({z.t!r}, {z.x!r})",
+                       self.components, np.asarray(z.t), np.asarray(z.x))
 
 
 class IdentityMap(PlaneMap):
@@ -374,120 +374,79 @@ def _second_diff(f_up, f_0, f_dn, d_p, d_m, d_sum):
     return out
 
 
-class _Stencil:
-    """``f(t, x) -> tuple of arrays`` sampled around the grid nodes one
-    block of rows at a time, one point set (a step either side along
-    one axis) at a time.
+def _first(centre, f_up, f_dn, spans):
+    """Central first differences ``(f_up - f_dn) / (up - dn)`` along one
+    axis."""
+    return [_divided(u - d, spans[0]) for u, d in zip(f_up, f_dn)]
 
-    The stencil nodes of every level and their realized spans are formed
-    and checked on their full axis once, before anything is evaluated,
-    and kept in a shape that broadcasts against a block, since a whole
-    row (along t) or column (along x) shares them.  :meth:`sweep` enters
-    each block of :meth:`GridSpec.row_blocks` in turn and evaluates the
-    centre there once; second differences reuse it, and :meth:`floor`
-    reads the function's magnitude from the centres of all blocks.
-    ``both`` serves the first-order and the wave residuals from the same
-    point sets.  ``first``, ``second`` and ``both`` reduce a point set
-    ``(f_up, f_dn, spans)`` already evaluated.  ``f`` must return float
-    arrays of its arguments' shape: the reductions work in place on
-    temporaries of that shape, and never write to the arrays ``f``
-    returned.
+
+def _second(centre, f_up, f_dn, spans):
+    """Central second differences along one axis."""
+    return [_second_diff(u, c, d, *spans[1:]) for u, c, d in zip(f_up, centre, f_dn)]
+
+
+def _both(centre, *points):
+    """First and second differences from one point set."""
+    return _first(centre, *points), _second(centre, *points)
+
+
+def _sweep(f, grid: GridSpec, part, combine, ks):
+    """One stencil pass of ``f(t, x) -> tuple of arrays`` over the grid:
+    the residual reports of its first ``len(ks)`` fields, whose floors
+    divide by ``h**k`` for k in ``ks``, and all its matched fields.
+
+    The nodes and realized spans of every level are checked on their full
+    axis before anything is evaluated.  Each block of
+    :meth:`GridSpec.row_blocks` evaluates its centre, then the five point
+    sets (a step either side along one axis: fine, coarse and matched
+    levels, t before x); ``part(centre, f_up, f_dn, spans)``, one of
+    :func:`_first`, :func:`_second` and :func:`_both`, reduces each before
+    the next is evaluated to what ``combine(t_part, x_part)`` needs to
+    form the fields.  Exact charts leave only rounding at the matched
+    level (h, h), so the order compares the maxima at (h_t, h_x) = (h, h/2)
+    and (h/2, h/4), where the truncation term ~ h_t**2 - h_x**2 survives.
+    ``f`` must return float arrays of its arguments' shape; the reductions
+    work in place on temporaries, never on them.  An ``h**k`` out of
+    float range raises EvaluationFailure.
     """
+    h = grid.h
+    nodes = {True: grid.t_nodes[:, None], False: grid.x_nodes[None, :]}
+    fine_t, fine_x, coarse_t, coarse_x, matched_x = (
+        (along_t, *_stencil_points(nodes[along_t], step))
+        for step, along_t in (
+            (h / 2.0, True), (h / 4.0, False), (h, True), (h / 2.0, False), (h, False)
+        )
+    )
+    fields = fine = coarse = magnitude = None
+    for rows, T, X in grid.row_blocks():
+        centre = f(T, X)
+        magnitude = _fold_max(magnitude, [np.abs(c) for c in centre])
 
-    def __init__(self, f, grid: GridSpec):
-        self.f = f
-        self.grid = grid
-        h = grid.h
-        axes = {True: grid.t_nodes[:, None], False: grid.x_nodes[None, :]}
-        # In sweep order: fine, coarse and matched levels, t before x.
-        self._axes = [
-            (along_t, *_stencil_points(axes[along_t], step))
-            for step, along_t in (
-                (h / 2.0, True), (h / 4.0, False), (h, True), (h / 2.0, False), (h, False)
-            )
-        ]
-        self._magnitude = None
+        def reduced(axis):
+            along_t, up, dn, spans = axis
+            if along_t:
+                up, dn, spans = up[rows], dn[rows], [s[rows] for s in spans]
 
-    def _point_set(self, axis, rows, T, X):
-        along_t, up, dn, spans = axis
-        if along_t:
-            up, dn, spans = up[rows], dn[rows], [s[rows] for s in spans]
+            def at(coord):
+                coord = np.broadcast_to(coord, T.shape).copy()
+                return f(coord, X) if along_t else f(T, coord)
 
-        def at(coord):
-            coord = np.broadcast_to(coord, T.shape).copy()
-            return self.f(coord, X) if along_t else self.f(T, coord)
+            return part(centre, at(up), at(dn), spans)
 
-        return at(up), at(dn), spans
-
-    @staticmethod
-    def first(centre, f_up, f_dn, spans):
-        """Central first differences ``(f_up - f_dn) / (up - dn)`` along
-        one axis."""
-        return [_divided(u - d, spans[0]) for u, d in zip(f_up, f_dn)]
-
-    @staticmethod
-    def second(centre, f_up, f_dn, spans):
-        """Central second differences along one axis."""
-        return [_second_diff(u, c, d, *spans[1:]) for u, c, d in zip(f_up, centre, f_dn)]
-
-    @staticmethod
-    def both(centre, *points):
-        """First and second differences from one point set."""
-        return _Stencil.first(centre, *points), _Stencil.second(centre, *points)
-
-    def sweep(self, part, combine):
-        """Residual fields at the matched step, and their stencil order.
-
-        ``part(centre, *point_set)``, one of :meth:`first`,
-        :meth:`second` and :meth:`both`, reduces the point set a step
-        either side along t (or x) in the current block to what
-        ``combine(t_part, x_part)`` needs to form the residual fields.
-        The fields are returned at the matched level (h, h), assembled
-        over the blocks.  There the central stencil annihilates
-        traveling waves ``p(t + x) + q(t - x)`` term for term, so exact
-        charts leave only rounding and no order can be read.  The order
-        of each field therefore compares the maxima at the anisotropic
-        levels (h_t, h_x) = (h, h/2) and (h/2, h/4), where the
-        truncation term, proportional to h_t**2 - h_x**2, survives;
-        those maxima are folded over the blocks.  Every stencil point
-        is evaluated once, and each point set is reduced before the
-        next one is evaluated.
-        """
-        grid = self.grid
-        fine_t, fine_x, coarse_t, coarse_x, matched_x = self._axes
-        fields = fine = coarse = None
-        for rows, T, X in grid.row_blocks():
-            centre = self.f(T, X)
-            self._magnitude = _fold_max(self._magnitude, [np.abs(c) for c in centre])
-
-            def reduced(axis):
-                return part(centre, *self._point_set(axis, rows, T, X))
-
-            t_part = reduced(fine_t)
-            fine = _fold_max(fine, combine(t_part, reduced(fine_x)))
-            del t_part
-            t_part = reduced(coarse_t)
-            coarse = _fold_max(coarse, combine(t_part, reduced(coarse_x)))
-            matched = combine(t_part, reduced(matched_x))
-            del t_part
-            if fields is None:
-                fields = [np.empty((grid.n_t, grid.n_x), f.dtype) for f in matched]
-            for out, f in zip(fields, matched):
-                out[rows] = f
-        orders = [_order(float(a), float(b)) for a, b in zip(coarse, fine)]
-        return fields, orders
-
-    def floor(self, k):
-        """Rounding floor ``512 * eps * (1 + max|f|) / h**k`` at the nodes,
-        read from the centres of a finished :meth:`sweep`.
-
-        Raises
-        ------
-        EvaluationFailure
-            If ``h**k`` overflows or underflows to zero.
-        """
-        mag = float(max(self._magnitude))
-        h = self.grid.h
+        t_part = reduced(fine_t)
+        fine = _fold_max(fine, combine(t_part, reduced(fine_x)))
+        del t_part
+        t_part = reduced(coarse_t)
+        coarse = _fold_max(coarse, combine(t_part, reduced(coarse_x)))
+        matched = combine(t_part, reduced(matched_x))
+        del t_part
+        if fields is None:
+            fields = [np.empty((grid.n_t, grid.n_x), block.dtype) for block in matched]
+        for out, block in zip(fields, matched):
+            out[rows] = block
+    magnitude = float(max(magnitude))
+    reports = []
+    for field, coarse_max, fine_max, k in zip(fields, coarse, fine, ks):
         try:
             scale = h ** k
         except OverflowError:
@@ -496,7 +455,14 @@ class _Stencil:
             raise EvaluationFailure(
                 f"rounding floor needs h**{k}, out of float range for h = {h!r}"
             )
-        return 512.0 * _EPS * (1.0 + mag) / scale
+        i, j = np.unravel_index(int(np.argmax(field)), field.shape)
+        reports.append(ResidualReport(
+            float(field.max()), float(field.mean()),
+            (float(grid.t_nodes[i]), float(grid.x_nodes[j])),
+            _order(float(coarse_max), float(fine_max)),
+            h, 512.0 * _EPS * (1.0 + magnitude) / scale,
+        ))
+    return reports, fields
 
 
 def _holo_fields(signs):
@@ -550,46 +516,31 @@ def _fold_max(maxima, fields):
     return [np.maximum(a, b) for a, b in zip(maxima, block)]
 
 
-def _location(field, grid: GridSpec) -> tuple[float, float]:
-    i, j = np.unravel_index(int(np.argmax(field)), field.shape)
-    return float(grid.t_nodes[i]), float(grid.x_nodes[j])
-
-
-def _report(field, order, grid: GridSpec, floor: float, *extra, cls=ResidualReport):
-    return cls(
-        float(field.max()), float(field.mean()), _location(field, grid), order,
-        grid.h, floor, *extra,
-    )
-
-
 def holomorphy_residual(F, grid: GridSpec, anti: bool = False) -> ResidualReport:
     """Central-difference residual of the split Cauchy-Riemann system.
 
     ``anti=True`` checks the reflected system instead (maps that are
     holomorphic after precomposing with conjugation).
     """
-    stencil = _Stencil(F.components, grid)
-    (field,), (order,) = stencil.sweep(
-        stencil.first, _holo_fields((-1.0 if anti else 1.0,))
+    (report,), _ = _sweep(
+        F.components, grid, _first, _holo_fields((-1.0 if anti else 1.0,)), (1,)
     )
-    return _report(field, order, grid, stencil.floor(1))
+    return report
 
 
 def wave_residual(F, grid: GridSpec) -> ResidualReport:
     """Componentwise discrete d'Alembertian of the map on the grid."""
-    stencil = _Stencil(F.components, grid)
-    (field,), (order,) = stencil.sweep(stencil.second, _wave_fields)
-    return _report(field, order, grid, stencil.floor(2))
+    (report,), _ = _sweep(F.components, grid, _second, _wave_fields, (2,))
+    return report
 
 
 def conformality_report(F, grid: GridSpec) -> ConformalityReport:
     """Deviation of the metric pullback from a positive multiple of the
     Minkowski metric, plus the observed range of the factor."""
-    stencil = _Stencil(F.components, grid)
-    (field, lam), (order, _) = stencil.sweep(stencil.first, _conformal_fields)
-    return _report(
-        field, order, grid, stencil.floor(1), float(lam.min()), float(lam.max()),
-        int(np.count_nonzero(lam <= 0.0)), cls=ConformalityReport,
+    (report,), (_, lam) = _sweep(F.components, grid, _first, _conformal_fields, (1,))
+    return ConformalityReport(
+        **vars(report), factor_min=float(lam.min()), factor_max=float(lam.max()),
+        n_nonpositive=int(np.count_nonzero(lam <= 0.0)),
     )
 
 
@@ -608,9 +559,8 @@ def log_factor_wave_residual(m, grid: GridSpec) -> ResidualReport:
     def combine(t_part, x_part):
         return (np.abs(t_part[0] - x_part[0]),)
 
-    stencil = _Stencil(log_factor, grid)
-    (field,), (order,) = stencil.sweep(stencil.second, combine)
-    return _report(field, order, grid, stencil.floor(2))
+    (report,), _ = _sweep(log_factor, grid, _second, combine, (2,))
+    return report
 
 
 # -- chronology checks --------------------------------------------------
@@ -687,6 +637,12 @@ def _child_seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n)]
 
 
+def _require_pairs(n_pairs: int):
+    # A check over no pairs would pass with nothing checked.
+    if n_pairs < 1:
+        raise ValueError(f"n_pairs must be at least 1, got {n_pairs!r}")
+
+
 def _draw_events(rng, grid: GridSpec, n: int):
     t = rng.uniform(grid.t_min, grid.t_max, n)
     x = rng.uniform(grid.x_min, grid.x_max, n)
@@ -730,8 +686,7 @@ def _chronological_pairs(rng, grid: GridSpec, n_pairs: int, tol: float):
         raise EvaluationFailure(
             "could not sample decisively chronological pairs in the box"
         )
-    columns = zip(*parts) if parts else ([np.empty(0)],) * 4  # n_pairs == 0
-    return tuple(np.concatenate(column) for column in columns)
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _fold_pairs(F, pairs, tol: float, judge):
@@ -784,8 +739,10 @@ def chronology_check(
     band, so classification noise cannot manufacture inputs) and
     requires every output pair to classify as chronological future.
     The first failure is returned as the witness.  ``F`` sees one chunk
-    of ``_BLOCK_NODES`` pairs at a time (:func:`_fold_pairs`).
+    of ``_BLOCK_NODES`` pairs at a time (:func:`_fold_pairs`).  ``n_pairs``
+    below 1 raises ValueError.
     """
+    _require_pairs(n_pairs)
     pairs = _chronological_pairs(np.random.default_rng(seed), grid, n_pairs, tol)
     n, min_margin, witness = _fold_pairs(
         F, pairs, tol, lambda inputs, margins, band: (margins, ~(margins > band))
@@ -810,7 +767,9 @@ def causal_equivalence_check(
     whose outputs land too close to the cone are skipped rather than
     counted either way.  The events are drawn at once; the input tests
     and ``F`` run one chunk of ``_BLOCK_NODES`` pairs at a time.
+    ``n_pairs`` below 1 raises ValueError.
     """
+    _require_pairs(n_pairs)
     rng = np.random.default_rng(seed)
     dec_q = _decisive_q(grid)
     pairs = (*_draw_events(rng, grid, n_pairs), *_draw_events(rng, grid, n_pairs))
@@ -927,8 +886,7 @@ def automorphism_suite(
     radar inverse and the round trip see one chunk of ``_BLOCK_NODES``
     pairs or events at a time.  ``n_pairs`` below 1 raises ValueError.
     """
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be at least 1, got {n_pairs!r}")
+    _require_pairs(n_pairs)
     lip = lip_status(m.observer)
     if lip.verdict is not LipVerdict.VERIFIED:
         return AutomorphismReport(AutomorphismOutcome.NOT_APPLICABLE, lip)
@@ -1033,11 +991,14 @@ def low_counterexample(
 
     Raises
     ------
+    ValueError
+        If ``n_pairs`` is below 1, before any stencil or sampling work.
     DegenerateSplit
         If the second worldline is numerically constant over the
         working window, in which case the second term degenerates to a
         translation and the construction proves nothing.
     """
+    _require_pairs(n_pairs)
     if _constant_spread(g2, grid) <= 1e-12 * (1.0 + grid.diameter):
         raise DegenerateSplit(
             f"{g2!r} is numerically constant over the working window"
@@ -1051,12 +1012,7 @@ def low_counterexample(
     def combine(t_part, x_part):
         return _wave_fields(t_part[1], x_part[1]) + holo_pair(t_part[0], x_part[0])
 
-    stencil = _Stencil(F.components, grid)
-    fields, orders = stencil.sweep(stencil.both, combine)
-    wave, holo, antiholo = (
-        _report(f, o, grid, stencil.floor(k))
-        for f, o, k in zip(fields, orders, (2, 1, 1))
-    )
+    (wave, holo, antiholo), _ = _sweep(F.components, grid, _both, combine, (2, 1, 1))
 
     axis_max = _axis_max(
         F, grid, lambda t: tuple(map(add, g1.position(t), g2.position(t)))

@@ -45,7 +45,7 @@ from .errors import (
     NoRadarCoordinate,
     NotDifferentiable,
 )
-from .observers import Observer, Smoothness
+from .observers import Observer, Smoothness, _scalar
 
 __all__ = ["MarzkeWheelerMap"]
 
@@ -207,8 +207,8 @@ class MarzkeWheelerMap:
 
     def __call__(self, z: SplitComplex) -> SplitComplex:
         """Scalar reading of :meth:`components`."""
-        t_out, x_out = self.components(np.asarray(z.t), np.asarray(z.x))
-        return SplitComplex(float(t_out), float(x_out))
+        return _scalar(self, "value", f"z = ({z.t!r}, {z.x!r})",
+                       self.components, np.asarray(z.t), np.asarray(z.x))
 
     def components(self, t, x):
         """The chart on arrays of chart coordinates ``(s, x)``.
@@ -415,10 +415,8 @@ class MarzkeWheelerMap:
         ``M(s_emission) = e.t - e.x``; the chart point is
         ``((s_reception + s_emission)/2, (s_reception - s_emission)/2)``.
         """
-        s, xr = self.radar_inverse_components(
-            np.asarray([e.t]), np.asarray([e.x])
-        )
-        return SplitComplex(float(s[0]), float(xr[0]))
+        return _scalar(self, "radar inverse", f"e = ({e.t!r}, {e.x!r})",
+                       self.radar_inverse_components, np.asarray([e.t]), np.asarray([e.x]))
 
     # -- derivative and conformal factor -------------------------------
 
@@ -463,10 +461,9 @@ class MarzkeWheelerMap:
         raise ValueError(f"unknown derivative mode {mode!r}")
 
     def derivative(self, z: SplitComplex, mode: str = "analytic", step=None) -> SplitComplex:
-        dt_, dx_ = self.derivative_components(
-            np.asarray([z.t]), np.asarray([z.x]), mode, step
-        )
-        return SplitComplex(float(dt_[0]), float(dx_[0]))
+        return _scalar(self, "derivative", f"z = ({z.t!r}, {z.x!r})",
+                       self.derivative_components, np.asarray([z.t]), np.asarray([z.x]),
+                       mode, step)
 
     def conformal_components(self, t, x):
         """Conformal factor ``norm_sq(derivative)`` as an array, read off
@@ -480,17 +477,17 @@ class MarzkeWheelerMap:
         NotDifferentiable
             For worldlines below C1, whose derivative need not exist.
         DegenerateFactor
-            If the factor is not strictly positive at some node.
+            If the factor is not strictly positive (or is NaN) at some node.
         """
         self._require_smooth("the conformal factor")
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         (lam,) = _null_profiles(self.observer.velocity, t, x, _factor)
         lam = np.asarray(lam)
-        if np.any(lam <= 0.0):
-            i = int(np.argmax(lam <= 0.0))
+        bad = ~(lam > 0.0)  # NaN included
+        if np.any(bad):
             raise DegenerateFactor(
-                f"conformal factor {lam.flat[i]!r} is not positive"
+                f"conformal factor {float(lam.flat[np.argmax(bad)])!r} is not positive"
             )
         return lam
 

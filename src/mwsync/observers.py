@@ -60,6 +60,18 @@ __all__ = [
 _FULL_LINE = (-math.inf, math.inf)
 
 
+def _scalar(owner, what: str, at: str, fn, *args) -> SplitComplex:
+    """``fn(*args)``, a pair of one-element results, read as the
+    split-complex number a scalar entry point returns.  Numpy's floating-point warnings
+    are silenced; a pair that is not finite raises EvaluationFailure
+    naming ``owner``, ``what`` it evaluates and the point ``at``."""
+    with np.errstate(all="ignore"):
+        t, x = (float(np.ravel(a)[0]) for a in fn(*args))
+    if not (math.isfinite(t) and math.isfinite(x)):
+        raise EvaluationFailure(f"{owner!r} has no finite {what} at {at}: ({t!r}, {x!r})")
+    return SplitComplex(t, x)
+
+
 class Smoothness(enum.IntEnum):
     """Regularity ladder; comparisons use the integer order."""
 
@@ -81,7 +93,8 @@ class Observer(ABC):
     :class:`PiecewiseLinear`'s domain test still sees every distinct
     value.  The scalar entry points :meth:`__call__` and
     :meth:`derivative` wrap the results in
-    :class:`~mwsync.algebra.SplitComplex`.
+    :class:`~mwsync.algebra.SplitComplex`, or raise EvaluationFailure
+    where they are not finite.
     """
 
     smoothness: Smoothness = Smoothness.C2
@@ -107,14 +120,7 @@ class Observer(ABC):
         """Parameter derivative ``(dt/ds, dx/ds)`` (arrays allowed)."""
 
     def __call__(self, s: float) -> SplitComplex:
-        with np.errstate(over="ignore", invalid="ignore"):
-            t, x = self.position(float(s))
-        if not (math.isfinite(t) and math.isfinite(x)):
-            raise EvaluationFailure(
-                f"{self!r} has no finite position at s = {float(s)!r}: "
-                f"({float(t)!r}, {float(x)!r})"
-            )
-        return SplitComplex(float(t), float(x))
+        return _scalar(self, "position", f"s = {float(s)!r}", self.position, float(s))
 
     def derivative(self, s: float) -> SplitComplex:
         """Tangent vector at ``s`` as a split-complex number.
@@ -123,8 +129,7 @@ class Observer(ABC):
         right-hand derivative is returned; kinds that expose such
         points say so in their own docstring.
         """
-        t, x = self.velocity(float(s))
-        return SplitComplex(float(t), float(x))
+        return _scalar(self, "derivative", f"s = {float(s)!r}", self.velocity, float(s))
 
     def null_plus(self, s):
         t, x = self.position(s)

@@ -166,6 +166,22 @@ class TestCheck:
         assert code == 1
         assert "verdict: fail" in out
 
+    def test_floor_underflow_exits_3_as_the_readme_promises(self, scenario_path, capsys):
+        # README, "Stencil contract": an h**k outside the float range
+        # raises EvaluationFailure (exit 3); here h**2 underflows to zero
+        code, out, err = run(capsys, "check", "--scenario", scenario_path, "--map",
+                             "drift_chart", "--kind", "wave", "--grid=0,1e-300,0,1e-300,5,5")
+        assert (code, out) == (3, "")
+        assert err == "error: rounding floor needs h**2, out of float range for h = 2.5e-302\n"
+
+    def test_a_factor_that_is_not_positive_exits_3(self, scenario_path, capsys):
+        # far along the wedge the rocket's factor underflows to zero; the
+        # message prints the float, not numpy's repr of it
+        code, out, err = run(capsys, "check", "--scenario", scenario_path, "--map",
+                             "rocket_chart", "--kind", "loggwave", "--grid=700,720,-1,1,9,9")
+        assert (code, out) == (3, "")
+        assert err == "error: conformal factor 0.0 is not positive\n"
+
     @pytest.mark.parametrize("grid", ["0,1e300,0,1e300,3,3", "0,1e-170,0,1e-170,3,3"])
     @pytest.mark.parametrize("kind", ["wave", "loggwave"])
     def test_floor_out_of_float_range_exits_3(self, scenario_path, capsys, kind, grid):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,17 @@ def _map_scale(m) -> float:
     return float(max(np.max(np.abs(out_t)), np.max(np.abs(out_x))))
 
 
+def test_scalar_call_must_be_finite():
+    # the scalar reading of a plane map names the map and the point, and
+    # numpy warns of nothing on the way
+    m = MapSum([MarzkeWheelerMap(Rindler(1.0))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationFailure) as info:
+            m(E(800.0, 0.0))
+    assert str(info.value) == f"{m!r} has no finite value at z = (800.0, 0.0): (nan, nan)"
+
+
 class TestWaveCauchy:
     def test_plus_sign_reproduces_the_radar_chart_bitwise(self):
         obs = PerturbedInertial(0.3, 1.0)
@@ -296,10 +308,7 @@ class TestChronology:
 
     @pytest.mark.parametrize("check", [chronology_check, causal_equivalence_check])
     def test_a_box_too_wide_to_sample_fails_before_any_draw(self, monkeypatch, check):
-        def no_draws(rng, grid, n):
-            raise AssertionError("drew events")
-
-        monkeypatch.setattr(fieldcheck, "_draw_events", no_draws)
+        monkeypatch.setattr(fieldcheck, "_draw_events", _no_draws)
         wide = GridSpec(1e300, 1.5e300, 0.0, 1.0, 3, 3)
         with pytest.raises(EvaluationFailure, match=r"box \[1e\+300, 1.5e\+300\]"):
             check(IdentityMap(), wide, 50, 0)
@@ -313,6 +322,10 @@ class TestChronology:
         )
         pair = tuple(float(a[0]) for a in (t1, x1, t2, x2))
         assert "({!r}, {!r}), ({!r}, {!r})".format(*pair) in str(info.value)
+
+
+def _no_draws(rng, grid, n):
+    raise AssertionError("drew events")
 
 
 def _ordered_then_selected_pairs(rng, grid, n_pairs):
@@ -395,11 +408,18 @@ class TestChronologicalPairs:
             assert str(exc.value) == "could not sample decisively chronological pairs in the box"
             assert draws == [100] * 400
 
-    def test_no_pairs_asked_for(self):
-        pairs = fieldcheck._chronological_pairs(
-            np.random.default_rng(0), BOX, 0, DEFAULT_NULL_BAND)
-        assert [a.shape for a in pairs] == [(0,)] * 4
-        assert chronology_check(IdentityMap(), BOX, 0, 0).n_pairs == 0
+    def test_no_pairs_asked_for(self, monkeypatch):
+        # A check over no pairs would pass vacuously.  It is refused as the
+        # automorphism suite refuses it, before the box is measured (this
+        # one is too wide to sample) or an event is drawn.
+        monkeypatch.setattr(fieldcheck, "_draw_events", _no_draws)
+        wide = GridSpec(1e300, 1.5e300, 0.0, 1.0, 3, 3)
+        for check in (chronology_check, causal_equivalence_check):
+            for n_pairs in (0, -5):
+                with pytest.raises(ValueError) as info:
+                    check(IdentityMap(), wide, n_pairs, 0)
+                assert type(info.value) is ValueError
+                assert str(info.value) == f"n_pairs must be at least 1, got {n_pairs}"
 
 
 class TestNullBandInSamplers:
@@ -523,6 +543,26 @@ class TestLowCounterexample:
         rep = low_counterexample(g1, g2, BOX, 0, 100)
         F = MapSum([MarzkeWheelerMap(g1), ConjugateInput(MarzkeWheelerMap(g2))])
         assert rep.wave.floor == 512.0 * EPS * (1.0 + _map_scale(F)) / BOX.h ** 2
+
+    def test_no_pairs_is_refused(self, monkeypatch):
+        def no_stencil(*args):
+            raise AssertionError("swept the grid")
+
+        monkeypatch.setattr(fieldcheck, "_sweep", no_stencil)
+        monkeypatch.setattr(fieldcheck, "_draw_events", _no_draws)
+        with pytest.raises(ValueError, match="^n_pairs must be at least 1, got 0$"):
+            low_counterexample(Inertial(0.0), Inertial(0.5), BOX, 0, n_pairs=0)
+
+    def test_wave_floor_out_of_float_range_raises_first(self, monkeypatch):
+        # h**2 overflows on this box; the wave floor (k = 2) is read before
+        # the first-order ones and before any pair is sampled
+        monkeypatch.setattr(fieldcheck, "_draw_events", _no_draws)
+        grid = GridSpec(0.0, 1e300, 0.0, 1e300, 3, 3)
+        with pytest.raises(EvaluationFailure) as info:
+            low_counterexample(Inertial(0.0), Inertial(0.5), grid, 0, 100)
+        assert str(info.value) == (
+            f"rounding floor needs h**2, out of float range for h = {grid.h!r}"
+        )
 
     def test_reproducibility(self):
         a = low_counterexample(Inertial(0.0), Inertial(0.5), BOX, 0, 20000)
@@ -648,6 +688,14 @@ class _WholeArrayStencil:
         return 512.0 * EPS * (1.0 + mag) / self.grid.h ** k
 
 
+def _ref_report(field, order, grid, floor):
+    i, j = np.unravel_index(int(np.argmax(field)), field.shape)
+    return fieldcheck.ResidualReport(
+        float(field.max()), float(field.mean()),
+        (float(grid.t_nodes[i]), float(grid.x_nodes[j])), order, grid.h, floor,
+    )
+
+
 def _whole_array_sweep(part, combine, h):
     t_part = part(h / 2.0, True)
     fine = [float(f.max()) for f in combine(t_part, part(h / 4.0, False))]
@@ -664,13 +712,13 @@ def _reference_holo(F, grid, anti=False):
     (field,), (order,) = _whole_array_sweep(
         stencil.first, _ref_holo_fields((-1.0 if anti else 1.0,)), grid.h
     )
-    return fieldcheck._report(field, order, grid, floor)
+    return _ref_report(field, order, grid, floor)
 
 
 def _reference_wave(F, grid):
     stencil = _WholeArrayStencil(F.components, grid)
     (field,), (order,) = _whole_array_sweep(stencil.second, _ref_wave_fields, grid.h)
-    return fieldcheck._report(field, order, grid, stencil.floor(2))
+    return _ref_report(field, order, grid, stencil.floor(2))
 
 
 def _reference_conformal(F, grid):
@@ -680,7 +728,7 @@ def _reference_conformal(F, grid):
         stencil.first, _ref_conformal_fields, grid.h
     )
     return fieldcheck.ConformalityReport(
-        **vars(fieldcheck._report(field, order, grid, floor)),
+        **vars(_ref_report(field, order, grid, floor)),
         factor_min=float(lam.min()),
         factor_max=float(lam.max()),
         n_nonpositive=int(np.count_nonzero(lam <= 0.0)),
@@ -696,7 +744,7 @@ def _reference_loggwave(m, grid):
 
     stencil = _WholeArrayStencil(log_factor, grid)
     (field,), (order,) = _whole_array_sweep(stencil.second, combine, grid.h)
-    return fieldcheck._report(field, order, grid, stencil.floor(2))
+    return _ref_report(field, order, grid, stencil.floor(2))
 
 
 def _reference_low(F, grid):
@@ -708,7 +756,7 @@ def _reference_low(F, grid):
     stencil = _WholeArrayStencil(F.components, grid)
     fields, orders = _whole_array_sweep(stencil.both, combine, grid.h)
     return tuple(
-        fieldcheck._report(f, o, grid, stencil.floor(k))
+        _ref_report(f, o, grid, stencil.floor(k))
         for f, o, k in zip(fields, orders, (2, 1, 1))
     )
 
@@ -734,9 +782,10 @@ BLOCK_GRIDS = {
     "row per block": GridSpec(-2.0, 2.0, -2.0, 2.0, 4, fieldcheck._BLOCK_NODES + 1),
 }
 
-# The grids of BLOCK_N_T, named by n_t, and the one-row-per-block grid.
+# The grids of BLOCK_N_T, named by n_t, and the grids of four blocks and
+# of one row per block.
 WHOLE_ARRAY_GRIDS = [pytest.param(_wide_grid(n_t), id=str(n_t)) for n_t in BLOCK_N_T] + [
-    pytest.param(BLOCK_GRIDS["row per block"], id="row per block")
+    pytest.param(BLOCK_GRIDS[name], id=name) for name in ("4 blocks", "row per block")
 ]
 
 
@@ -745,95 +794,22 @@ def _same(a, b) -> bool:
     return repr(a) == repr(b)
 
 
-class _SequentialStencil:
-    """The blocked stencil as a plain loop over the row blocks, written
-    with the reference arithmetic: every point set evaluated and then
-    reduced, one after the other.  Swapped in for ``fieldcheck._Stencil``
-    by :func:`_sequentially`, it is the reference for report bytes, for
-    the order of map calls and for the exception raised."""
-
-    def __init__(self, f, grid):
-        self.f = f
-        self.grid = grid
-        h = grid.h
-        axes = {True: grid.t_nodes[:, None], False: grid.x_nodes[None, :]}
-        self._axes = {
-            (step, along_t): (axes[along_t], *_ref_stencil_points(axes[along_t], step))
-            for step, along_t in (
-                (h / 2.0, True), (h / 4.0, False), (h, True), (h / 2.0, False), (h, False)
-            )
-        }
-        self._magnitude = None
-
-    def _enter(self, rows, T, X):
-        self._rows, self.T, self.X = rows, T, X
-        self._f0 = self.f(T, X)
-        self._magnitude = fieldcheck._fold_max(self._magnitude, [np.abs(c) for c in self._f0])
-
-    def _point_set(self, h, along_t):
-        nodes, up, dn = self._axes[h, along_t]
-        if along_t:
-            nodes, up, dn = nodes[self._rows], up[self._rows], dn[self._rows]
-
-        def at(coord):
-            coord = np.broadcast_to(coord, self.T.shape).copy()
-            return self.f(coord, self.X) if along_t else self.f(self.T, coord)
-
-        return at(up), at(dn), nodes, up, dn
-
-    def first(self, h, along_t):
-        return _ref_first(*self._point_set(h, along_t))
-
-    def second(self, h, along_t):
-        return _ref_second(self._f0, *self._point_set(h, along_t))
-
-    def both(self, h, along_t):
-        points = self._point_set(h, along_t)
-        return _ref_first(*points), _ref_second(self._f0, *points)
-
-    def sweep(self, part, combine):
-        grid = self.grid
-        h = grid.h
-        fields = fine = coarse = None
-        for rows, T, X in grid.row_blocks():
-            self._enter(rows, T, X)
-            t_part = part(h / 2.0, True)
-            fine = fieldcheck._fold_max(fine, combine(t_part, part(h / 4.0, False)))
-            del t_part
-            t_part = part(h, True)
-            coarse = fieldcheck._fold_max(coarse, combine(t_part, part(h / 2.0, False)))
-            matched = combine(t_part, part(h, False))
-            del t_part
-            if fields is None:
-                fields = [np.empty((grid.n_t, grid.n_x), f.dtype) for f in matched]
-            for out, f in zip(fields, matched):
-                out[rows] = f
-        orders = [fieldcheck._order(float(a), float(b)) for a, b in zip(coarse, fine)]
-        return fields, orders
-
-    def floor(self, k):
-        mag = float(max(self._magnitude))
-        h = self.grid.h
-        try:
-            scale = h ** k
-        except OverflowError:
-            scale = math.inf
-        if not 0.0 < scale < math.inf:
-            raise EvaluationFailure(
-                f"rounding floor needs h**{k}, out of float range for h = {h!r}"
-            )
-        return 512.0 * EPS * (1.0 + mag) / scale
+def _sweep_points(grid):
+    """The ``(t, x)`` of each map call of a stencil sweep: per row block
+    the centre, then t at h/2, x at h/4, t at h, x at h/2 and x at h,
+    each a step up and then a step down."""
+    h = grid.h
+    levels = ((h / 2.0, True), (h / 4.0, False), (h, True), (h / 2.0, False), (h, False))
+    for _, T, X in grid.row_blocks():
+        yield T, X
+        for step, along_t in levels:
+            for d in (step, -step):
+                yield (T + d, X) if along_t else (T, X + d)
 
 
-def _sequentially(run):
-    """``run()`` with the sequential stencil in place of ``_Stencil`` and
-    the reference residual fields in place of the module's."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fieldcheck, "_Stencil", _SequentialStencil)
-        mp.setattr(fieldcheck, "_holo_fields", _ref_holo_fields)
-        mp.setattr(fieldcheck, "_wave_fields", _ref_wave_fields)
-        mp.setattr(fieldcheck, "_conformal_fields", _ref_conformal_fields)
-        return run()
+def _logged(method, t, x):
+    """A call as :class:`RecordingMap` logs it."""
+    return method, t.shape, x.shape, hash(t.tobytes()), hash(x.tobytes())
 
 
 def _outcome(run):
@@ -906,16 +882,6 @@ class TestBlockedSweep:
         F = MapSum([MarzkeWheelerMap(g1), ConjugateInput(MarzkeWheelerMap(g2))])
         assert _same((rep.wave, rep.holo, rep.antiholo), _reference_low(F, grid))
 
-    @pytest.mark.parametrize("name", sorted(BLOCK_GRIDS))
-    def test_reports_equal_the_sequential_sweep(self, name):
-        grid = BLOCK_GRIDS[name]
-        wobble = MarzkeWheelerMap(PerturbedInertial(0.3, 1.0))
-        square = FunctionMap(lambda t, x: (t * t, x * t), "t squared, x t")
-        for F in (wobble, square):
-            for run in _stencil_runs(F, wobble).values():
-                assert _same(run(grid), _sequentially(lambda: run(grid)))
-        assert _same(_low(grid), _sequentially(lambda: _low(grid)))
-
     @pytest.mark.parametrize("n_t", (ROWS, 2 * ROWS + 1))
     def test_every_stencil_point_is_evaluated_once(self, n_t):
         # centre plus five point sets of two sides each: 11 grid passes
@@ -946,25 +912,25 @@ class TestBlockedSweep:
     def test_map_calls_follow_the_sequential_order(self, monkeypatch):
         grid = BLOCK_GRIDS["3 blocks"]
         chart = MarzkeWheelerMap(PerturbedInertial(0.3, 1.0))
-        new_log, ref_log = [], []
-        runs = _stencil_runs(*[RecordingMap(chart, new_log)] * 2)
-        refs = _stencil_runs(*[RecordingMap(chart, ref_log)] * 2)
-        for kind in runs:
-            new_log.clear()
-            ref_log.clear()
-            new = runs[kind](grid)
-            assert _same(new, _sequentially(lambda: refs[kind](grid)))
-            assert new_log == ref_log and len(new_log) == 3 * 11
+        log = []
+        for kind, run in _stencil_runs(*[RecordingMap(chart, log)] * 2).items():
+            log.clear()
+            run(grid)
+            method = "conformal_components" if kind == "loggwave" else "components"
+            assert log == [_logged(method, t, x) for t, x in _sweep_points(grid)], kind
+            assert len(log) == 3 * 11
 
         real = fieldcheck.MarzkeWheelerMap
-        new_log.clear()
-        ref_log.clear()
-        monkeypatch.setattr(fieldcheck, "MarzkeWheelerMap", lambda g: RecordingMap(real(g), new_log))
-        new = _low(grid)
-        monkeypatch.setattr(fieldcheck, "MarzkeWheelerMap", lambda g: RecordingMap(real(g), ref_log))
-        assert _same(new, _sequentially(lambda: _low(grid)))
-        # two charts per stencil point, then the axis and the samplers
-        assert new_log == ref_log and len(new_log) > 2 * 3 * 11
+        log.clear()
+        monkeypatch.setattr(fieldcheck, "MarzkeWheelerMap", lambda g: RecordingMap(real(g), log))
+        _low(grid)
+        # the two charts at every stencil point (the second at -x), then
+        # the axis and the samplers
+        assert log[:2 * 3 * 11] == [
+            _logged("components", t, sx)
+            for t, x in _sweep_points(grid) for sx in (x, -x)
+        ]
+        assert len(log) > 2 * 3 * 11
 
     def test_a_sweep_starts_no_thread(self):
         # The sweep runs on the calling thread alone, so a process that
@@ -1032,11 +998,8 @@ class TestBlockedSweep:
             return t * t, x * t
 
         F = FunctionMap(fn, "fails in block three")
-        expected = _sequentially(lambda: _outcome(lambda: holomorphy_residual(F, grid)))
-        assert expected[0] is EvaluationFailure
-
         events = []
-        first = fieldcheck._Stencil.first
+        first = fieldcheck._first
 
         def recorded_first(centre, *points):
             events.append("start")
@@ -1045,8 +1008,12 @@ class TestBlockedSweep:
             finally:
                 events.append("end")
 
-        monkeypatch.setattr(fieldcheck._Stencil, "first", staticmethod(recorded_first))
-        assert _outcome(lambda: holomorphy_residual(F, grid)) == expected
+        monkeypatch.setattr(fieldcheck, "_first", recorded_first)
+        with pytest.raises(EvaluationFailure) as info:
+            holomorphy_residual(F, grid)
+        # the centre of block three, whose last row is t_nodes[20]
+        assert str(info.value) == "no value at t = 1.6363636363636367"
+        assert float(grid.t_nodes[3 * ROWS - 1]) == 1.6363636363636367
         # the five point sets of blocks one and two were reduced, and
         # nothing after the exception
         assert events == ["start", "end"] * 10
@@ -1054,18 +1021,23 @@ class TestBlockedSweep:
     def test_floating_point_errors_raise_as_in_the_sequential_sweep(self):
         grid = BLOCK_GRIDS["3 blocks"]
         jump = grid.t_nodes[ROWS + 2]  # in block two
+        calls = []
 
         def fn(t, x):
             # a step up and a step down from the jump differ by 2e308
+            calls.append(1)
             return np.where(t > jump, 1e308, -1e308), x
 
         runs = _stencil_runs(FunctionMap(fn, "jumps by 2e308"), None)
         del runs["loggwave"]
         with np.errstate(all="raise"):
             for run in runs.values():
-                expected = _sequentially(lambda: _outcome(lambda: run(grid)))
-                assert expected[0] is FloatingPointError
-                assert _outcome(lambda: run(grid)) == expected
+                calls.clear()
+                assert _outcome(lambda: run(grid)) == (
+                    FloatingPointError, "overflow encountered in subtract"
+                )
+                # block one, then block two's centre and its fine t set
+                assert len(calls) == 11 + 3
 
     def test_underflowing_step_raises_before_any_evaluation(self):
         # the ulp at 1e16 is 2, so x + h/4 = x + 0.8 rounds back to x

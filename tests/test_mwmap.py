@@ -1,6 +1,7 @@
 """Radar synchronization charts: evaluation, inversion, derivatives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -274,8 +275,49 @@ def test_degenerate_factor_where_the_worldline_goes_null():
             return np.ones_like(s), np.cos(s)
 
     m = MarzkeWheelerMap(Grazing())
-    with pytest.raises(DegenerateFactor):
+    with pytest.raises(DegenerateFactor, match=r"^conformal factor 0\.0 is not positive$"):
         m.conformal_factor(E(0.0, 0.0))
+
+
+def test_nan_factor_is_degenerate():
+    # cosh and sinh overflow at s = 800, and inf - inf gives a NaN factor
+    m = MarzkeWheelerMap(Rindler(1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateFactor, match=r"^conformal factor nan is not positive$"):
+            m.conformal_components([800.0, 0.0], [0.0, 0.0])
+
+
+RINDLER_CHART = "MarzkeWheelerMap(Rindler(a=1.0))"
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda m: m(E(800.0, 0.0)), "value"),
+    (lambda m: m.derivative(E(800.0, 0.0)), "derivative"),
+], ids=["call", "derivative"])
+def test_scalar_chart_must_be_finite(call, text):
+    # the scalar API names the map and the point instead of failing
+    # inside SplitComplex, and numpy warns of nothing on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationFailure) as info:
+            call(MarzkeWheelerMap(Rindler(1.0)))
+    assert str(info.value) == (
+        f"{RINDLER_CHART} has no finite {text} at z = (800.0, 0.0): (nan, nan)"
+    )
+
+
+def test_scalar_radar_inverse_must_be_finite():
+    # t + x and t - x are finite, but their mean overflows
+    m = MarzkeWheelerMap(Inertial(0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationFailure) as info:
+            m.radar_inverse(E(1.5e308, 0.0))
+        with pytest.raises(NoRadarCoordinate, match="t-x = inf"):
+            m.radar_inverse(E(1e308, -1e308))
+    assert str(info.value) == (
+        f"{m!r} has no finite radar inverse at e = (1.5e+308, 0.0): (inf, 0.0)"
+    )
 
 
 # -- per-kind inverse: bitwise agreement, empty batches, the safeguard -----
@@ -650,8 +692,18 @@ def test_diagonal_profiles_match_the_two_call_formulas_bitwise(
                 ref.analytic_derivative, t, x
             ), name
             assert _outcome(lambda t, x: (m.conformal_components(t, x),), t, x) == _outcome(
-                lambda t, x: (ref.analytic_factor(t, x),), t, x
+                lambda t, x: (_gated(ref.analytic_factor(t, x)),), t, x
             ), name
+
+
+def _gated(lam):
+    """``lam`` as ``conformal_components`` returns it: a factor that is
+    not positive, NaN included, raises DegenerateFactor naming the first."""
+    bad = ~(lam > 0.0)
+    if np.any(bad):
+        first = float(lam.flat[np.argmax(bad)])
+        raise DegenerateFactor(f"conformal factor {first!r} is not positive")
+    return lam
 
 
 def _tabulation(u):

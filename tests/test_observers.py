@@ -1,6 +1,7 @@
 """Worldline families, combinators, and the timelike/LIP checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ def test_scalar_position_must_be_finite():
     with pytest.raises(EvaluationFailure, match=r"no finite position at s = 1000\.0"):
         Rindler(1.0)(1000.0)
     assert Rindler(1.0)(700.0).t > 1e300
+
+
+def test_scalar_derivative_must_be_finite():
+    # cosh and sinh overflow at s = 800; the scalar API names the
+    # parameter, as the position does, and numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationFailure) as info:
+            Rindler(1.0).derivative(800.0)
+    assert str(info.value) == "Rindler(a=1.0) has no finite derivative at s = 800.0: (inf, inf)"
 
 
 def test_rindler_rejects_zero_acceleration():
