@@ -5,33 +5,18 @@ Classifies event pairs by the sign of the interval
 relative tolerance band around the light cone so that events produced
 by rounded arithmetic still classify as null when they should.
 :func:`cone` is that arithmetic on arrays of separations, and
-:func:`classify` is its scalar reading.  Also provides the two families
-of light rays and their intersection, which together are the geometric
-backbone of radar synchronization: every event is the unique
-intersection of one left-moving and one right-moving ray.
+:func:`classify` is its scalar reading.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import SplitComplex
-from .errors import SameOrientation
 
-__all__ = [
-    "CausalRelation",
-    "Orientation",
-    "DEFAULT_NULL_BAND",
-    "cone",
-    "classify",
-    "LightRay",
-    "RayPair",
-    "rays_through",
-    "ray_intersect",
-]
+__all__ = ["CausalRelation", "DEFAULT_NULL_BAND", "cone", "classify"]
 
 
 class CausalRelation(enum.Enum):
@@ -43,13 +28,6 @@ class CausalRelation(enum.Enum):
     CHRON_FUTURE = "chron_future"
     CHRON_PAST = "chron_past"
     SPACELIKE = "spacelike"
-
-
-class Orientation(enum.Enum):
-    """Propagation direction of a light ray."""
-
-    LEFT = "left"
-    RIGHT = "right"
 
 
 DEFAULT_NULL_BAND = 1e-9
@@ -94,50 +72,4 @@ def classify(
     if q > 0.0:
         return CausalRelation.CHRON_FUTURE if d.t > 0.0 else CausalRelation.CHRON_PAST
     return CausalRelation.SPACELIKE
-
-
-@dataclass(frozen=True)
-class LightRay:
-    """A full light ray, stored by orientation and conserved level.
-
-    A right-moving ray is a level set of ``t - x``; a left-moving ray
-    is a level set of ``t + x``.  Storing the level instead of a point
-    makes ray identity and intersection exact.
-    """
-
-    orientation: Orientation
-    level: float
-
-
-@dataclass(frozen=True)
-class RayPair:
-    left: LightRay
-    right: LightRay
-
-
-def rays_through(p: SplitComplex) -> RayPair:
-    """The two light rays through ``p`` (one per orientation)."""
-    return RayPair(
-        left=LightRay(Orientation.LEFT, p.t + p.x),
-        right=LightRay(Orientation.RIGHT, p.t - p.x),
-    )
-
-
-def ray_intersect(a: LightRay, b: LightRay) -> SplitComplex:
-    """Unique intersection event of two rays of opposite orientation.
-
-    Solving ``t + x = l`` and ``t - x = r`` gives ``t = (l + r)/2`` and
-    ``x = (l - r)/2``.
-
-    Raises
-    ------
-    SameOrientation
-        If both rays move the same way (parallel, no unique point).
-    """
-    if a.orientation is b.orientation:
-        raise SameOrientation(f"parallel rays do not meet: {a!r}, {b!r}")
-    left, right = (a, b) if a.orientation is Orientation.LEFT else (b, a)
-    return SplitComplex(
-        (left.level + right.level) / 2.0, (left.level - right.level) / 2.0
-    )
 

@@ -12,7 +12,6 @@ __all__ = [
     "MwsyncError",
     "SpeedLimitExceeded",
     "IndeterminateComposition",
-    "SameOrientation",
     "NotTimelike",
     "DomainExceeded",
     "NoRadarCoordinate",
@@ -36,10 +35,6 @@ class SpeedLimitExceeded(MwsyncError):
 
 class IndeterminateComposition(MwsyncError):
     """Velocity composition hit the singular denominator 1 + v*w/c**2 = 0."""
-
-
-class SameOrientation(MwsyncError):
-    """Two light rays of equal orientation never intersect in one point."""
 
 
 class NotTimelike(MwsyncError):

@@ -999,7 +999,7 @@ def low_counterexample(
         translation and the construction proves nothing.
     """
     _require_pairs(n_pairs)
-    if _constant_spread(g2, grid) <= 1e-12 * (1.0 + grid.diameter):
+    if _constant_spread(g2, grid) <= 1e-12 * grid.diameter:
         raise DegenerateSplit(
             f"{g2!r} is numerically constant over the working window"
         )

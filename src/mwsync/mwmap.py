@@ -38,7 +38,6 @@ import math
 import numpy as np
 
 from .algebra import SplitComplex
-from .causal import ray_intersect, rays_through
 from .errors import (
     DegenerateFactor,
     EvaluationFailure,
@@ -223,16 +222,17 @@ class MarzkeWheelerMap:
     def eval_geometric(self, z: SplitComplex) -> SplitComplex:
         """Evaluate the chart by intersecting the two radar rays.
 
-        Independent of the algebraic formula: builds the ray through
-        the reception event that travels toward decreasing x and the
-        ray through the emission event that travels toward increasing
-        x, then intersects them.
+        Independent of the algebraic formula: the ray through the
+        reception event that travels toward decreasing x is the level
+        set ``t + x = left``, the ray through the emission event that
+        travels toward increasing x is ``t - x = right``, and they meet
+        at ``((left + right)/2, (left - right)/2)``.
         """
         reception = self.observer(z.t + z.x)
         emission = self.observer(z.t - z.x)
-        return ray_intersect(
-            rays_through(reception).left, rays_through(emission).right
-        )
+        left = reception.t + reception.x
+        right = emission.t - emission.x
+        return SplitComplex((left + right) / 2.0, (left - right) / 2.0)
 
     # -- inverse chart -------------------------------------------------
 
@@ -290,7 +290,7 @@ class MarzkeWheelerMap:
         table = [fn(np.array([-reach, reach]))]
         while not (table[-1][0] <= lowest and table[-1][1] >= highest):
             reach *= 2.0
-            if reach > _BRACKET_LIMIT or len(table) == 64:
+            if reach > _BRACKET_LIMIT:
                 raise EvaluationFailure(
                     f"bracket search exceeded bracket_limit = {_BRACKET_LIMIT:g}"
                 )
@@ -482,7 +482,10 @@ class MarzkeWheelerMap:
         self._require_smooth("the conformal factor")
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        (lam,) = _null_profiles(self.observer.velocity, t, x, _factor)
+        # A velocity that overflows leaves inf or NaN in the factor; the
+        # check below refuses a NaN, so numpy's warnings would add nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            (lam,) = _null_profiles(self.observer.velocity, t, x, _factor)
         lam = np.asarray(lam)
         bad = ~(lam > 0.0)  # NaN included
         if np.any(bad):

@@ -1,4 +1,4 @@
-"""Causal classification and lightray geometry."""
+"""Causal classification."""
 
 import math
 
@@ -9,14 +9,9 @@ from hypothesis import given, settings, strategies as st
 from mwsync import (
     DEFAULT_NULL_BAND,
     CausalRelation,
-    LightRay,
-    Orientation,
-    SameOrientation,
     SplitComplex,
     classify,
     cone,
-    ray_intersect,
-    rays_through,
 )
 
 E = SplitComplex
@@ -114,34 +109,4 @@ def test_classify_reads_the_vectorized_cone_test(data, tol):
         assert (rel is CausalRelation.SPACELIKE) == (q[i] < -band[i])
         # the samplers' verdict: chronological future iff margin > band
         assert (rel is CausalRelation.CHRON_FUTURE) == (margin[i] > band[i])
-
-
-def test_rays_through_levels():
-    p = E(0.5, -0.25)
-    pair = rays_through(p)
-    assert pair.left.orientation is Orientation.LEFT
-    assert pair.left.level == 0.25
-    assert pair.right.orientation is Orientation.RIGHT
-    assert pair.right.level == 0.75
-    # moving along a ray keeps its level; the origin is on neither ray
-    assert rays_through(p + E(0.5, -0.5)).left == pair.left
-    assert rays_through(p + E(0.5, 0.5)).right == pair.right
-    origin = rays_through(E(0.0, 0.0))
-    assert origin.left.level != 0.25 and origin.right.level != 0.75
-
-
-def test_ray_intersect():
-    p = E(1.5, -2.25)
-    pair = rays_through(p)
-    q = ray_intersect(pair.left, pair.right)
-    assert q == p
-    q2 = ray_intersect(pair.right, pair.left)  # order must not matter
-    assert q2 == p
-
-
-def test_ray_intersect_rejects_parallel_rays():
-    a = LightRay(Orientation.LEFT, 0.0)
-    b = LightRay(Orientation.LEFT, 1.0)
-    with pytest.raises(SameOrientation):
-        ray_intersect(a, b)
 

@@ -44,6 +44,20 @@ def scenario_path(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def zigzag_path(tmp_path_factory):
+    # the scenario plus a piecewise-linear chart, whose null ranges are
+    # known only over its sampled window
+    path = tmp_path_factory.mktemp("cli") / "zigzag.json"
+    scenario = json.loads(json.dumps(SCENARIO))
+    scenario["observers"]["zigzag"] = {
+        "kind": "piecewise_linear", "vertices": [[0, 0], [1, 0.5], [2, 0]],
+    }
+    scenario["maps"]["zigzag_chart"] = {"kind": "mw", "observer": "zigzag"}
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -101,19 +115,12 @@ class TestEval:
         assert code == 3
         assert "radar" in err
 
-    def test_failing_node_is_named_with_few_calls(self, tmp_path, capsys,
+    def test_failing_node_is_named_with_few_calls(self, zigzag_path, capsys,
                                                   monkeypatch):
         # the zigzag chart leaves its worldline's window in the last rows;
         # the rescan takes one array call per row, then goes node by node
         # in the first failing row only, and names the node the
         # node-by-node scan names
-        path = tmp_path / "zigzag.json"
-        scenario = json.loads(json.dumps(SCENARIO))
-        scenario["observers"]["zigzag"] = {
-            "kind": "piecewise_linear", "vertices": [[0, 0], [1, 0.5], [2, 0]],
-        }
-        scenario["maps"]["zigzag_chart"] = {"kind": "mw", "observer": "zigzag"}
-        path.write_text(json.dumps(scenario))
         grid = GridSpec(0.5, 1.62, 0.0, 0.4, 65, 65)
         chart = MarzkeWheelerMap(PiecewiseLinear([(0, 0), (1, 0.5), (2, 0)]))
         expected = None
@@ -136,7 +143,7 @@ class TestEval:
             return components(self, t, x)
 
         monkeypatch.setattr(MarzkeWheelerMap, "components", counted)
-        code, out, err = run(capsys, "eval", "--scenario", str(path),
+        code, out, err = run(capsys, "eval", "--scenario", zigzag_path,
                              "--map", "zigzag_chart", "--grid=0.5,1.62,0,0.4,65,65")
         assert (code, out, err) == (3, "", expected)
         assert len(calls) <= 1 + grid.n_t + grid.n_x
@@ -223,6 +230,15 @@ class TestCausal:
         assert code == 0
         assert "status: not_applicable" in out
         assert "lip: fails" in out
+
+    def test_window_only_chart_reports_its_null_window(self, zigzag_path, capsys):
+        code, out, err = run(capsys, "causal", "--scenario", zigzag_path,
+                             "--map", "zigzag_chart")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert "status: not_applicable" in lines
+        assert "lip: window_only" in lines
+        assert "lip_null_window: plus [0, 2] minus [0, 2]" in lines
 
     def test_low_map_fails_with_a_witness(self, scenario_path, capsys):
         code, out, _ = run(capsys, "causal", "--scenario", scenario_path,

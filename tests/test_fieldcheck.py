@@ -29,6 +29,7 @@ from mwsync import (
     MarzkeWheelerMap,
     Observer,
     PerturbedInertial,
+    PiecewiseLinear,
     Rindler,
     SplitComplex,
     WaveCauchyMap,
@@ -582,6 +583,23 @@ class TestLowCounterexample:
 
         with pytest.raises(DegenerateSplit):
             low_counterexample(Inertial(0.0), Frozen(), BOX, 0, 100)
+
+    def test_constancy_is_judged_relative_to_the_box(self):
+        # a moving curve spreads 3.5e-300 over this box of diameter 1e-300:
+        # not constant, so the call reaches the stencil, whose k = 2 floor
+        # is out of float range there
+        grid = GridSpec(0.0, 1e-300, 0.0, 1e-300, 5, 5)
+        with pytest.raises(EvaluationFailure, match=r"^rounding floor needs h\*\*2"):
+            low_counterexample(Inertial(0.0), Inertial(0.5), grid, 0, 100)
+
+    def test_a_window_meeting_the_domain_in_one_point_is_not_constant(self):
+        # the working window [-4, 0] meets the domain [0, 2] at s = 0 alone;
+        # the spread is then read over the whole domain, and the sweep
+        # reports the grid leaving it
+        zigzag = PiecewiseLinear([(0.0, 0.0), (1.0, 0.5), (2.0, 0.0)])
+        grid = GridSpec(-3.0, -1.0, 0.0, 1.0, 5, 5)
+        with pytest.raises(DomainExceeded, match=r"^parameter outside \[0\.0, 2\.0\]$"):
+            low_counterexample(Inertial(0.0), zigzag, grid, 0, 100)
 
 
 # -- reference arithmetic -------------------------------------------------

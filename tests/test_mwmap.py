@@ -280,11 +280,15 @@ def test_degenerate_factor_where_the_worldline_goes_null():
 
 
 def test_nan_factor_is_degenerate():
-    # cosh and sinh overflow at s = 800, and inf - inf gives a NaN factor
+    # cosh and sinh overflow at s = 800, and inf - inf gives a NaN factor;
+    # DegenerateFactor alone reports it, also when warnings are errors
     m = MarzkeWheelerMap(Rindler(1.0))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(DegenerateFactor, match=r"^conformal factor nan is not positive$"):
             m.conformal_components([800.0, 0.0], [0.0, 0.0])
+        with pytest.raises(DegenerateFactor, match=r"^conformal factor nan is not positive$"):
+            m.conformal_factor(E(800.0, 0.0))
 
 
 RINDLER_CHART = "MarzkeWheelerMap(Rindler(a=1.0))"
