@@ -540,7 +540,7 @@ def conformality_report(F, grid: GridSpec) -> ConformalityReport:
     (report,), (_, lam) = _sweep(F.components, grid, _first, _conformal_fields, (1,))
     return ConformalityReport(
         **vars(report), factor_min=float(lam.min()), factor_max=float(lam.max()),
-        n_nonpositive=int(np.count_nonzero(lam <= 0.0)),
+        n_nonpositive=int(np.count_nonzero(~(lam > 0.0))),  # NaN included
     )
 
 

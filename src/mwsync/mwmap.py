@@ -20,15 +20,18 @@ block of R x C nodes the chart, its derivative and its conformal factor
 evaluate the observer on one line of R + C - 1 values, and again only
 at the nodes whose null coordinate rounds off its diagonal's.
 Inverting the chart reduces to inverting ``P`` and ``M``.
-Kinds with a closed-form inverse supply it
-(:meth:`~mwsync.observers.Observer.null_inverse`); every other kind is
-solved by a safeguarded Newton iteration ("rtsafe", Numerical Recipes
-section 9.4) that takes the worldline velocity as the profile slope and
-falls back to bisection whenever a Newton step would leave the bracket
-or fails to halve the previous step.  Each element iterates on its own
-until it converges, so a result never depends on the rest of its batch,
-and the iteration runs over cache-sized chunks of a batch without
-changing a bit.
+Kinds that invert their profiles without root finding supply the
+inverse (:meth:`~mwsync.observers.Observer.null_inverse`): in closed
+form, or for profiles ``alpha*s + beta + a*sin(w*s)`` as Kepler's
+equation in a fixed number of steps, which leave NaN where they do not
+settle an element.  Those elements, and every element of the other
+kinds, are solved by a safeguarded Newton iteration ("rtsafe", Numerical
+Recipes section 9.4) that takes the worldline velocity as the profile
+slope and falls back to bisection whenever a Newton step would leave the
+bracket or fails to halve the previous step.  Each element is solved on
+its own, so a result never depends on the rest of its batch, and the
+iteration runs over cache-sized chunks of a batch without changing a
+bit.
 """
 
 from __future__ import annotations
@@ -48,9 +51,10 @@ from .observers import Observer, Smoothness, _scalar
 
 __all__ = ["MarzkeWheelerMap"]
 
-# Iteration cap of the root finder.  Newton takes 4 to 11 rounds on the
-# smooth kinds; bisection alone needs 60 rounds to shrink a bracket
-# 2**60 * root_tol wide down to root_tol.
+# Iteration cap of the root finder.  Newton takes 2 to 9 rounds on the
+# smooth kinds that still root-find (sums of sinusoids of two frequencies,
+# sums of Rindler observers); bisection alone needs 60 rounds to shrink a
+# bracket 2**60 * root_tol wide down to root_tol.
 _ITERATION_CAP = 100
 
 # Safety bound on the bracket-doubling search of an unbounded domain;
@@ -197,7 +201,7 @@ class MarzkeWheelerMap:
     root_tol : float
         Absolute parameter tolerance of the radar inverse's root finder:
         an element stops once its Newton step or its bracket is this
-        small.  Closed-form inverses do not use it.
+        small.  Inverses without root finding do not use it.
     """
 
     def __init__(self, observer: Observer, root_tol: float = 1e-12):
@@ -311,17 +315,28 @@ class MarzkeWheelerMap:
     def _solve(self, sign, targets):
         """Parameters ``s`` with ``P(s) = targets`` (sign +1) or ``M(s)``.
 
-        Closed form where the observer has one.  Otherwise the whole
-        batch is bracketed and given its regula falsi start at once,
-        and rtsafe (:meth:`_rtsafe`) then runs on one chunk of
+        The observer's :meth:`~mwsync.observers.Observer.null_inverse`
+        where it has one.  The elements it leaves NaN on a target that is
+        not NaN (those its fixed steps did not settle), and every element
+        of a kind without one, are root-found (:meth:`_root_find`).
+        """
+        s = self.observer.null_inverse(sign, targets)
+        if s is None:
+            return self._root_find(sign, targets.ravel()).reshape(targets.shape)
+        redo = np.flatnonzero(np.isnan(s) & ~np.isnan(targets))
+        if redo.size:
+            s.flat[redo] = self._root_find(sign, targets.flat[redo])
+        return s
+
+    def _root_find(self, sign, goal):
+        """:meth:`_solve` for the 1-D ``goal`` by rtsafe.
+
+        The whole batch is bracketed and given its regula falsi start at
+        once, and rtsafe (:meth:`_rtsafe`) then runs on one chunk of
         ``_BLOCK_NODES`` elements at a time.  Elements iterate on their
         own, so the result is bitwise that of one whole-batch loop.
         """
-        closed = self.observer.null_inverse(sign, targets)
-        if closed is not None:
-            return closed
         fn = self._profile(sign)
-        goal = targets.ravel()
         xl, xh, fl, fh = self._bracket(fn, goal)
         with np.errstate(divide="ignore", invalid="ignore"):
             x = xl - fl * ((xh - xl) / (fh - fl))  # regula falsi start
@@ -340,7 +355,7 @@ class MarzkeWheelerMap:
                 f"radar inverse did not converge in {_ITERATION_CAP} iterations "
                 f"for {failed} event(s), e.g. target {float(first[0]):g}"
             )
-        return out.reshape(targets.shape)
+        return out
 
     def _rtsafe(self, fn, sign, goal, xl, xh, x, out):
         """Safeguarded Newton on an active set, results written to ``out``.
@@ -477,21 +492,22 @@ class MarzkeWheelerMap:
         NotDifferentiable
             For worldlines below C1, whose derivative need not exist.
         DegenerateFactor
-            If the factor is not strictly positive (or is NaN) at some node.
+            If the factor is not strictly positive and finite (or is NaN)
+            at some node.
         """
         self._require_smooth("the conformal factor")
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         # A velocity that overflows leaves inf or NaN in the factor; the
-        # check below refuses a NaN, so numpy's warnings would add nothing.
+        # check below refuses both, so numpy's warnings would add nothing.
         with np.errstate(over="ignore", invalid="ignore"):
             (lam,) = _null_profiles(self.observer.velocity, t, x, _factor)
         lam = np.asarray(lam)
-        bad = ~(lam > 0.0)  # NaN included
+        bad = ~((lam > 0.0) & (lam < math.inf))  # NaN included
         if np.any(bad):
-            raise DegenerateFactor(
-                f"conformal factor {float(lam.flat[np.argmax(bad)])!r} is not positive"
-            )
+            first = float(lam.flat[np.argmax(bad)])
+            what = "finite" if first == math.inf else "positive"
+            raise DegenerateFactor(f"conformal factor {first!r} is not {what}")
         return lam
 
     def conformal_factor(self, z: SplitComplex) -> float:

@@ -164,6 +164,16 @@ class TestResiduals:
         assert rep.factor_max == -1.0
         assert rep.n_nonpositive == BOX.n_t * BOX.n_x
 
+    def test_conformality_counts_a_nan_factor_as_not_positive(self):
+        # The identity, undefined from t = 1 on: the factor there is NaN.
+        m = FunctionMap(lambda t, x: (np.where(t < 1.0, t, np.nan), x), "cut identity")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = conformality_report(m, BOX)
+        ts = np.linspace(BOX.t_min, BOX.t_max, BOX.n_t)
+        assert rep.n_nonpositive == np.count_nonzero(ts >= 1.0) * BOX.n_x
+        assert not rep.passed
+
     def test_log_factor_wave_residual_rindler(self):
         rep = log_factor_wave_residual(MarzkeWheelerMap(Rindler(1.0)), BOX)
         assert rep.max_abs <= 1e-9  # ln g = 2x is linear
@@ -749,7 +759,7 @@ def _reference_conformal(F, grid):
         **vars(_ref_report(field, order, grid, floor)),
         factor_min=float(lam.min()),
         factor_max=float(lam.max()),
-        n_nonpositive=int(np.count_nonzero(lam <= 0.0)),
+        n_nonpositive=int(np.count_nonzero(~(lam > 0.0))),
     )
 
 

@@ -291,6 +291,17 @@ def test_nan_factor_is_degenerate():
             m.conformal_factor(E(800.0, 0.0))
 
 
+def test_infinite_factor_is_degenerate():
+    # At (400, 400) t + x = 800: P' = e**800 overflows while M' = 1.
+    m = MarzkeWheelerMap(Rindler(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateFactor, match=r"^conformal factor inf is not finite$"):
+            m.conformal_components([0.0, 400.0], [0.0, 400.0])
+        with pytest.raises(DegenerateFactor, match=r"^conformal factor inf is not finite$"):
+            m.conformal_factor(E(400.0, 400.0))
+
+
 RINDLER_CHART = "MarzkeWheelerMap(Rindler(a=1.0))"
 
 
@@ -332,20 +343,29 @@ WOBBLE = PerturbedInertial(0.3, 1.0)
 KINKED = SumObserver(
     (PiecewiseLinear([(-4.0, 0.0), (0.0, -3.8), (4.0, 0.0)]), Inertial(-0.99))
 )
+# Sinusoids of two frequencies: no fixed-step inverse, so rtsafe runs.
+TWO_TONE = PerturbedInertial(0.1, 2.0) + PerturbedInertial(0.05, 3.0)
 CLOSED_FORM = [
     Inertial(0.5, base=E(0.2, -0.1)),
     Rindler(1.0),
     PiecewiseLinear([(-5.0, 0.0), (0.0, 0.5), (5.0, 0.0)]),
     Rindler(1.0).translated(E(0.5, 0.5)).boosted(-0.3),
 ]
-ROOT_FOUND = [
+# Profiles alpha*s + beta + a*sin(w*s), inverted in fixed steps.
+FIXED_STEP = [
     WOBBLE,
     WOBBLE + Inertial(0.2),
     WOBBLE.boosted(0.4),
     WOBBLE.translated(E(0.3, -0.2)),
+    PerturbedInertial(0.1, 2.0) + Inertial(0.5) + PerturbedInertial(-0.2, -2.0),
+    PerturbedInertial(0.495, 2.0).boosted(-0.6),
+]
+ROOT_FOUND = [
+    TWO_TONE,
+    TWO_TONE.boosted(0.4),
     KINKED,
 ]
-EVERY_KIND = CLOSED_FORM + ROOT_FOUND
+EVERY_KIND = CLOSED_FORM + FIXED_STEP + ROOT_FOUND
 
 
 def mixed_batch(m, seed=3):
@@ -374,17 +394,54 @@ def test_empty_batch_inverts_to_empty_arrays(obs):
     assert rt.shape == (0,) and rx.shape == (0,)
 
 
+def _refuse_profiles(monkeypatch):
+    def refuse(self, s):
+        raise AssertionError("the inverse evaluated a null profile")
+
+    monkeypatch.setattr(Observer, "null_plus", refuse)
+    monkeypatch.setattr(Observer, "null_minus", refuse)
+
+
 @pytest.mark.parametrize("obs", CLOSED_FORM, ids=repr)
 def test_closed_form_kinds_evaluate_no_profile(obs, monkeypatch):
     m = MarzkeWheelerMap(obs)
     _, _, et, ex = mixed_batch(m)
-
-    def refuse(self, s):
-        raise AssertionError("a closed-form inverse evaluated a null profile")
-
-    monkeypatch.setattr(Observer, "null_plus", refuse)
-    monkeypatch.setattr(Observer, "null_minus", refuse)
+    _refuse_profiles(monkeypatch)
     m.radar_inverse_components(et, ex)
+
+
+@pytest.mark.parametrize("obs", FIXED_STEP, ids=repr)
+def test_fixed_step_kinds_settle_every_element_without_rtsafe(obs, monkeypatch):
+    m = MarzkeWheelerMap(obs)
+    _, _, et, ex = mixed_batch(m)
+    for sign, e in ((1.0, et + ex), (-1.0, et - ex)):
+        assert not np.isnan(obs.null_inverse(sign, e)).any()
+    _refuse_profiles(monkeypatch)
+    m.radar_inverse_components(et, ex)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_unsettled_elements_near_the_cusp_go_to_rtsafe(sign, monkeypatch):
+    # At |a*w| = 1 - 1e-6 the slope of t + x nearly vanishes at w*s = pi
+    # (mod 2*pi), that of t - x at w*s = 0: there the fixed steps give up.
+    obs = PerturbedInertial(0.5 * (1.0 - 1e-6), 2.0)
+    cusps = math.pi * (np.arange(-4.0, 5.0) + (0.5 if sign > 0 else 0.0))
+    s = np.concatenate([cusps, cusps + 1e-3, np.linspace(-3.0, 3.0, 61)])
+    profile = obs.null_plus if sign > 0 else obs.null_minus
+    targets = profile(s)
+    fixed = obs.null_inverse(sign, targets)
+    unsettled = np.isnan(fixed)
+    assert 0 < np.count_nonzero(unsettled) < s.size // 2
+    m = MarzkeWheelerMap(obs)
+    goals = []
+    root_find = MarzkeWheelerMap._root_find
+    monkeypatch.setattr(MarzkeWheelerMap, "_root_find",
+                        lambda self, sign, goal: goals.append(goal) or root_find(self, sign, goal))
+    got = m._solve(sign, targets)
+    assert len(goals) == 1 and np.array_equal(goals[0], targets[unsettled])
+    assert np.array_equal(got[~unsettled], fixed[~unsettled])
+    assert np.array_equal(got[unsettled], root_find(m, sign, targets[unsettled]))
+    assert np.all(np.abs(profile(got) - targets) <= 4e-16 * (1.0 + np.abs(targets)))
 
 
 def test_kinked_profile_falls_back_to_bisection():
@@ -402,7 +459,7 @@ def test_kinked_profile_falls_back_to_bisection():
 
 def test_iteration_cap_raises_instead_of_returning(monkeypatch):
     monkeypatch.setattr(mwmap, "_ITERATION_CAP", 2)
-    m = MarzkeWheelerMap(WOBBLE)
+    m = MarzkeWheelerMap(TWO_TONE)
     with pytest.raises(EvaluationFailure, match="did not converge"):
         m.radar_inverse(m(E(0.4, -0.7)))
 
@@ -491,11 +548,12 @@ def _whole_batch_solve(m, sign, targets):
 
 # A worldline with a null segment: t - x stays 0 on [0, 1], so the minus
 # profile has no closed-form inverse and rtsafe runs on a finite domain.
+# The wobbles carry sinusoids of two frequencies, which also root-find.
 NULL_SEGMENT = PiecewiseLinear([(-3.0, 0.0), (0.0, 0.0), (1.0, 1.0), (3.0, 1.5)])
 CHUNKED = {
-    "wobble": (PerturbedInertial(0.1, 2.0), (1.0, -1.0)),
-    "sum": (PerturbedInertial(0.1, 2.0) + Inertial(0.5), (1.0, -1.0)),
-    "boosted": (PerturbedInertial(0.1, 2.0).boosted(0.3), (1.0, -1.0)),
+    "wobble": (TWO_TONE, (1.0, -1.0)),
+    "sum": (TWO_TONE + Inertial(0.5), (1.0, -1.0)),
+    "boosted": (TWO_TONE.boosted(0.3), (1.0, -1.0)),
     "null_segment": (NULL_SEGMENT, (-1.0,)),
 }
 B = mwmap._BLOCK_NODES
@@ -702,11 +760,13 @@ def test_diagonal_profiles_match_the_two_call_formulas_bitwise(
 
 def _gated(lam):
     """``lam`` as ``conformal_components`` returns it: a factor that is
-    not positive, NaN included, raises DegenerateFactor naming the first."""
-    bad = ~(lam > 0.0)
+    not positive and finite, NaN included, raises DegenerateFactor naming
+    the first."""
+    bad = ~((lam > 0.0) & (lam < math.inf))
     if np.any(bad):
         first = float(lam.flat[np.argmax(bad)])
-        raise DegenerateFactor(f"conformal factor {first!r} is not positive")
+        what = "finite" if first == math.inf else "positive"
+        raise DegenerateFactor(f"conformal factor {first!r} is not {what}")
     return lam
 
 

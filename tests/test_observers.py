@@ -19,6 +19,7 @@ from mwsync import (
     lip_status,
     two_velocity,
 )
+from mwsync import observers
 
 
 def test_inertial_rest_observer():
@@ -232,11 +233,77 @@ def test_null_inverse_undoes_the_null_profile(obs, sign):
 
 
 def test_root_finder_kinds_have_no_closed_form():
-    wobble = PerturbedInertial(0.3, 1.0)
+    # Sinusoids of two frequencies, and a profile that is not a sinusoid.
+    wobble = PerturbedInertial(0.3, 1.0) + PerturbedInertial(0.1, 2.0)
     for obs in (wobble, wobble + Inertial(0.2), wobble.boosted(0.4),
-                wobble.translated(SplitComplex(0.3, -0.2))):
+                wobble.translated(SplitComplex(0.3, -0.2)), Rindler(1.0) + Inertial(0.2)):
         assert obs.null_inverse(1.0, np.zeros(3)) is None
         assert obs.null_inverse(-1.0, np.zeros(3)) is None
+
+
+WOBBLE = PerturbedInertial(0.3, 1.0)
+# Kinds whose null profiles read alpha*s + beta + a*sin(w*s).
+SINUSOID_KINDS = [
+    Inertial(0.6, base=SplitComplex(0.5, -1.0)),
+    WOBBLE,
+    PerturbedInertial(-0.2, -2.5),
+    PerturbedInertial(0.0, 2.0),
+    WOBBLE + Inertial(0.2),
+    WOBBLE + PerturbedInertial(0.2, 1.0) + Inertial(-0.5, base=SplitComplex(1.0, 0.5)),
+    WOBBLE.boosted(0.4),
+    WOBBLE.translated(SplitComplex(0.3, -0.2)),
+    (WOBBLE + Inertial(0.3)).translated(SplitComplex(-1.0, 2.0)).boosted(-0.7),
+]
+
+
+@pytest.mark.parametrize("obs", SINUSOID_KINDS, ids=repr)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_the_sinusoid_description_is_the_null_profile(obs, sign):
+    p = obs._sinusoid(sign)
+    assert p.w >= 0.0 and p.alpha > abs(p.a * p.w)
+    s = np.linspace(-6.0, 6.0, 97)
+    profile = obs.null_plus if sign > 0 else obs.null_minus
+    described = p.alpha * s + p.beta + p.a * np.sin(p.w * s)
+    assert np.max(np.abs(described - profile(s))) <= 1e-14 * (1.0 + np.abs(s)).max()
+
+
+@pytest.mark.parametrize("obs", [
+    Rindler(1.0),
+    PiecewiseLinear([(-3.0, 0.0), (0.0, 0.6), (3.0, -0.3)]),
+    WOBBLE + PerturbedInertial(0.1, 2.0),
+    (WOBBLE + Rindler(1.0)).boosted(0.2),
+], ids=repr)
+def test_other_kinds_have_no_sinusoid_description(obs):
+    assert obs._sinusoid(1.0) is None and obs._sinusoid(-1.0) is None
+
+
+@pytest.mark.parametrize("obs", SINUSOID_KINDS[1:], ids=repr)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_fixed_step_null_inverse_undoes_the_null_profile(obs, sign):
+    s = np.linspace(-40.0, 40.0, 801)
+    profile = obs.null_plus if sign > 0 else obs.null_minus
+    back = obs.null_inverse(sign, profile(s))
+    assert np.max(np.abs(back - s)) <= 1e-14 * (1.0 + np.abs(s)).max()
+
+
+def test_the_fixed_step_inverse_does_not_depend_on_its_chunks(monkeypatch):
+    obs = WOBBLE + Inertial(0.2)
+    values = np.random.default_rng(4).uniform(-50.0, 50.0, (3, 1001))
+    whole = obs.null_inverse(1.0, values)
+    assert whole.shape == values.shape and not np.isnan(whole).any()
+    singles = [obs.null_inverse(1.0, np.array([v]))[0] for v in values.flat]
+    assert np.array_equal(whole.ravel(), singles)
+    monkeypatch.setattr(observers, "_KEPLER_CHUNK", 7)
+    assert np.array_equal(obs.null_inverse(1.0, values), whole)
+    assert np.array_equal(obs.null_inverse(1.0, values.T).T, whole)
+
+
+def test_the_kepler_table_is_built_once_per_eccentricity():
+    observers._kepler_table.cache_clear()
+    for obs in (PerturbedInertial(0.1, 2.0), PerturbedInertial(0.1, 2.0).translated(SplitComplex(1.0, 0.0))):
+        for sign in (1.0, -1.0):
+            obs.null_inverse(sign, np.linspace(-1.0, 1.0, 5))
+    assert observers._kepler_table.cache_info().misses == 2
 
 
 def test_piecewise_linear_null_inverse_needs_increasing_vertices():
