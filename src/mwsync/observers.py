@@ -86,15 +86,18 @@ _TAU = 2.0 * math.pi
 # Table nodes per period of M(v) = v + e*sin(v), and the cells that index
 # them, two per node.  At this spacing the secant start and two Newton
 # steps on the offset's Taylor polynomials settled each of 2*10**5 uniform
-# targets in [-10, 10] per sign for |e| up to 0.9999; the elements left
-# unsettled lie near the cusps of profiles with |e| closer to 1.
-_KEPLER_NODES = 2 ** 11
+# targets in [-10, 10] per sign for |e| up to 0.999, and all but 2 to 5 of
+# them at 0.9999 and 1 - 1e-6: the unsettled ones lie near the cusps.  A
+# table holds ~29 kB; 2**11 nodes settled all of them at 0.9999, but their
+# four tables in the `pairs` benchmark raised its peak RSS by ~0.4 MB.
+_KEPLER_NODES = 2 ** 9
 _KEPLER_CELLS = 2 * _KEPLER_NODES
 _KEPLER_STEP = _TAU / _KEPLER_NODES
 # Elements per chunk of the inverse.  Measured on a 2-vCPU Xeon VM on 10**5
-# targets (medians of 15): 9-12 ms from 2**12 to 2**14, 12-14 ms at 2**11
-# (more calls) and 2**15 (the chunk's ~30 live temporaries outgrow the L2
-# cache); rtsafe took 26 ms.
+# targets, medians of 15 in each of two sessions: 9-16 ms from 2**12 to
+# 2**14, 12-20 ms at 2**11 (more calls) and 2**15 (the chunk's ~30 live
+# temporaries outgrow the L2 cache), against rtsafe's 26-35 ms.  The
+# smallest good size keeps those temporaries near 1 MB.
 _KEPLER_CHUNK = 2 ** 12
 # Veltkamp's constant 2**27 + 1 splits a float64 into two 26-bit halves.
 _SPLITTER = 134217729.0
@@ -132,7 +135,7 @@ def _kepler_table(e):
     is the last node at or below the start of cell ``i`` of
     ``_KEPLER_CELLS`` equal parts of the period, and the binary search of
     ``steps`` from it finds the node at or below any point of the cell.
-    A pure function of ``e``, built on first use in ~0.2 ms.
+    A pure function of ``e``, built on first use in ~0.1 ms.
     """
     v = np.arange(_KEPLER_NODES + 1) * _KEPLER_STEP
     e_sin, e_cos = e * np.sin(v), e * np.cos(v)
@@ -221,7 +224,7 @@ class _Sinusoid:
         d = dm * secant
         for _ in range(2):
             d2 = d * d
-            sin_d = d - d * d2 * (1.0 / 6.0)
+            sin_d = d - d * d2 * (1.0 / 6.0 - d2 * (1.0 / 120.0))
             cos_d = d2 * (d2 * (1.0 / 24.0) - 0.5)
             dv = 1.0 + e_cos * (1.0 + cos_d) - e_sin * sin_d  # 1 + e*cos(v)
             d -= (d + e_cos * sin_d + e_sin * cos_d - dm) / dv
