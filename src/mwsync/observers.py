@@ -219,7 +219,7 @@ class _Sinusoid:
             j += step * (edges.take(j + step) <= r)
         m_j, e_sin, e_cos, secant = rows.take(j, axis=0).T
         # Newton on d = v - v_j, with sin(d) and cos(d) - 1 by their
-        # Taylor polynomials, which hold to 1e-13 for |d| <= 2*_KEPLER_STEP.
+        # Taylor polynomials, which hold to 3e-13 for |d| <= 2*_KEPLER_STEP.
         dm = r - m_j
         d = dm * secant
         for _ in range(2):
