@@ -204,10 +204,11 @@ def radar_trajectory_of(
         here, back2, back1, ahead1, ahead2 = z.transpose(1, 0, 2)
         slope = (8.0 * (ahead1 - back1) - (ahead2 - back2)) / (12.0 * h)
         # The chart root-finds where its observer has no null_inverse
-        # (MarzkeWheelerMap._solve).  A fixed-step inverse hands on only
-        # the elements it leaves unsettled, near the cusps of a profile
-        # with |a*w| close to 1; this bound leaves their root_tol out.
-        p, q = (chart.observer.null_inverse(k, et[:1] + k * ex[:1]) for k in (1.0, -1.0))
+        # (MarzkeWheelerMap._solve), which a probe on no events tells at no
+        # cost.  A fixed-step inverse hands on only the elements it leaves
+        # unsettled, near the cusps of a profile with |a*w| close to 1; this
+        # bound leaves their root_tol out.
+        p, q = (chart.observer.null_inverse(k, et[:0]) for k in (1.0, -1.0))
         curvature = (ahead2 + back2 - ahead1 - back1) / (3.0 * h * h)
         error = (
             np.abs(slope - (ahead1 - back1) / (2.0 * h))
