@@ -323,8 +323,9 @@ class MarzkeWheelerMap:
         s = self.observer.null_inverse(sign, targets)
         if s is None:
             return self._root_find(sign, targets.ravel()).reshape(targets.shape)
-        redo = np.flatnonzero(np.isnan(s) & ~np.isnan(targets))
-        if redo.size:
+        redo = np.isnan(s)
+        if redo.any():
+            redo = np.flatnonzero(redo & ~np.isnan(targets))
             s.flat[redo] = self._root_find(sign, targets.flat[redo])
         return s
 

@@ -191,10 +191,10 @@ class _Sinusoid:
         table = _kepler_table(self.a * self.w / self.alpha)
         out = np.empty(value.shape)
         flat, res = value.reshape(-1), out.reshape(-1)
-        # Targets that overflow or are not finite come out NaN, unsettled.
-        with np.errstate(all="ignore"):
-            for start in range(0, flat.size, _KEPLER_CHUNK):
-                part = slice(start, start + _KEPLER_CHUNK)
+        for start in range(0, flat.size, _KEPLER_CHUNK):
+            part = slice(start, start + _KEPLER_CHUNK)
+            # Targets that overflow or are not finite come out NaN, unsettled.
+            with np.errstate(all="ignore"):
                 res[part] = self._kepler(table, flat[part])
         return out
 
@@ -391,8 +391,15 @@ class Inertial(Observer):
         return np.full(shape, self.u.u.t), np.full(shape, self.u.u.x)
 
     def _sinusoid(self, sign):
-        # Affine, inverted in closed form: t +- x = (base.t +- base.x) + s*(u.t +- u.x).
         return _Sinusoid(self.u.u.t + sign * self.u.u.x, self.base.t + sign * self.base.x)
+
+    def null_inverse(self, sign, value):
+        # Affine: t +- x = (base.t +- base.x) + s*(u.t +- u.x).  The same
+        # formula as _Sinusoid.inverse, without building the profile on
+        # every call of a chart's inverse.
+        return (value - (self.base.t + sign * self.base.x)) / (
+            self.u.u.t + sign * self.u.u.x
+        )
 
     def __repr__(self):
         return f"Inertial(v={self.v!r}, base={self.base!r})"
