@@ -149,7 +149,6 @@ def _kepler_table(e):
     return rows, edges, first, [1 << r for r in reversed(range(rounds))]
 
 
-@dataclass(frozen=True)
 class _Sinusoid:
     """A null profile ``alpha*s + beta + a*sin(w*s)``, ``w >= 0``.
 
@@ -159,13 +158,14 @@ class _Sinusoid:
     Kepler's equation, whose solution is quasi-periodic in the right-hand
     side (F. L. Markley, "Kepler equation solver", Celest. Mech. Dyn. Astr.
     63 (1995) 101-111, solves it without iteration); :meth:`inverse`
-    starts from a table of one period instead.
+    starts from a table of one period instead.  A plain class: a
+    dataclass would add ~1 ms to every import.
     """
 
-    alpha: float
-    beta: float
-    a: float = 0.0
-    w: float = 0.0
+    __slots__ = ("alpha", "beta", "a", "w")
+
+    def __init__(self, alpha: float, beta: float, a: float = 0.0, w: float = 0.0):
+        self.alpha, self.beta, self.a, self.w = alpha, beta, a, w
 
     def __add__(self, other):
         """The profile of a sum, or None if both carry a sinusoid and
