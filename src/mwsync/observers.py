@@ -214,6 +214,10 @@ class _Sinusoid:
         m = (y - self.beta) * (w / alpha)
         turns = np.floor(m * (1.0 / _TAU))
         r = m - turns * _TAU
+        # Cell, then binary search: on a chunk of 2**12 targets, 19-72 us
+        # for |e| from 0.2 to 1 - 1e-6 (1 to 5 rounds) against 258-310 us
+        # for np.searchsorted(rows[:, 0], r, "right") - 1, which gives the
+        # same j (2-vCPU Xeon VM, best of 15).
         j = first.take((r * (_KEPLER_CELLS / _TAU)).astype(np.intp), mode="clip")
         for step in steps:
             j += step * (edges.take(j + step) <= r)
@@ -391,15 +395,9 @@ class Inertial(Observer):
         return np.full(shape, self.u.u.t), np.full(shape, self.u.u.x)
 
     def _sinusoid(self, sign):
+        # Affine: t +- x = (base.t +- base.x) + s*(u.t +- u.x), which
+        # _Sinusoid.inverse inverts in closed form.
         return _Sinusoid(self.u.u.t + sign * self.u.u.x, self.base.t + sign * self.base.x)
-
-    def null_inverse(self, sign, value):
-        # Affine: t +- x = (base.t +- base.x) + s*(u.t +- u.x).  The same
-        # formula as _Sinusoid.inverse, without building the profile on
-        # every call of a chart's inverse.
-        return (value - (self.base.t + sign * self.base.x)) / (
-            self.u.u.t + sign * self.u.u.x
-        )
 
     def __repr__(self):
         return f"Inertial(v={self.v!r}, base={self.base!r})"
