@@ -312,21 +312,26 @@ class MarzkeWheelerMap:
         vt, vx = self.observer.velocity(s)
         return vt + vx if sign > 0 else vt - vx
 
-    def _solve(self, sign, targets):
+    def _solve(self, sign, targets, root_found=None):
         """Parameters ``s`` with ``P(s) = targets`` (sign +1) or ``M(s)``.
 
         The observer's :meth:`~mwsync.observers.Observer.null_inverse`
         where it has one.  The elements it leaves NaN on a target that is
         not NaN (those its fixed steps did not settle), and every element
-        of a kind without one, are root-found (:meth:`_root_find`).
+        of a kind without one, are root-found (:meth:`_root_find`), and
+        set True in the boolean array ``root_found`` unless it is None.
         """
         s = self.observer.null_inverse(sign, targets)
         if s is None:
+            if root_found is not None:
+                root_found[...] = True
             return self._root_find(sign, targets.ravel()).reshape(targets.shape)
         redo = np.isnan(s)
         if redo.any():
             redo = np.flatnonzero(redo & ~np.isnan(targets))
             s.flat[redo] = self._root_find(sign, targets.flat[redo])
+            if root_found is not None:
+                root_found.flat[redo] = True
         return s
 
     def _root_find(self, sign, goal):
@@ -410,18 +415,21 @@ class MarzkeWheelerMap:
             x, last = nxt, size
         return goal
 
-    def radar_inverse_components(self, t, x):
+    def radar_inverse_components(self, t, x, *, root_found=None):
         """Vectorized inverse chart: event coords to chart coords.
 
-        Returns the pair of arrays ``(s, x_radar)``.
+        Returns the pair of arrays ``(s, x_radar)``.  ``root_found``, a
+        boolean array of the events' shape, is set True at each event
+        whose ``s_reception`` or ``s_emission`` was root-found, and so is
+        good to ``root_tol`` rather than to a few ulp.
         """
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         e_plus = t + x
         e_minus = t - x
         self._gate(e_plus, e_minus)
-        s_reception = self._solve(1.0, e_plus)
-        s_emission = self._solve(-1.0, e_minus)
+        s_reception = self._solve(1.0, e_plus, root_found)
+        s_emission = self._solve(-1.0, e_minus, root_found)
         return (s_reception + s_emission) * 0.5, (s_reception - s_emission) * 0.5
 
     def radar_inverse(self, e: SplitComplex) -> SplitComplex:

@@ -190,7 +190,12 @@ def radar_trajectory_of(
     which would give the arc-length integrand identically and hide a faulty
     inverse.  The slope error bound adds the truncation ``|D4 - D2|``, a
     moved difference's shift times the curvature, the rounding ``eps (|z| +
-    |sigma z_dot|) / h`` and, where the chart root-finds, ``root_tol / h``.
+    |sigma z_dot|) / h`` and, where the chart root-finds one of the five
+    points, ``root_tol / h``.  The rounding term takes each point to be
+    good to an ulp or so of ``z``.  Near the cusps of a profile
+    ``alpha*s + beta + a*sin(w*s)`` with ``|a*w|`` close to ``alpha``
+    the inverse is ill-conditioned: there the profile's own rounding over
+    its small slope can reach tens of ulp, which this bound leaves out.
     An event outside the chart raises :class:`~mwsync.errors.NoRadarCoordinate`.
     """
     c, h = ctx.c, FD_STEP
@@ -200,21 +205,16 @@ def radar_trajectory_of(
         centre = np.clip(sigma, lo + 2.0 * h, hi - 2.0 * h)
         steps = np.clip(centre + h * np.array([[-2.0], [-1.0], [1.0], [2.0]]), lo, hi)
         et, ex = target.position(np.concatenate((sigma[None], steps)).ravel())
-        z = np.stack(chart.radar_inverse_components(et, ex)).reshape(2, 5, -1)
-        here, back2, back1, ahead1, ahead2 = z.transpose(1, 0, 2)
+        root_found = np.zeros(et.shape, dtype=bool)
+        z = np.stack(chart.radar_inverse_components(et, ex, root_found=root_found))
+        here, back2, back1, ahead1, ahead2 = z.reshape(2, 5, -1).transpose(1, 0, 2)
         slope = (8.0 * (ahead1 - back1) - (ahead2 - back2)) / (12.0 * h)
-        # The chart root-finds where its observer has no null_inverse
-        # (MarzkeWheelerMap._solve), which a probe on no events tells at no
-        # cost.  A fixed-step inverse hands on only the elements it leaves
-        # unsettled, near the cusps of a profile with |a*w| close to 1; this
-        # bound leaves their root_tol out.
-        p, q = (chart.observer.null_inverse(k, et[:0]) for k in (1.0, -1.0))
         curvature = (ahead2 + back2 - ahead1 - back1) / (3.0 * h * h)
         error = (
             np.abs(slope - (ahead1 - back1) / (2.0 * h))
             + np.abs(sigma - centre) * np.abs(curvature)
             + np.finfo(float).eps * (np.abs(here) + np.abs(sigma * slope)) / h
-            + (chart.root_tol / h if p is None or q is None else 0.0)
+            + chart.root_tol / h * root_found.reshape(5, -1).any(axis=0)
         )
         return here[0] / c, here[1], slope[0] / c, slope[1], error.max(axis=0) / c
 

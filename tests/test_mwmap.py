@@ -444,6 +444,24 @@ def test_unsettled_elements_near_the_cusp_go_to_rtsafe(sign, monkeypatch):
     assert np.all(np.abs(profile(got) - targets) <= 4e-16 * (1.0 + np.abs(targets)))
 
 
+def test_root_found_marks_the_events_rtsafe_solved():
+    # Events whose t + x sits on a cusp of the first profile, then events
+    # whose t - x sits on one of the second: both signs hand some on.
+    obs = PerturbedInertial(0.5 * (1.0 - 1e-6), 2.0)
+    cusps, plain = math.pi * np.arange(-4.0, 5.0), np.linspace(-3.0, 3.0, 9)
+    plus = obs.null_plus(np.concatenate([cusps + 0.5 * math.pi, plain]))
+    minus = obs.null_minus(np.concatenate([plain, cusps]))
+    t, x = (plus + minus) / 2.0, (plus - minus) / 2.0
+    expected = np.isnan(obs.null_inverse(1.0, t + x)) | np.isnan(obs.null_inverse(-1.0, t - x))
+    assert expected[:9].any() and expected[9:].any() and not expected.all()
+    for m, want in ((MarzkeWheelerMap(obs), expected),
+                    (MarzkeWheelerMap(TWO_TONE), np.ones(t.shape, dtype=bool)),
+                    (MarzkeWheelerMap(Inertial(0.3)), np.zeros(t.shape, dtype=bool))):
+        root_found = np.zeros(t.shape, dtype=bool)
+        m.radar_inverse_components(t, x, root_found=root_found)
+        assert np.array_equal(root_found, want)
+
+
 def test_kinked_profile_falls_back_to_bisection():
     # From the shallow segment, a plain Newton step toward an event on
     # the steep one lands far outside the domain [-4, 4], where the

@@ -26,6 +26,7 @@ from mwsync import (
     radar_trajectory_of,
     twin_consistency,
 )
+from mwsync.propertime import FD_STEP
 from mwsync.scenario import load_scenario
 from fakes import constant_trajectory, linear_trajectory
 
@@ -210,6 +211,42 @@ class TestRadarTrajectoryOf:
         assert gap <= 1e-5
 
 
+    @pytest.mark.parametrize("observer, n_rooted", [
+        (PerturbedInertial(0.5 * (1.0 - 1e-6), 2.0), 9),
+        (PerturbedInertial(0.1, 2.0) + PerturbedInertial(0.05, 3.0), 70),
+        (Inertial(0.3), 0),
+    ], ids=["cusp", "two_tone", "inertial"])
+    def test_root_tol_is_added_where_a_point_was_root_found(self, observer, n_rooted):
+        # At |a*w| = 1 - 1e-6 the fixed steps leave the targets at the nine
+        # cusps of t + x (w*s = pi mod 2*pi) to rtsafe; a sum of two
+        # frequencies root-finds all 70 parameters, an inertial chart none.
+        # The lab clock's events (sigma, 0) have both null coordinates
+        # sigma.  A chart that does not mark its root-found points gives
+        # the same points, so the two bounds differ by root_tol / h
+        # exactly where one of a parameter's five points was root-found.
+        class Unmarked(MarzkeWheelerMap):
+            def _solve(self, sign, targets, root_found=None):
+                return super()._solve(sign, targets)
+
+        cusps = observer.null_plus(math.pi * (np.arange(-4.0, 5.0) + 0.5))
+        sigma = np.concatenate([cusps, np.linspace(-3.0, 3.0, 61)])
+        points = sigma + FD_STEP * np.array([[0.0], [-2.0], [-1.0], [1.0], [2.0]])
+        fixed = [observer.null_inverse(sign, points) for sign in (1.0, -1.0)]
+        if fixed[0] is None:
+            rooted = np.ones(sigma.shape, dtype=bool)
+        else:
+            rooted = (np.isnan(fixed[0]) | np.isnan(fixed[1])).any(axis=0)
+        assert np.count_nonzero(rooted) == n_rooted
+        chart = MarzkeWheelerMap(observer)
+        marked = sampled(radar_trajectory_of(chart, Inertial(0.0), (-20.0, 20.0)), *sigma)
+        unmarked = sampled(
+            radar_trajectory_of(Unmarked(observer), Inertial(0.0), (-20.0, 20.0)), *sigma)
+        for got, ref in zip(marked[:4], unmarked[:4]):
+            assert np.array_equal(got, ref)
+        expected = np.where(rooted, unmarked[4] + chart.root_tol / FD_STEP, unmarked[4])
+        assert np.array_equal(marked[4], expected)
+
+
 class TestTwins:
     def test_boosted_pair_reproduces_the_gamma_factor(self):
         rep = twin_consistency(
@@ -256,8 +293,8 @@ class TestTwins:
         # disagreement: the chart velocity comes from the pulled-back
         # points, never from the worldline's own velocity.
         class Biased(MarzkeWheelerMap):
-            def radar_inverse_components(self, t, x):
-                s, x_radar = super().radar_inverse_components(t, x)
+            def radar_inverse_components(self, t, x, **kwargs):
+                s, x_radar = super().radar_inverse_components(t, x, **kwargs)
                 return s + 1e-6 * np.sin(3.0 * np.asarray(t)), x_radar
 
         rep = twin_consistency(Biased(DEMO[a]), Biased(DEMO[b]), (-0.5, 0.5))
