@@ -96,9 +96,12 @@ _KEPLER_STEP = _TAU / _KEPLER_NODES
 # Elements per chunk of the inverse.  Measured on a 2-vCPU Xeon VM on 10**5
 # targets, medians of 15 in each of two sessions: 9-16 ms from 2**12 to
 # 2**14, 12-20 ms at 2**11 (more calls) and 2**15 (the chunk's ~30 live
-# temporaries outgrow the L2 cache), against rtsafe's 26-35 ms.  The
-# smallest good size keeps those temporaries near 1 MB.
-_KEPLER_CHUNK = 2 ** 12
+# temporaries outgrow the L2 cache), against rtsafe's 26-35 ms.  Within
+# that range the size moves the `pairs` benchmark's peak RSS by more than
+# the temporaries' own ~1-4 MB would suggest: three 30 s runs each read
+# 52.49-52.72 MB at 2**13 and 52.59-52.69 MB at 2**14, against
+# 52.93-53.00 MB at 2**12 and 52.6-52.7 MB for the parent's rtsafe.
+_KEPLER_CHUNK = 2 ** 13
 # Veltkamp's constant 2**27 + 1 splits a float64 into two 26-bit halves.
 _SPLITTER = 134217729.0
 
@@ -214,7 +217,7 @@ class _Sinusoid:
         m = (y - self.beta) * (w / alpha)
         turns = np.floor(m * (1.0 / _TAU))
         r = m - turns * _TAU
-        # Cell, then binary search: on a chunk of 2**12 targets, 19-72 us
+        # Cell, then binary search: on 2**12 targets, 19-72 us
         # for |e| from 0.2 to 1 - 1e-6 (1 to 5 rounds) against 258-310 us
         # for np.searchsorted(rows[:, 0], r, "right") - 1, which gives the
         # same j (2-vCPU Xeon VM, best of 15).
