@@ -100,7 +100,7 @@ _KEPLER_STEP = _TAU / _KEPLER_NODES
 # that range the size moves the `pairs` benchmark's peak RSS by more than
 # the temporaries' own ~1-4 MB would suggest: three 30 s runs each read
 # 52.49-52.72 MB at 2**13 and 52.59-52.69 MB at 2**14, against
-# 52.93-53.00 MB at 2**12 and 52.6-52.7 MB for the parent's rtsafe.
+# 52.93-53.00 MB at 2**12 and 52.6-52.7 MB when these charts root-found.
 _KEPLER_CHUNK = 2 ** 13
 # Veltkamp's constant 2**27 + 1 splits a float64 into two 26-bit halves.
 _SPLITTER = 134217729.0
