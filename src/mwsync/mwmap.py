@@ -20,18 +20,16 @@ block of R x C nodes the chart, its derivative and its conformal factor
 evaluate the observer on one line of R + C - 1 values, and again only
 at the nodes whose null coordinate rounds off its diagonal's.
 Inverting the chart reduces to inverting ``P`` and ``M``.
-Kinds that invert their profiles without root finding supply the
-inverse (:meth:`~mwsync.observers.Observer.null_inverse`): in closed
-form, or for profiles ``alpha*s + beta + a*sin(w*s)`` as Kepler's
-equation in a fixed number of steps, which leave NaN where they do not
-settle an element.  Those elements, and every element of the other
-kinds, are solved by a safeguarded Newton iteration ("rtsafe", Numerical
-Recipes section 9.4) that takes the worldline velocity as the profile
-slope and falls back to bisection whenever a Newton step would leave the
-bracket or fails to halve the previous step.  Each element is solved on
-its own, so a result never depends on the rest of its batch, and the
-iteration runs over cache-sized chunks of a batch without changing a
-bit.
+Each kind inverts them by one path.  Most supply the inverse
+(:meth:`~mwsync.observers.Observer.null_inverse`): in closed form, or for
+profiles ``alpha*s + beta + a*sin(w*s)`` as Kepler's equation in a fixed
+number of steps.  The others are solved by a safeguarded Newton
+iteration ("rtsafe", Numerical Recipes section 9.4) that takes the
+worldline velocity as the profile slope and bisects whenever a Newton
+step would leave the bracket or fails to halve the previous step.  Each
+element is solved on its own, so a result never depends on the rest of
+its batch, and the iteration runs over cache-sized chunks of a batch
+without changing a bit.
 """
 
 from __future__ import annotations
@@ -62,9 +60,8 @@ _ITERATION_CAP = 100
 _BRACKET_LIMIT = 1e6
 
 # Elements per chunk of batched work: 2**15 float64 values, 256 kB per
-# temporary, so the temporaries of one chunk stay near the L2 cache and
-# are reused by the allocator instead of being faulted in afresh.  The
-# root finder iterates one chunk of a batch at a time, the pair checks of
+# temporary, so the temporaries of one chunk stay near the L2 cache.  The
+# root finder runs one chunk of a batch at a time, the pair checks of
 # :mod:`mwsync.fieldcheck` take chunks of pairs and its grid sweeps
 # blocks of rows of this size.
 _BLOCK_NODES = 2 ** 15
@@ -312,124 +309,77 @@ class MarzkeWheelerMap:
         vt, vx = self.observer.velocity(s)
         return vt + vx if sign > 0 else vt - vx
 
-    def _solve(self, sign, targets, root_found=None):
-        """Parameters ``s`` with ``P(s) = targets`` (sign +1) or ``M(s)``.
-
-        The observer's :meth:`~mwsync.observers.Observer.null_inverse`
-        where it has one.  The elements it leaves NaN on a target that is
-        not NaN (those its fixed steps did not settle), and every element
-        of a kind without one, are root-found (:meth:`_root_find`), and
-        set True in the boolean array ``root_found`` unless it is None.
-        """
+    def _solve(self, sign, targets):
+        """Parameters ``s`` with ``P(s) = targets`` (sign +1) or ``M(s)``:
+        the observer's :meth:`~mwsync.observers.Observer.null_inverse`,
+        or :meth:`_root_find` for a kind without one."""
         s = self.observer.null_inverse(sign, targets)
         if s is None:
-            if root_found is not None:
-                root_found[...] = True
-            return self._root_find(sign, targets.ravel()).reshape(targets.shape)
-        redo = np.isnan(s)
-        if redo.any():
-            redo = np.flatnonzero(redo & ~np.isnan(targets))
-            s.flat[redo] = self._root_find(sign, targets.flat[redo])
-            if root_found is not None:
-                root_found.flat[redo] = True
+            s = self._root_find(sign, targets.ravel()).reshape(targets.shape)
         return s
 
     def _root_find(self, sign, goal):
-        """:meth:`_solve` for the 1-D ``goal`` by rtsafe.
+        """:meth:`_solve` for the 1-D ``goal`` by rtsafe, one chunk of
+        ``_BLOCK_NODES`` elements at a time.
 
-        The whole batch is bracketed and given its regula falsi start at
-        once, and rtsafe (:meth:`_rtsafe`) then runs on one chunk of
-        ``_BLOCK_NODES`` elements at a time.  Elements iterate on their
-        own, so the result is bitwise that of one whole-batch loop.
+        A chunk is bracketed and given its regula falsi start; each round
+        then evaluates its unconverged elements only.  An element stops
+        when its step is at most ``root_tol`` (``f == 0`` collapses the
+        bracket onto the root, and a bracket narrower than ``root_tol``
+        bounds the step) or can no longer move ``s``.
         """
         fn = self._profile(sign)
-        xl, xh, fl, fh = self._bracket(fn, goal)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = xl - fl * ((xh - xl) / (fh - fl))  # regula falsi start
-        del fl, fh
-        x = np.fmax(xl, np.fmin(x, xh))  # rounding or fl == fh: stay inside
         out = np.empty(goal.shape)
-        stuck = []
+        stuck = [goal[:0]]
         for chunk in _chunks(goal.size):
-            stuck.append(self._rtsafe(
-                fn, sign, goal[chunk], xl[chunk], xh[chunk], x[chunk], out[chunk]
-            ))
-        failed = sum(left.size for left in stuck)
-        if failed:
-            first = next(left for left in stuck if left.size)
+            y = goal[chunk]
+            xl, xh, fl, fh = self._bracket(fn, y)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = xl - fl * ((xh - xl) / (fh - fl))  # regula falsi start
+            x = np.fmax(xl, np.fmin(x, xh))  # rounding or fl == fh: stay inside
+            live = np.arange(chunk.start, chunk.start + y.size)
+            last = math.inf  # size of the previous step
+            for _ in range(_ITERATION_CAP):
+                if live.size == 0:
+                    break
+                f = fn(x) - y
+                # x replaces xl where f < 0, xh where f > 0 and both where
+                # f is 0 or NaN.
+                xl = np.where(f > 0.0, xl, x)
+                xh = np.where(f < 0.0, xh, x)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    step = f / self._slope(sign, x)
+                nxt = x - step
+                size = np.abs(step)
+                # Bisect where Newton leaves the bracket, fails to halve the
+                # previous step, or has no usable slope.
+                bisect = ~((nxt >= xl) & (nxt <= xh) & (size <= 0.5 * last))
+                half = 0.5 * (xh - xl)
+                nxt = np.where(bisect, xl + half, nxt)
+                size = np.where(bisect, half, size)
+                done = (size <= self.root_tol) | (nxt == x)
+                out[live[done]] = nxt[done]
+                live, y, xl, xh, nxt, size = (a[~done] for a in (live, y, xl, xh, nxt, size))
+                x, last = nxt, size
+            stuck.append(y)
+        stuck = np.concatenate(stuck)
+        if stuck.size:
             raise EvaluationFailure(
                 f"radar inverse did not converge in {_ITERATION_CAP} iterations "
-                f"for {failed} event(s), e.g. target {float(first[0]):g}"
+                f"for {stuck.size} event(s), e.g. target {stuck[0]:g}"
             )
         return out
 
-    def _rtsafe(self, fn, sign, goal, xl, xh, x, out):
-        """Safeguarded Newton on an active set, results written to ``out``.
-
-        Each round evaluates only the unconverged elements, and an
-        element stops when its step is at most ``root_tol`` (``f == 0``
-        collapses the bracket onto the root, and a bracket narrower than
-        ``root_tol`` bounds the step) or can no longer move ``s``.
-        Overwrites ``xl`` and ``xh``.  Returns the targets still
-        unconverged after ``_ITERATION_CAP`` rounds, in input order.
-        """
-        last = math.inf  # size of the previous step
-        live = np.arange(goal.size)
-        # Arithmetic runs in place and the active set shrinks one array at
-        # a time, which keeps few temporaries alive at once.
-        for _ in range(_ITERATION_CAP):
-            if live.size == 0:
-                break
-            f = fn(x)
-            f -= goal
-            # x replaces xl where f < 0, xh where f > 0 and both where
-            # f == 0.  Since x lies in [xl, xh], clamping against +-inf
-            # (NaN, which fmin and fmax skip, where f == 0) does this
-            # without a masked copy, which costs ten times as much.
-            with np.errstate(divide="ignore", invalid="ignore"):
-                side = f * -math.inf
-                np.fmax(xl, np.fmin(x, side), out=xl)
-                np.fmin(xh, np.fmax(x, side), out=xh)
-                del side
-                step = f  # the residual turns into the Newton step in place
-                step /= self._slope(sign, x)
-            nxt = x - step
-            size = np.abs(step, out=step)
-            # Bisect where Newton leaves the bracket, fails to halve the
-            # previous step, or has no usable slope.
-            bisect = ~((nxt >= xl) & (nxt <= xh) & (size <= 0.5 * last))
-            if bisect.any():
-                half = 0.5 * (xh - xl)
-                np.copyto(nxt, xl + half, where=bisect)
-                np.copyto(size, half, where=bisect)
-            done = (size <= self.root_tol) | (nxt == x)
-            if done.any():
-                out[live[done]] = nxt[done]
-                keep = np.flatnonzero(~done)
-                live = live.take(keep)
-                goal = goal.take(keep)
-                xl = xl.take(keep)
-                xh = xh.take(keep)
-                nxt = nxt.take(keep)
-                size = size.take(keep)
-            x, last = nxt, size
-        return goal
-
-    def radar_inverse_components(self, t, x, *, root_found=None):
-        """Vectorized inverse chart: event coords to chart coords.
-
-        Returns the pair of arrays ``(s, x_radar)``.  ``root_found``, a
-        boolean array of the events' shape, is set True at each event
-        whose ``s_reception`` or ``s_emission`` was root-found, and so is
-        good to ``root_tol`` rather than to a few ulp.
-        """
+    def radar_inverse_components(self, t, x):
+        """Vectorized inverse chart: event coords to chart coords, returned
+        as the pair of arrays ``(s, x_radar)``."""
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         e_plus = t + x
         e_minus = t - x
         self._gate(e_plus, e_minus)
-        s_reception = self._solve(1.0, e_plus, root_found)
-        s_emission = self._solve(-1.0, e_minus, root_found)
+        s_reception = self._solve(1.0, e_plus)
+        s_emission = self._solve(-1.0, e_minus)
         return (s_reception + s_emission) * 0.5, (s_reception - s_emission) * 0.5
 
     def radar_inverse(self, e: SplitComplex) -> SplitComplex:

@@ -25,8 +25,7 @@ profile of the form ``alpha*s + beta + a*sin(w*s)`` with
 translations of it and of ``Inertial``, as long as the sinusoids of a
 sum share one ``w``) is Kepler's equation ``u + e*sin(u) = M`` after a
 change of variable, and :class:`_Sinusoid` inverts it in a fixed number
-of steps.  The radar chart root-finds the other kinds, and any element
-those fixed steps leave unsettled.
+of steps.  The radar chart root-finds the other kinds.
 """
 
 from __future__ import annotations
@@ -93,6 +92,9 @@ _TAU = 2.0 * math.pi
 _KEPLER_NODES = 2 ** 9
 _KEPLER_CELLS = 2 * _KEPLER_NODES
 _KEPLER_STEP = _TAU / _KEPLER_NODES
+# Halvings of an unsettled element's cell: 52 leave a bracket ~3e-18
+# wide, the spacing of floats near the cell's far end.
+_HALVINGS = 52
 # Elements per chunk of the inverse.  Measured on a 2-vCPU Xeon VM on 10**5
 # targets, medians of 15 in each of two sessions: 9-16 ms from 2**12 to
 # 2**14, 12-20 ms at 2**11 (more calls) and 2**15 (the chunk's ~30 live
@@ -125,6 +127,16 @@ def _two_sum(x, y):
     s = x + y
     yy = s - x
     return s, (x - (s - yy)) + (y - yy)
+
+
+def _offset(d, e_sin, e_cos):
+    """``M(v_j + d) - M(v_j)`` and ``1 + e*cos(v_j + d)``, from ``e*sin`` and
+    ``e*cos`` at the node ``v_j`` and the Taylor polynomials of ``sin(d)``
+    and ``cos(d) - 1``, which hold to 3e-13 for ``|d| <= 2*_KEPLER_STEP``."""
+    d2 = d * d
+    sin_d = d - d * d2 * (1.0 / 6.0 - d2 * (1.0 / 120.0))
+    cos_d = d2 * (d2 * (1.0 / 24.0) - 0.5)
+    return d + e_cos * sin_d + e_sin * cos_d, 1.0 + e_cos * (1.0 + cos_d) - e_sin * sin_d
 
 
 @lru_cache(maxsize=16)
@@ -185,9 +197,9 @@ class _Sinusoid:
         return _Sinusoid(self.alpha, self.beta + amount, self.a, self.w)
 
     def inverse(self, value):
-        """Parameters ``s`` where the profile takes ``value``, elementwise,
-        in a fixed number of steps; NaN where they leave an element
-        unsettled (:meth:`_kepler`)."""
+        """Parameters ``s`` where the profile takes ``value``, elementwise, in
+        a fixed number of steps (:meth:`_kepler`); NaN for a target that is
+        not finite.  A finite target whose ``s`` overflows raises."""
         value = np.asarray(value, dtype=float)
         if self.a == 0.0 or self.w == 0.0:
             return (value - self.beta) / self.alpha
@@ -196,9 +208,11 @@ class _Sinusoid:
         flat, res = value.reshape(-1), out.reshape(-1)
         for start in range(0, flat.size, _KEPLER_CHUNK):
             part = slice(start, start + _KEPLER_CHUNK)
-            # Targets that overflow or are not finite come out NaN, unsettled.
             with np.errstate(all="ignore"):
                 res[part] = self._kepler(table, flat[part])
+        lost = np.isfinite(flat) & ~np.isfinite(res)
+        if lost.any():
+            raise EvaluationFailure(f"null profile inverse overflows at target {flat[lost][0]:g}")
         return out
 
     def _kepler(self, table, y):
@@ -206,15 +220,17 @@ class _Sinusoid:
 
         The table gives the node ``v_j`` below the reduced target, two
         Newton steps on the offset from it give ``s``, and one Newton step
-        on the profile itself corrects it.  An element is settled when
-        that last step leaves an error below ``2**-60 * |s|`` and its
-        offset stayed within two node spacings, where the polynomials
-        for ``sin`` and ``cos`` of the offset hold.
+        on the profile itself corrects it (:meth:`_newton`).  An element
+        is settled when that last step leaves an error below
+        ``2**-60 * |s|`` and its offset stayed within two node spacings,
+        where the polynomials for ``sin`` and ``cos`` of the offset hold.
+        The others, near the cusps of a profile with ``|a*w|`` close to
+        ``alpha``, halve their cell, where ``M`` increases through ``r``,
+        and then take the same last step.
         """
         rows, edges, first, steps = table
-        alpha, a, w = self.alpha, self.a, self.w
         # w*(y - beta)/alpha, reduced by whole periods to r in [0, 2*pi).
-        m = (y - self.beta) * (w / alpha)
+        m = (y - self.beta) * (self.w / self.alpha)
         turns = np.floor(m * (1.0 / _TAU))
         r = m - turns * _TAU
         # Cell, then binary search: on 2**12 targets, 19-72 us
@@ -226,16 +242,30 @@ class _Sinusoid:
             j += step * (edges.take(j + step) <= r)
         m_j, e_sin, e_cos, secant = rows.take(j, axis=0).T
         # Newton on d = v - v_j, with sin(d) and cos(d) - 1 by their
-        # Taylor polynomials, which hold to 3e-13 for |d| <= 2*_KEPLER_STEP.
+        # Taylor polynomials (:func:`_offset`).
         dm = r - m_j
         d = dm * secant
         for _ in range(2):
-            d2 = d * d
-            sin_d = d - d * d2 * (1.0 / 6.0 - d2 * (1.0 / 120.0))
-            cos_d = d2 * (d2 * (1.0 / 24.0) - 0.5)
-            dv = 1.0 + e_cos * (1.0 + cos_d) - e_sin * sin_d  # 1 + e*cos(v)
-            d -= (d + e_cos * sin_d + e_sin * cos_d - dm) / dv
-        s = (j * _KEPLER_STEP + d + turns * _TAU) / w
+            g, dv = _offset(d, e_sin, e_cos)
+            d -= (g - dm) / dv
+        s, settled = self._newton(y, j * _KEPLER_STEP + d + turns * _TAU, dv)
+        settled &= np.abs(d) <= 2.0 * _KEPLER_STEP
+        redo = np.flatnonzero(~settled)
+        if redo.size:
+            j, e_sin, e_cos, dm, turns = (a[redo] for a in (j, e_sin, e_cos, dm, turns))
+            d, half = np.zeros(redo.size), _KEPLER_STEP
+            for _ in range(_HALVINGS):  # the root stays in [d, d + half]
+                half *= 0.5
+                d = np.where(_offset(d + half, e_sin, e_cos)[0] <= dm, d + half, d)
+            dv = _offset(d, e_sin, e_cos)[1]
+            s[redo] = self._newton(y[redo], j * _KEPLER_STEP + d + turns * _TAU, dv)[0]
+        return s
+
+    def _newton(self, y, v, dv):
+        """One Newton step on ``profile(s) = y`` from ``s = v/w``, where
+        ``dv = 1 + e*cos(v)``: the new ``s``, and whether it is settled."""
+        alpha, a, w = self.alpha, self.a, self.w
+        s = v / w
         # The residual alpha*s + beta - y + a*sin(w*s), summed without
         # rounding error but that of sin: a*sin(u + e_u) = a*sin(u) +
         # a*cos(u)*e_u, and a*cos(u) = alpha*(dv - 1)/w.
@@ -248,12 +278,9 @@ class _Sinusoid:
         res += (e_p + e_b) + (e_t + e_q) + (e_r + (alpha / w) * (dv - 1.0) * e_u)
         slope = alpha * dv
         step = res / slope
-        s -= step
+        s = s - step
         # The step leaves an error of at most |a|*w**2*step**2/(2*slope).
-        settled = (abs(a) * w * w) * (step * step) <= 2.0 ** -59 * slope * np.abs(s)
-        settled &= np.abs(d) <= 2.0 * _KEPLER_STEP
-        s[~settled] = np.nan
-        return s
+        return s, (abs(a) * w * w) * (step * step) <= 2.0 ** -59 * slope * np.abs(s)
 
 
 class Smoothness(enum.IntEnum):
@@ -282,6 +309,8 @@ class Observer(ABC):
     """
 
     smoothness: Smoothness = Smoothness.C2
+    # Vertex parameters of the PiecewiseLinear worldlines in this one.
+    _vertices = ()
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -333,16 +362,18 @@ class Observer(ABC):
 
         Returns the parameter ``s`` with ``t(s) + x(s) = value`` for
         ``sign = +1`` or ``t(s) - x(s) = value`` for ``sign = -1``,
-        elementwise.  The base class inverts the profile of
-        :meth:`_sinusoid` (:meth:`_Sinusoid.inverse`, NaN where its fixed
-        steps leave an element unsettled) and returns None for a kind
-        without one; callers then solve for ``s`` numerically.
+        elementwise; a finite ``value`` in the profile's range never gives
+        NaN.  The base class inverts the profile of :meth:`_sinusoid`
+        (:meth:`_Sinusoid.inverse`) and returns None for a kind without
+        one; callers then solve for ``s`` numerically.
         """
         profile = self._sinusoid(sign)
         return None if profile is None else profile.inverse(value)
 
     def null_window(self) -> tuple[tuple[float, float], tuple[float, float]] | None:
-        """Achieved null-coordinate window over the (finite) domain.
+        """Achieved null-coordinate window over the (finite) domain: each
+        null profile's extremes over the domain ends and the vertices in it,
+        where a segment at or above light speed can put them.
 
         Meaningful for sampled kinds; analytic kinds report their
         ranges through :meth:`null_range` instead and return None here
@@ -351,9 +382,13 @@ class Observer(ABC):
         lo, hi = self.domain
         if not (math.isfinite(lo) and math.isfinite(hi)):
             return None
+        s = np.concatenate(([lo, hi], self._vertices))
+        s = s[(s >= lo) & (s <= hi)]
+        t, x = self.position(s)
+        plus, minus = t + x, t - x
         return (
-            (float(self.null_plus(lo)), float(self.null_plus(hi))),
-            (float(self.null_minus(lo)), float(self.null_minus(hi))),
+            (float(plus.min()), float(plus.max())),
+            (float(minus.min()), float(minus.max())),
         )
 
     def boosted(self, v, ctx: LightspeedContext = NATURAL_UNITS) -> "BoostedObserver":
@@ -512,6 +547,7 @@ class PiecewiseLinear(Observer):
         if not np.all(np.diff(self.ts) > 0.0):
             raise ValueError("vertex times must increase strictly")
         self.slopes = np.diff(self.xs) / np.diff(self.ts)
+        self._vertices = self.ts
 
     @property
     def domain(self):
@@ -548,16 +584,6 @@ class PiecewiseLinear(Observer):
             return None
         return np.interp(value, nodes, self.ts)
 
-    def null_window(self):
-        # Piecewise-linear functions attain extrema at vertices, so the
-        # exact achieved window comes from the vertex set.
-        plus = self.ts + self.xs
-        minus = self.ts - self.xs
-        return (
-            (float(plus.min()), float(plus.max())),
-            (float(minus.min()), float(minus.max())),
-        )
-
     def __repr__(self):
         return f"PiecewiseLinear({len(self.ts)} vertices on [{self.ts[0]:g}, {self.ts[-1]:g}])"
 
@@ -572,6 +598,7 @@ class _Combinator(Observer):
             raise ValueError("need at least one child")
         self.children = children
         self.smoothness = Smoothness(min(c.smoothness for c in children))
+        self._vertices = np.concatenate([c._vertices for c in children])
 
     @property
     def domain(self):

@@ -190,23 +190,25 @@ def radar_trajectory_of(
     which would give the arc-length integrand identically and hide a faulty
     inverse.  The slope error bound adds the truncation ``|D4 - D2|``, a
     moved difference's shift times the curvature, the rounding ``eps (|z| +
-    |sigma z_dot|) / h`` and, where the chart root-finds one of the five
-    points, ``root_tol / h``.  The rounding term takes each point to be
-    good to an ulp or so of ``z``.  Near the cusps of a profile
-    ``alpha*s + beta + a*sin(w*s)`` with ``|a*w|`` close to ``alpha``
-    the inverse is ill-conditioned: there the profile's own rounding over
-    its small slope can reach tens of ulp, which this bound leaves out.
+    |sigma z_dot|) / h`` and, at every node of a chart whose observer has no
+    null inverse for some sign, so that it root-finds, ``root_tol / h``.
+    The rounding term takes each point to be good to an ulp or so of
+    ``z``.  Near the cusps of a profile ``alpha*s + beta + a*sin(w*s)``
+    with ``|a*w|`` close to ``alpha`` the inverse is ill-conditioned: there
+    the profile's own rounding over its small slope can reach tens of ulp,
+    which this bound leaves out.
     An event outside the chart raises :class:`~mwsync.errors.NoRadarCoordinate`.
     """
     c, h = ctx.c, FD_STEP
     lo, hi = target.domain
+    no_inverse = (chart.observer.null_inverse(sign, np.empty(0)) is None for sign in (1.0, -1.0))
+    root_error = chart.root_tol / h if any(no_inverse) else 0.0
 
     def path(sigma):
         centre = np.clip(sigma, lo + 2.0 * h, hi - 2.0 * h)
         steps = np.clip(centre + h * np.array([[-2.0], [-1.0], [1.0], [2.0]]), lo, hi)
         et, ex = target.position(np.concatenate((sigma[None], steps)).ravel())
-        root_found = np.zeros(et.shape, dtype=bool)
-        z = np.stack(chart.radar_inverse_components(et, ex, root_found=root_found))
+        z = np.stack(chart.radar_inverse_components(et, ex))
         here, back2, back1, ahead1, ahead2 = z.reshape(2, 5, -1).transpose(1, 0, 2)
         slope = (8.0 * (ahead1 - back1) - (ahead2 - back2)) / (12.0 * h)
         curvature = (ahead2 + back2 - ahead1 - back1) / (3.0 * h * h)
@@ -214,7 +216,7 @@ def radar_trajectory_of(
             np.abs(slope - (ahead1 - back1) / (2.0 * h))
             + np.abs(sigma - centre) * np.abs(curvature)
             + np.finfo(float).eps * (np.abs(here) + np.abs(sigma * slope)) / h
-            + chart.root_tol / h * root_found.reshape(5, -1).any(axis=0)
+            + root_error
         )
         return here[0] / c, here[1], slope[0] / c, slope[1], error.max(axis=0) / c
 

@@ -410,56 +410,49 @@ def test_closed_form_kinds_evaluate_no_profile(obs, monkeypatch):
     m.radar_inverse_components(et, ex)
 
 
+def _residuals_within_bound(obs, sign, s, targets):
+    profile = obs.null_plus if sign > 0 else obs.null_minus
+    return np.all(np.abs(profile(s) - targets) <= 4e-16 * (1.0 + np.abs(targets)))
+
+
 @pytest.mark.parametrize("obs", FIXED_STEP, ids=repr)
 def test_fixed_step_kinds_settle_every_element_without_rtsafe(obs, monkeypatch):
     m = MarzkeWheelerMap(obs)
     _, _, et, ex = mixed_batch(m)
-    for sign, e in ((1.0, et + ex), (-1.0, et - ex)):
-        assert not np.isnan(obs.null_inverse(sign, e)).any()
     _refuse_profiles(monkeypatch)
     m.radar_inverse_components(et, ex)
+    solved = [(sign, e, m._solve(sign, e)) for sign, e in ((1.0, et + ex), (-1.0, et - ex))]
+    monkeypatch.undo()
+    for sign, e, s in solved:
+        assert _residuals_within_bound(obs, sign, s, e)
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_unsettled_elements_near_the_cusp_go_to_rtsafe(sign, monkeypatch):
+def test_elements_near_the_cusp_settle_in_their_table_cell(sign, monkeypatch):
     # At |a*w| = 1 - 1e-6 the slope of t + x nearly vanishes at w*s = pi
-    # (mod 2*pi), that of t - x at w*s = 0: there the fixed steps give up.
+    # (mod 2*pi), that of t - x at w*s = 0: there the Newton steps from the
+    # table leave elements unsettled, and those halve their table cell.
     obs = PerturbedInertial(0.5 * (1.0 - 1e-6), 2.0)
     cusps = math.pi * (np.arange(-4.0, 5.0) + (0.5 if sign > 0 else 0.0))
     s = np.concatenate([cusps, cusps + 1e-3, np.linspace(-3.0, 3.0, 61)])
-    profile = obs.null_plus if sign > 0 else obs.null_minus
-    targets = profile(s)
-    fixed = obs.null_inverse(sign, targets)
-    unsettled = np.isnan(fixed)
-    assert 0 < np.count_nonzero(unsettled) < s.size // 2
-    m = MarzkeWheelerMap(obs)
-    goals = []
-    root_find = MarzkeWheelerMap._root_find
-    monkeypatch.setattr(MarzkeWheelerMap, "_root_find",
-                        lambda self, sign, goal: goals.append(goal) or root_find(self, sign, goal))
-    got = m._solve(sign, targets)
-    assert len(goals) == 1 and np.array_equal(goals[0], targets[unsettled])
-    assert np.array_equal(got[~unsettled], fixed[~unsettled])
-    assert np.array_equal(got[unsettled], root_find(m, sign, targets[unsettled]))
-    assert np.all(np.abs(profile(got) - targets) <= 4e-16 * (1.0 + np.abs(targets)))
+    targets = (obs.null_plus if sign > 0 else obs.null_minus)(s)
+
+    def refuse(self, sign, goal):
+        raise AssertionError("the inverse root-found")
+
+    monkeypatch.setattr(MarzkeWheelerMap, "_root_find", refuse)
+    assert _residuals_within_bound(obs, sign, MarzkeWheelerMap(obs)._solve(sign, targets), targets)
+    monkeypatch.setattr("mwsync.observers._HALVINGS", 0)
+    assert not _residuals_within_bound(obs, sign, obs.null_inverse(sign, targets), targets)
 
 
-def test_root_found_marks_the_events_rtsafe_solved():
-    # Events whose t + x sits on a cusp of the first profile, then events
-    # whose t - x sits on one of the second: both signs hand some on.
-    obs = PerturbedInertial(0.5 * (1.0 - 1e-6), 2.0)
-    cusps, plain = math.pi * np.arange(-4.0, 5.0), np.linspace(-3.0, 3.0, 9)
-    plus = obs.null_plus(np.concatenate([cusps + 0.5 * math.pi, plain]))
-    minus = obs.null_minus(np.concatenate([plain, cusps]))
-    t, x = (plus + minus) / 2.0, (plus - minus) / 2.0
-    expected = np.isnan(obs.null_inverse(1.0, t + x)) | np.isnan(obs.null_inverse(-1.0, t - x))
-    assert expected[:9].any() and expected[9:].any() and not expected.all()
-    for m, want in ((MarzkeWheelerMap(obs), expected),
-                    (MarzkeWheelerMap(TWO_TONE), np.ones(t.shape, dtype=bool)),
-                    (MarzkeWheelerMap(Inertial(0.3)), np.zeros(t.shape, dtype=bool))):
-        root_found = np.zeros(t.shape, dtype=bool)
-        m.radar_inverse_components(t, x, root_found=root_found)
-        assert np.array_equal(root_found, want)
+def test_a_target_whose_reduction_overflows_raises():
+    # w*(t + x)/alpha = 2e308 overflows, so the target has no reduced form.
+    m = MarzkeWheelerMap(PerturbedInertial(0.1, 2.0))
+    with pytest.raises(EvaluationFailure, match=r"overflows at target 1e\+308"):
+        m.radar_inverse(E(1e308, 0.0))
+    with pytest.raises(EvaluationFailure, match=r"overflows at target 1e\+308"):
+        m.radar_inverse_components(np.array([0.0, 1e308]), np.zeros(2))
 
 
 def test_kinked_profile_falls_back_to_bisection():
@@ -566,13 +559,15 @@ def _whole_batch_solve(m, sign, targets):
 
 # A worldline with a null segment: t - x stays 0 on [0, 1], so the minus
 # profile has no closed-form inverse and rtsafe runs on a finite domain.
-# The wobbles carry sinusoids of two frequencies, which also root-find.
+# The wobbles carry sinusoids of two frequencies, which also root-find, as
+# does a sum of a Rindler and an inertial observer.
 NULL_SEGMENT = PiecewiseLinear([(-3.0, 0.0), (0.0, 0.0), (1.0, 1.0), (3.0, 1.5)])
 CHUNKED = {
     "wobble": (TWO_TONE, (1.0, -1.0)),
     "sum": (TWO_TONE + Inertial(0.5), (1.0, -1.0)),
     "boosted": (TWO_TONE.boosted(0.3), (1.0, -1.0)),
     "null_segment": (NULL_SEGMENT, (-1.0,)),
+    "rindler_sum": (Rindler(1.0) + Inertial(0.2), (1.0, -1.0)),
 }
 B = mwmap._BLOCK_NODES
 

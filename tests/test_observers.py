@@ -11,6 +11,7 @@ from mwsync import (
     EvaluationFailure,
     Inertial,
     LipVerdict,
+    MarzkeWheelerMap,
     PerturbedInertial,
     PiecewiseLinear,
     Rindler,
@@ -142,6 +143,23 @@ def test_piecewise_linear_null_window_is_exact():
     plus, minus = window
     assert plus == (0.0, 2.5)
     assert minus == (0.0, 3.5)
+
+
+def test_wrapped_piecewise_linear_reports_its_vertex_extremes():
+    # The second segment is spacelike, so t + x peaks and t - x dips at
+    # the middle vertex, not at the ends.  A boost by 0 and a translation
+    # by 0 leave the worldline as it is, and so its window and its chart.
+    z = PiecewiseLinear([(0.0, 0.0), (1.0, 2.0), (2.0, 0.0)])
+    wrapped = [z.translated(SplitComplex(0.0, 0.0)), z.boosted(0.0)]
+    assert z.null_window() == ((0.0, 3.0), (-1.0, 2.0))
+    for obs in wrapped:
+        assert obs.null_window() == z.null_window()
+        chart = MarzkeWheelerMap(obs)
+        assert chart.radar_inverse(SplitComplex(1.2, 1.0)) == MarzkeWheelerMap(z).radar_inverse(
+            SplitComplex(1.2, 1.0))
+    # A sum evaluates the vertices inside its domain [0.5, 2] only.
+    clipped = z + PiecewiseLinear([(0.5, 0.0), (3.0, 0.0)])
+    assert clipped.null_window() == ((2.0, 4.0), (0.0, 4.0))
 
 
 def test_sum_observer():
