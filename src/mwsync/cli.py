@@ -504,13 +504,13 @@ def main(argv=None) -> int:
     try:
         if args.out:
             _check_out(args.out)
-        scenario = load_scenario(args.scenario)
-        grid = (
-            _grid_from_flag(args.grid) if args.grid is not None else scenario.grid
-        )
         # Overflow and NaN surface as exit codes and report values, so
         # numpy's RuntimeWarnings would only put lines before `error:`.
         with np.errstate(all="ignore"):
+            scenario = load_scenario(args.scenario)
+            grid = (
+                _grid_from_flag(args.grid) if args.grid is not None else scenario.grid
+            )
             report, code = _VERBS[args.verb](args, scenario, grid)
         if args.verb != "eval":  # eval's report is its CSV rows
             report = [f"{key}: {_text(value)}" for key, value in report]

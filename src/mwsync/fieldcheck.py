@@ -158,6 +158,8 @@ class AffineLorentzMap(PlaneMap):
     def __init__(self, u: TwoVelocity, scale: float = 1.0, offset: SplitComplex = ZERO):
         self.u = u
         self.scale = float(scale)
+        if not math.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale!r}")
         self.offset = offset
 
     def components(self, t, x):
@@ -231,8 +233,9 @@ class GridSpec:
     h: float | None = None
 
     def __post_init__(self):
-        if not (self.t_min < self.t_max and self.x_min < self.x_max):
-            raise ValueError("grid box must have positive extent")
+        extents = (self.t_max - self.t_min, self.x_max - self.x_min)
+        if not all(0.0 < d < math.inf for d in extents):
+            raise ValueError("grid box must have positive finite extent")
         if self.n_t < 3 or self.n_x < 3:
             raise ValueError("need at least 3 nodes per direction")
         spacing = self.min_spacing

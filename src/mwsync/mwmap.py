@@ -23,13 +23,14 @@ Inverting the chart reduces to inverting ``P`` and ``M``.
 Each kind inverts them by one path.  Most supply the inverse
 (:meth:`~mwsync.observers.Observer.null_inverse`): in closed form, or for
 profiles ``alpha*s + beta + a*sin(w*s)`` as Kepler's equation in a fixed
-number of steps.  The others are solved by a safeguarded Newton
-iteration ("rtsafe", Numerical Recipes section 9.4) that takes the
-worldline velocity as the profile slope and bisects whenever a Newton
-step would leave the bracket or fails to halve the previous step.  Each
-element is solved on its own, so a result never depends on the rest of
-its batch, and the iteration runs over cache-sized chunks of a batch
-without changing a bit.
+number of steps.  The others, sums whose sinusoids differ in frequency
+and sums that hold a Rindler observer or a polygon, are solved by a
+safeguarded Newton iteration ("rtsafe", Numerical Recipes section 9.4)
+that takes the worldline velocity as the profile slope and bisects
+whenever a Newton step would leave the bracket or fails to halve the
+previous step.  Each element is solved on its own, so a result never
+depends on the rest of its batch, and the iteration runs over
+cache-sized chunks of a batch without changing a bit.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .errors import (
     NoRadarCoordinate,
     NotDifferentiable,
 )
-from .observers import Observer, Smoothness, _scalar
+from .observers import Observer, _scalar
 
 __all__ = ["MarzkeWheelerMap"]
 
@@ -239,7 +240,7 @@ class MarzkeWheelerMap:
 
     def _gate(self, e_plus, e_minus):
         # Strict interior for declared open ranges, closed membership
-        # for sampled windows.
+        # for sampled windows; NaN is in neither.
         ranges = [self.observer.null_range(sign) for sign in (1.0, -1.0)]
         is_open = all(r is not None for r in ranges)
         if not is_open:
@@ -250,7 +251,7 @@ class MarzkeWheelerMap:
                 )
         events = (e_plus, e_minus)
         bad = [
-            (e <= lo) | (e >= hi) if is_open else (e < lo) | (e > hi)
+            ~((lo < e) & (e < hi)) if is_open else ~((lo <= e) & (e <= hi))
             for e, (lo, hi) in zip(events, ranges)
         ]
         either = bad[0] | bad[1]
@@ -395,11 +396,8 @@ class MarzkeWheelerMap:
     # -- derivative and conformal factor -------------------------------
 
     def _require_smooth(self, what: str):
-        if self.observer.smoothness < Smoothness.C1:
-            raise NotDifferentiable(
-                f"{what} needs a C1 worldline; {self.observer!r} is "
-                f"{self.observer.smoothness.name}"
-            )
+        if not self.observer.smooth:
+            raise NotDifferentiable(f"{what} needs a C1 worldline; {self.observer!r} is C0")
 
     def derivative_components(self, t, x, mode: str = "analytic", step=None):
         """Split-complex derivative of the chart, componentwise arrays.

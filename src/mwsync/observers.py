@@ -5,7 +5,8 @@ array-aware coordinate functions.  The parameter convention is fixed by
 each kind (proper time for the inertial and uniformly accelerated
 families, coordinate time for the sampled kinds); what the rest of the
 package relies on is only that ``gamma`` is future-directed timelike,
-which is taken as given, not checked.
+which is checked by every built-in kind; a subclass's curve is taken as
+given.
 
 The null coordinate functions ``s -> t(s) + x(s)`` and
 ``s -> t(s) - x(s)`` are strictly increasing along any such curve, and
@@ -18,14 +19,15 @@ Both null questions take a ``sign``, +1 for ``t + x`` and -1 for
 ``t - x``: :meth:`Observer.null_range` declares the range of that
 coordinate, and :meth:`Observer.null_inverse` inverts the profile
 without root finding where the kind allows it.  ``Inertial``,
-``Rindler`` and ``PiecewiseLinear`` (with strictly increasing vertex
-null coordinates), boosted or translated, invert in closed form.  A
-profile of the form ``alpha*s + beta + a*sin(w*s)`` with
+``Rindler`` and ``PiecewiseLinear``, boosted or translated, invert in
+closed form.  A profile of the form ``alpha*s + beta + a*sin(w*s)`` with
 ``|a*w| < alpha`` (``PerturbedInertial`` and sums, boosts and
 translations of it and of ``Inertial``, as long as the sinusoids of a
 sum share one ``w``) is Kepler's equation ``u + e*sin(u) = M`` after a
 change of variable, and :class:`_Sinusoid` inverts it in a fixed number
-of steps.  The radar chart root-finds the other kinds.
+of steps.  The radar chart root-finds the other kinds: sums whose
+sinusoids differ in frequency and sums that hold a Rindler observer or
+a polygon.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .algebra import (
 from .errors import DomainExceeded, EvaluationFailure
 
 __all__ = [
-    "Smoothness",
     "Observer",
     "Inertial",
     "Rindler",
@@ -283,34 +284,26 @@ class _Sinusoid:
         return s, (abs(a) * w * w) * (step * step) <= 2.0 ** -59 * slope * np.abs(s)
 
 
-class Smoothness(enum.IntEnum):
-    """Regularity ladder; comparisons use the integer order."""
-
-    C0 = 0
-    PIECEWISE_SMOOTH = 1
-    C1 = 2
-    C2 = 3
-
-
 class Observer(ABC):
     """Future-directed timelike worldline with array-aware evaluation.
 
-    Subclasses implement :meth:`position` and :meth:`velocity` over
-    floats or numpy arrays and declare their :attr:`smoothness`.  Both
-    must be elementwise, returning arrays of the shape of ``s`` whose
-    every element depends on that element of ``s`` alone: on a large
-    enough grid block the radar chart evaluates them on one null
-    coordinate per diagonal and spreads the values over the block.  A whole-array check such as
-    :class:`PiecewiseLinear`'s domain test still sees every distinct
-    value.  The scalar entry points :meth:`__call__` and
+    Every built-in kind refuses parameters that would make it anything
+    else; a subclass's curve is taken as given.  Subclasses implement
+    :meth:`position` and :meth:`velocity` over floats or numpy arrays
+    and declare whether they are :attr:`smooth`.  Both must be
+    elementwise, returning arrays of the shape of ``s`` whose every
+    element depends on that element of ``s`` alone: on a large enough
+    grid block the radar chart evaluates them on one null coordinate per
+    diagonal and spreads the values over the block.  A whole-array check
+    such as :class:`PiecewiseLinear`'s domain test still sees every
+    distinct value.  The scalar entry points :meth:`__call__` and
     :meth:`derivative` wrap the results in
     :class:`~mwsync.algebra.SplitComplex`, or raise EvaluationFailure
     where they are not finite.
     """
 
-    smoothness: Smoothness = Smoothness.C2
-    # Vertex parameters of the PiecewiseLinear worldlines in this one.
-    _vertices = ()
+    # Whether the curve is C1, so that the chart has a derivative.
+    smooth = True
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -372,8 +365,8 @@ class Observer(ABC):
 
     def null_window(self) -> tuple[tuple[float, float], tuple[float, float]] | None:
         """Achieved null-coordinate window over the (finite) domain: each
-        null profile's extremes over the domain ends and the vertices in it,
-        where a segment at or above light speed can put them.
+        null profile's extremes over the two domain ends, which on a
+        timelike curve are its values there in order.
 
         Meaningful for sampled kinds; analytic kinds report their
         ranges through :meth:`null_range` instead and return None here
@@ -382,14 +375,8 @@ class Observer(ABC):
         lo, hi = self.domain
         if not (math.isfinite(lo) and math.isfinite(hi)):
             return None
-        s = np.concatenate(([lo, hi], self._vertices))
-        s = s[(s >= lo) & (s <= hi)]
-        t, x = self.position(s)
-        plus, minus = t + x, t - x
-        return (
-            (float(plus.min()), float(plus.max())),
-            (float(minus.min()), float(minus.max())),
-        )
+        t, x = self.position(np.array([lo, hi]))
+        return tuple((float(p.min()), float(p.max())) for p in (t + x, t - x))
 
     def boosted(self, v, ctx: LightspeedContext = NATURAL_UNITS) -> "BoostedObserver":
         """This worldline boosted by velocity ``v`` (or a TwoVelocity)."""
@@ -412,8 +399,6 @@ class Inertial(Observer):
     Parameterized by proper time; ``u`` is the unit two-velocity of the
     coordinate velocity ``v``.
     """
-
-    smoothness = Smoothness.C2
 
     def __init__(
         self,
@@ -452,8 +437,6 @@ class Rindler(Observer):
     whose radar chart covers a wedge rather than the plane.
     """
 
-    smoothness = Smoothness.C2
-
     def __init__(self, a: float, ctx: LightspeedContext = NATURAL_UNITS):
         a = float(a)
         if a == 0.0 or not math.isfinite(a):
@@ -491,8 +474,6 @@ class PerturbedInertial(Observer):
     constructor enforces strictly.
     """
 
-    smoothness = Smoothness.C2
-
     def __init__(self, amplitude: float, frequency: float):
         self.amplitude = float(amplitude)
         self.frequency = float(frequency)
@@ -529,25 +510,31 @@ class PiecewiseLinear(Observer):
     """Polygonal worldline through given ``(t, x)`` vertices.
 
     Parameterized by coordinate time over the closed vertex window.
-    Continuous but kinked, so :attr:`smoothness` is C0 and
-    :meth:`velocity` returns the right-hand slope at each vertex (the
-    last vertex reuses the final segment).  Vertices need strictly
-    increasing ``t``.  Segment speeds are not checked: a segment at or
-    above the speed of light is accepted as given.
+    Continuous but kinked, so not :attr:`smooth`, and :meth:`velocity`
+    returns the right-hand slope at each vertex (the last vertex reuses
+    the final segment).  Vertices must be finite, with strictly
+    increasing ``t`` and every segment slower than light: both vertex
+    null coordinates ``t + x`` and ``t - x``, as computed, increase
+    strictly, which is what inverting them by interpolation needs.
     """
 
-    smoothness = Smoothness.C0
+    smooth = False
 
     def __init__(self, vertices):
         pts = [(float(t), float(x)) for t, x in vertices]
         if len(pts) < 2:
             raise ValueError("need at least two vertices")
-        self.ts = np.array([p[0] for p in pts])
-        self.xs = np.array([p[1] for p in pts])
+        self.ts, self.xs = np.array(pts).T.copy()
         if not np.all(np.diff(self.ts) > 0.0):
             raise ValueError("vertex times must increase strictly")
+        if not np.isfinite(pts).all():
+            raise ValueError("vertex coordinates must be finite")
+        slow = (np.diff(self.ts + self.xs) > 0.0) & (np.diff(self.ts - self.xs) > 0.0)
+        if not slow.all():
+            i = int(np.argmin(slow))
+            raise ValueError(
+                f"segment {i} from {pts[i]} to {pts[i + 1]} is not slower than light")
         self.slopes = np.diff(self.xs) / np.diff(self.ts)
-        self._vertices = self.ts
 
     @property
     def domain(self):
@@ -576,29 +563,24 @@ class PiecewiseLinear(Observer):
         return np.ones_like(s), self.slopes[idx]
 
     def null_inverse(self, sign, value):
-        # Exact on each segment when the vertex null coordinates
-        # increase strictly; a null or spacelike segment leaves the
-        # profile without an inverse, so defer to the root finder.
-        nodes = self.ts + sign * self.xs
-        if not np.all(np.diff(nodes) > 0.0):
-            return None
-        return np.interp(value, nodes, self.ts)
+        # Exact on each segment: the vertex null coordinates increase
+        # strictly (checked in __init__).
+        return np.interp(value, self.ts + sign * self.xs, self.ts)
 
     def __repr__(self):
         return f"PiecewiseLinear({len(self.ts)} vertices on [{self.ts[0]:g}, {self.ts[-1]:g}])"
 
 
 class _Combinator(Observer):
-    """Worldline built from ``children``: the least of their smoothness,
-    on the intersection of their domains."""
+    """Worldline built from ``children``: smooth if they all are, on the
+    intersection of their domains."""
 
     def __init__(self, children):
         children = tuple(children)
         if len(children) < 1:
             raise ValueError("need at least one child")
         self.children = children
-        self.smoothness = Smoothness(min(c.smoothness for c in children))
-        self._vertices = np.concatenate([c._vertices for c in children])
+        self.smooth = all(c.smooth for c in children)
 
     @property
     def domain(self):

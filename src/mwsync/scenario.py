@@ -215,6 +215,14 @@ class _Entry:
             )
         return value
 
+    def pairs(self, key: str):
+        """Each ``[t, x]`` of the list at ``key``, read as two numbers."""
+        for i, pair in enumerate(self.array(key)):
+            where = f"{self.where}.{key}[{i}]"
+            if not (isinstance(pair, list) and len(pair) == 2):
+                raise ScenarioError(f"{where} must be a pair [t, x], got {pair!r}")
+            yield tuple(_number(v, f"{where}[{j}]") for j, v in enumerate(pair))
+
     def ref(self, section: str, key: str = "of"):
         return self.builder.resolve(section, self._get(key))
 
@@ -232,8 +240,7 @@ _KINDS = {
         "rindler": (("a",), lambda e: Rindler(e.number("a"), e.ctx)),
         "perturbed_inertial": (("amplitude", "frequency"), lambda e: PerturbedInertial(
             e.number("amplitude"), e.number("frequency"))),
-        "piecewise_linear": (("vertices",), lambda e: PiecewiseLinear(
-            e.array("vertices"))),
+        "piecewise_linear": (("vertices",), lambda e: PiecewiseLinear(e.pairs("vertices"))),
         "sum": (("of",), lambda e: SumObserver(e.refs("observers"))),
         "boosted": (("v", "of"), lambda e: e.ref("observers").boosted(
             e.number("v"), e.ctx)),

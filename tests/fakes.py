@@ -50,7 +50,7 @@ class CountingObserver(Observer):
 
     def __init__(self, inner):
         self.inner = inner
-        self.smoothness = inner.smoothness
+        self.smooth = inner.smooth
         self.points = 0
 
     def position(self, s):

@@ -292,6 +292,18 @@ class TestProperTime:
         assert code == 0
         assert "consistent: true" in out
 
+    @pytest.mark.parametrize("tol, code, consistent", [
+        ("1e-15", 1, "false"), ("1e-6", 0, "true"),
+    ])
+    def test_twin_judges_its_agreement_by_tol(self, capsys, tol, code, consistent):
+        got, out, err = run(capsys, "propertime", "--scenario", DEMO, "--mode", "twin",
+                            "--a", "wobble", "--b", "lab", "--a0", "-0.5", "--a1", "0.5",
+                            "--tol", tol)
+        assert (got, err) == (code, "")
+        lines = out.splitlines()
+        assert "max_rel_disagreement: 9.092839210135224e-14" in lines
+        assert f"consistent: {consistent}" in lines
+
     @pytest.mark.parametrize("root_tol", [1e-3, 1e-12])
     def test_twin_uses_the_scenario_root_tol(self, root_tol, capsys, tmp_path):
         # The twin's chart account of A is the accelerated route's chart
@@ -542,6 +554,13 @@ class TestValidationAndErrors:
         assert out == ""
         assert "error:" in err and flag in err
 
+    def test_dilation_input_not_a_number_exits_2(self, scenario_path, capsys):
+        code, out, err = run(capsys, "propertime", "--scenario", scenario_path,
+                             "--mode", "dilation", "--accel", "1", "--x1", "abc",
+                             "--x2", "0.25", "--dt", "2")
+        assert (code, out) == (2, "")
+        assert "error: argument --x1: invalid float value: 'abc'" in err
+
     @pytest.mark.parametrize("x1, x2, dt", [
         ("0", "1e308", "1"), ("-1e308", "1e308", "1"), ("0", "1", "1e308"),
     ])
@@ -571,6 +590,17 @@ class TestValidationAndErrors:
         code, _, err = run(capsys, "eval", "--scenario", scenario_path,
                            "--map", "lab_chart", "--grid", "1,2,3")
         assert code == 2
+
+    # An infinite bound, an extent that overflows, and NaN.
+    @pytest.mark.parametrize("grid", [
+        "-2,inf,-2,2,5,5", "-1e308,1e308,-2,2,5,5", "-2,2,nan,2,5,5",
+    ])
+    def test_grid_flag_of_no_positive_finite_extent_exits_2(self, scenario_path, capsys,
+                                                           grid):
+        code, out, err = run(capsys, "eval", "--scenario", scenario_path,
+                             "--map", "lab_chart", f"--grid={grid}")
+        assert (code, out) == (2, "")
+        assert err == "error: bad --grid: grid box must have positive finite extent\n"
 
     @pytest.mark.parametrize("a, b", [("rocket", "lab"), ("lab", "rocket")])
     def test_twin_window_beyond_the_worldline_exits_3(self, scenario_path, capsys, a, b):
@@ -745,6 +775,22 @@ def test_no_propertime_mode_loads_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.splitlines()[-1] == "[0, 0, 0, 0] False"
+
+
+def test_loading_a_scenario_prints_no_numpy_warning(tmp_path):
+    # The vertex times' difference overflows while the polygon is built.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({
+        "observers": {"z": {"kind": "piecewise_linear",
+                            "vertices": [[-1e308, 0], [1e308, 0.5]]}},
+        "maps": {"chart": {"kind": "mw", "observer": "z"}},
+    }))
+    src = os.path.dirname(os.path.dirname(mwsync.__file__))
+    argv = [sys.executable, "-m", "mwsync.cli", "causal", "--scenario", str(path),
+            "--map", "chart"]
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="always")
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 # 3 columns make a grid of one row block; 20000 make three blocks of one

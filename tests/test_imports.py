@@ -66,5 +66,5 @@ def test_the_package_exports_exactly_its_modules_public_names():
         if module not in ("__init__", "cli")
         for name in importlib.import_module(f"mwsync.{module}").__all__
     ]
-    assert len(names) == len(set(names)) == 82
+    assert len(names) == len(set(names)) == 81
     assert mwsync.__all__ == names

@@ -19,7 +19,6 @@ from mwsync import (
     PerturbedInertial,
     PiecewiseLinear,
     Rindler,
-    Smoothness,
     SplitComplex,
     SumObserver,
     exp,
@@ -216,7 +215,7 @@ def test_derivative_of_the_rindler_chart():
 
 def test_analytic_derivative_needs_smoothness():
     zig = PiecewiseLinear([(-1.0, 0.0), (1.0, 0.5)])
-    assert zig.smoothness < Smoothness.C1
+    assert not zig.smooth
     m = MarzkeWheelerMap(zig)
     with pytest.raises(NotDifferentiable):
         m.derivative(E(0.0, 0.1))
@@ -394,6 +393,15 @@ def test_empty_batch_inverts_to_empty_arrays(obs):
     assert rt.shape == (0,) and rx.shape == (0,)
 
 
+@pytest.mark.parametrize("event", [(math.nan, 0.0), (0.0, math.nan)])
+@pytest.mark.parametrize("obs", EVERY_KIND, ids=repr)
+def test_a_nan_event_is_outside_every_chart(obs, event):
+    m = MarzkeWheelerMap(obs)
+    t, x = (np.array([v]) for v in event)
+    with pytest.raises(NoRadarCoordinate, match=r"t\+x = nan outside .*; t-x = nan outside"):
+        m.radar_inverse_components(t, x)
+
+
 def _refuse_profiles(monkeypatch):
     def refuse(self, s):
         raise AssertionError("the inverse evaluated a null profile")
@@ -557,16 +565,15 @@ def _whole_batch_solve(m, sign, targets):
     )
 
 
-# A worldline with a null segment: t - x stays 0 on [0, 1], so the minus
-# profile has no closed-form inverse and rtsafe runs on a finite domain.
-# The wobbles carry sinusoids of two frequencies, which also root-find, as
-# does a sum of a Rindler and an inertial observer.
-NULL_SEGMENT = PiecewiseLinear([(-3.0, 0.0), (0.0, 0.0), (1.0, 1.0), (3.0, 1.5)])
+# A polygon plus a smooth worldline has no closed-form inverse, so rtsafe
+# runs on a finite domain.  The wobbles carry sinusoids of two
+# frequencies, which also root-find, as does a sum of a Rindler and an
+# inertial observer.
 CHUNKED = {
     "wobble": (TWO_TONE, (1.0, -1.0)),
     "sum": (TWO_TONE + Inertial(0.5), (1.0, -1.0)),
     "boosted": (TWO_TONE.boosted(0.3), (1.0, -1.0)),
-    "null_segment": (NULL_SEGMENT, (-1.0,)),
+    "kinked": (KINKED, (1.0, -1.0)),
     "rindler_sum": (Rindler(1.0) + Inertial(0.2), (1.0, -1.0)),
 }
 B = mwmap._BLOCK_NODES
@@ -759,7 +766,7 @@ def test_diagonal_profiles_match_the_two_call_formulas_bitwise(
     monkeypatch.setattr(mwmap, "_OFF_DIAGONAL", off_diagonal)
     m = MarzkeWheelerMap(KINDS[kind])
     ref = TwoCallChart(KINDS[kind])
-    smooth = m.observer.smoothness >= Smoothness.C1
+    smooth = m.observer.smooth
     for name, (t, x) in CASES.items():
         assert _outcome(m.components, t, x) == _outcome(ref.components, t, x), name
         if smooth:

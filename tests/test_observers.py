@@ -12,11 +12,12 @@ from mwsync import (
     Inertial,
     LipVerdict,
     MarzkeWheelerMap,
+    Observer,
     PerturbedInertial,
     PiecewiseLinear,
     Rindler,
-    Smoothness,
     SplitComplex,
+    SumObserver,
     lip_status,
     two_velocity,
 )
@@ -27,7 +28,7 @@ def test_inertial_rest_observer():
     lab = Inertial(0.0)
     assert lab(1.5) == SplitComplex(1.5, 0.0)
     assert lab.derivative(2.0) == SplitComplex(1.0, 0.0)
-    assert lab.smoothness is Smoothness.C2
+    assert lab.smooth
     assert lab.domain == (-math.inf, math.inf)
 
 
@@ -117,7 +118,7 @@ def test_perturbed_inertial_position():
 
 def test_piecewise_linear_basics():
     zig = PiecewiseLinear([(0.0, 0.0), (1.0, 0.5), (3.0, -0.5)])
-    assert zig.smoothness is Smoothness.C0
+    assert not zig.smooth
     assert zig.domain == (0.0, 3.0)
     assert zig(0.5) == SplitComplex(0.5, 0.25)
     assert zig(2.0) == SplitComplex(2.0, 0.0)
@@ -145,21 +146,74 @@ def test_piecewise_linear_null_window_is_exact():
     assert minus == (0.0, 3.5)
 
 
-def test_wrapped_piecewise_linear_reports_its_vertex_extremes():
-    # The second segment is spacelike, so t + x peaks and t - x dips at
-    # the middle vertex, not at the ends.  A boost by 0 and a translation
-    # by 0 leave the worldline as it is, and so its window and its chart.
-    z = PiecewiseLinear([(0.0, 0.0), (1.0, 2.0), (2.0, 0.0)])
+def test_wrapped_piecewise_linear_reports_its_end_values():
+    # A boost by 0 and a translation by 0 leave the worldline as it is,
+    # and so its window and its chart.
+    z = PiecewiseLinear([(0.0, 0.0), (1.0, 0.5), (2.0, 0.0)])
     wrapped = [z.translated(SplitComplex(0.0, 0.0)), z.boosted(0.0)]
-    assert z.null_window() == ((0.0, 3.0), (-1.0, 2.0))
+    assert z.null_window() == ((0.0, 2.0), (0.0, 2.0))
     for obs in wrapped:
         assert obs.null_window() == z.null_window()
         chart = MarzkeWheelerMap(obs)
-        assert chart.radar_inverse(SplitComplex(1.2, 1.0)) == MarzkeWheelerMap(z).radar_inverse(
-            SplitComplex(1.2, 1.0))
-    # A sum evaluates the vertices inside its domain [0.5, 2] only.
+        assert chart.radar_inverse(SplitComplex(1.2, 0.3)) == MarzkeWheelerMap(z).radar_inverse(
+            SplitComplex(1.2, 0.3))
+    # A sum reads the ends of its domain [0.5, 2].
     clipped = z + PiecewiseLinear([(0.5, 0.0), (3.0, 0.0)])
-    assert clipped.null_window() == ((2.0, 4.0), (0.0, 4.0))
+    assert clipped.null_window() == ((1.25, 4.0), (0.75, 4.0))
+
+
+def test_a_subclass_curve_gets_an_ordered_window():
+    # A subclass's curve is taken as given: this one runs with x = 2t on
+    # [0, 1], so t - x falls, and its window still reads low end first.
+    class Fast(Observer):
+        domain = (0.0, 1.0)
+
+        def position(self, s):
+            return s + 0.0, 2.0 * s
+
+        def velocity(self, s):
+            return np.ones_like(s), np.full_like(s, 2.0)
+
+    assert Fast().null_window() == ((0.0, 3.0), (-1.0, 0.0))
+
+
+def _window_over_ends_and_vertices(obs, vertices):
+    """``obs.null_window()`` by the rule it replaced: each null profile's
+    extremes over the domain ends and the polygon vertices in the domain."""
+    lo, hi = obs.domain
+    s = np.concatenate(([lo, hi], vertices))
+    s = s[(s >= lo) & (s <= hi)]
+    t, x = obs.position(s)
+    plus, minus = t + x, t - x
+    return ((float(plus.min()), float(plus.max())), (float(minus.min()), float(minus.max())))
+
+
+def _timelike_polygon(rng):
+    """A polygon of 2 to 6 vertices, speeds up to 0.999, at a scale
+    from 1e-3 to 1e5."""
+    n = int(rng.integers(2, 7))
+    scale = 10.0 ** rng.uniform(-3.0, 5.0)
+    dt = rng.uniform(0.1, 1.0, n - 1) * scale
+    ts = rng.uniform(-1.0, 1.0) * scale + np.concatenate(([0.0], np.cumsum(dt)))
+    xs = rng.uniform(-1.0, 1.0) * scale + np.concatenate(
+        ([0.0], np.cumsum(rng.uniform(-0.999, 0.999, n - 1) * dt)))
+    return PiecewiseLinear(zip(ts, xs))
+
+
+def test_null_window_reads_what_the_vertex_extremes_read():
+    # Every profile of a timelike worldline increases, so its ends hold
+    # its extremes, bitwise, wherever the polygon sits in a worldline.
+    # Each polygon is read plain and in one of five settings, in turn.
+    rng = np.random.default_rng(0)
+    wobble, drift = PerturbedInertial(0.3, 1.7), Inertial(0.4)
+    for i in range(10_000):
+        z = _timelike_polygon(rng)
+        offset = SplitComplex(*rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-3.0, 5.0))
+        v = rng.uniform(-0.9, 0.9)
+        settings = (z.translated(offset), z.boosted(v), z + wobble, z + drift,
+                    SumObserver((z.boosted(v), z.translated(offset))))
+        for obs in (z, settings[i % 5]):
+            assert obs.null_window() == _window_over_ends_and_vertices(obs, z.ts), obs
 
 
 def test_sum_observer():
@@ -168,7 +222,7 @@ def test_sum_observer():
     s = a + b
     p = s(0.3)
     assert p == a(0.3) + b(0.3)
-    assert s.smoothness is Smoothness.C2
+    assert s.smooth
     # a full-line summand stretches the wedge ranges back to the line
     assert s.null_range(1.0) == (-math.inf, math.inf)
     # two like wedges stay a wedge
@@ -180,7 +234,7 @@ def test_sum_observer():
 def test_sum_of_piecewise_drops_smoothness():
     zig = PiecewiseLinear([(0.0, 0.0), (1.0, 0.25), (2.0, 0.0)])
     s = Inertial(0.0) + zig
-    assert s.smoothness is Smoothness.C0
+    assert not s.smooth
     assert s.domain == (0.0, 2.0)
 
 
@@ -324,8 +378,29 @@ def test_the_kepler_table_is_built_once_per_eccentricity():
     assert observers._kepler_table.cache_info().misses == 2
 
 
-def test_piecewise_linear_null_inverse_needs_increasing_vertices():
-    # The second segment is null (dx/dt = 1), so t - x stalls on it.
-    lightlike = PiecewiseLinear([(0.0, 0.0), (1.0, 0.5), (2.0, 1.5)])
-    assert lightlike.null_inverse(1.0, np.array([1.0])) is not None
-    assert lightlike.null_inverse(-1.0, np.array([0.5])) is None
+@pytest.mark.parametrize("vertices, message", [
+    # the second segment is null (dx/dt = 1), so t - x stalls on it
+    ([(0.0, 0.0), (1.0, 0.5), (2.0, 1.5)],
+     r"segment 1 from \(1\.0, 0\.5\) to \(2\.0, 1\.5\) is not slower than light"),
+    ([(0.0, 0.0), (1.0, 2.0), (2.0, 0.0)], "segment 0 .* is not slower than light"),
+    # a sum with PerturbedInertial(0.45, 2.0) once peaked between its ends
+    ([(0.0, 0.0), (2.0, -3.0)], "segment 0 .* is not slower than light"),
+    # dx/dt = 0.95, but t - x rounds to 1e16 at both vertices
+    ([(1e16, 0.0), (1e16 + 2.0, 1.9)], "segment 0 .* is not slower than light"),
+    ([(0.0, 0.0), (1.0, math.nan)], "vertex coordinates must be finite"),
+    ([(0.0, 0.0), (1.0, -math.inf)], "vertex coordinates must be finite"),
+    ([(0.0, 0.0), (math.inf, 0.0)], "vertex coordinates must be finite"),
+    ([(math.nan, 0.0), (1.0, 0.0)], "vertex times must increase strictly"),
+])
+def test_piecewise_linear_refuses_what_is_not_timelike(vertices, message):
+    with pytest.raises(ValueError, match=message):
+        PiecewiseLinear(vertices)
+
+
+def test_piecewise_linear_null_inverse_interpolates_its_vertices():
+    zig = PiecewiseLinear([(0.0, 0.0), (1.0, 0.5), (2.0, 1.4)])
+    for sign in (1.0, -1.0):
+        nodes = zig.ts + sign * zig.xs
+        assert np.array_equal(zig.null_inverse(sign, nodes), zig.ts)
+        middle = 0.5 * (nodes[1:] + nodes[:-1])
+        assert np.array_equal(zig.null_inverse(sign, middle), np.interp(middle, nodes, zig.ts))

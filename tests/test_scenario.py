@@ -161,6 +161,36 @@ def test_validation_failures(data, fragment):
         parse_scenario(data)
 
 
+# Python's json reads Infinity and NaN, so each number is checked where
+# it is built.
+_POLYGON = {"kind": "piecewise_linear"}
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"grid": {"t_max": math.inf}}, "bad grid: grid box must have positive finite extent"),
+    ({"grid": {"t_min": -1e308, "t_max": 1e308}},
+     "bad grid: grid box must have positive finite extent"),
+    ({"maps": {"m": {"kind": "affine_lorentz", "v": 0.0, "scale": math.inf}}},
+     "bad maps.m: scale must be finite, got inf"),
+    ({"observers": {"z": {**_POLYGON, "vertices": [[True, 0], [2, 0.5]]}}},
+     "observers.z.vertices[0][0] must be a number, got True"),
+    ({"observers": {"z": {**_POLYGON, "vertices": [[0, 0], [1]]}}},
+     "observers.z.vertices[1] must be a pair [t, x], got [1]"),
+    ({"observers": {"z": {**_POLYGON, "vertices": [[0, 0], 1]}}},
+     "observers.z.vertices[1] must be a pair [t, x], got 1"),
+    ({"observers": {"z": {**_POLYGON, "vertices": [[0, 0], [1, math.nan]]}}},
+     "bad observers.z: vertex coordinates must be finite"),
+    ({"observers": {"z": {**_POLYGON, "vertices": [[0, 0], [1, 1]]}}},
+     "bad observers.z: segment 0 from (0.0, 0.0) to (1.0, 1.0) is not slower than light"),
+], ids=["grid.inf", "grid.overflow", "affine.scale", "vertex.bool", "vertex.single",
+        "vertex.number", "vertex.nan", "vertex.null"])
+def test_numbers_a_chart_cannot_use_exit_2(tmp_path, capsys, data, message):
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(data))
+    assert main(["causal", "--scenario", str(path), "--map", "m"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_speed_limit_violations_become_scenario_errors():
     with pytest.raises(ScenarioError):
         parse_scenario({"observers": {"a": {"kind": "inertial", "v": 2.0}}})
