@@ -46,7 +46,7 @@ from .errors import (
     NoRadarCoordinate,
     NotDifferentiable,
 )
-from .observers import Observer, _scalar
+from .observers import Observer, _scalar, _span_text
 
 __all__ = ["MarzkeWheelerMap"]
 
@@ -239,27 +239,21 @@ class MarzkeWheelerMap:
     # -- inverse chart -------------------------------------------------
 
     def _gate(self, e_plus, e_minus):
-        # Strict interior for declared open ranges, closed membership
-        # for sampled windows; NaN is in neither.
+        # Closed membership on a finite domain, whose ends the profiles
+        # reach, strict interior of an open range; NaN is in neither.
+        closed = all(map(math.isfinite, self.observer.domain))
         ranges = [self.observer.null_range(sign) for sign in (1.0, -1.0)]
-        is_open = all(r is not None for r in ranges)
-        if not is_open:
-            ranges = self.observer.null_window()
-            if ranges is None:
-                raise EvaluationFailure(
-                    f"{self.observer!r} reports neither null ranges nor a window"
-                )
         events = (e_plus, e_minus)
         bad = [
-            ~((lo < e) & (e < hi)) if is_open else ~((lo <= e) & (e <= hi))
+            ~((lo <= e) & (e <= hi)) if closed else ~((lo < e) & (e < hi))
             for e, (lo, hi) in zip(events, ranges)
         ]
         either = bad[0] | bad[1]
         if either.any():
             i = int(np.argmax(either))
             parts = [
-                f"t{op}x = {float(e.flat[i]):g} outside ({lo:g}, {hi:g})"
-                for op, e, (lo, hi), b in zip("+-", events, ranges, bad)
+                f"t{op}x = {float(e.flat[i]):g} outside {_span_text(r, closed)}"
+                for op, e, r, b in zip("+-", events, ranges, bad)
                 if b.flat[i]
             ]
             raise NoRadarCoordinate(

@@ -16,8 +16,9 @@ an observer from whose worldline no light ray can escape in either
 direction sees every event, one with a bounded null range does not.
 
 Both null questions take a ``sign``, +1 for ``t + x`` and -1 for
-``t - x``: :meth:`Observer.null_range` declares the range of that
-coordinate, and :meth:`Observer.null_inverse` inverts the profile
+``t - x``: :meth:`Observer.null_range` gives the range of that
+coordinate (closed on a finite domain, open as the kind declares on an
+unbounded one), and :meth:`Observer.null_inverse` inverts the profile
 without root finding where the kind allows it.  ``Inertial``,
 ``Rindler`` and ``PiecewiseLinear``, boosted or translated, invert in
 closed form.  A profile of the form ``alpha*s + beta + a*sin(w*s)`` with
@@ -290,7 +291,9 @@ class Observer(ABC):
     Every built-in kind refuses parameters that would make it anything
     else; a subclass's curve is taken as given.  Subclasses implement
     :meth:`position` and :meth:`velocity` over floats or numpy arrays
-    and declare whether they are :attr:`smooth`.  Both must be
+    and declare whether they are :attr:`smooth`; on a finite
+    :attr:`domain` the null ranges follow from its ends, on an unbounded
+    one a kind declares them through :meth:`_open_range`.  Both must be
     elementwise, returning arrays of the shape of ``s`` whose every
     element depends on that element of ``s`` alone: on a large enough
     grid block the radar chart evaluates them on one null coordinate per
@@ -310,11 +313,23 @@ class Observer(ABC):
         """Closed parameter interval on which the curve is defined."""
         return _FULL_LINE
 
-    def null_range(self, sign: float) -> tuple[float, float] | None:
-        """Open range of ``s -> t(s) + sign*x(s)``, or None if only sampled.
+    def null_range(self, sign: float) -> tuple[float, float]:
+        """Range of ``s -> t(s) + sign*x(s)``, ``sign`` +1 or -1 as in
+        :meth:`null_inverse`.
 
-        ``sign`` is +1 or -1, as in :meth:`null_inverse`.
+        On a finite domain, the closed interval between the profile's
+        values at the two domain ends, which on a timelike curve are its
+        extremes; otherwise the open range of :meth:`_open_range`.
         """
+        lo, hi = self.domain
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            return self._open_range(sign)
+        t, x = self.position(np.array([lo, hi]))
+        ends = t + sign * x
+        return float(ends.min()), float(ends.max())
+
+    def _open_range(self, sign: float) -> tuple[float, float]:
+        """The open :meth:`null_range` of an unbounded domain: the full line."""
         return _FULL_LINE
 
     @abstractmethod
@@ -362,21 +377,6 @@ class Observer(ABC):
         """
         profile = self._sinusoid(sign)
         return None if profile is None else profile.inverse(value)
-
-    def null_window(self) -> tuple[tuple[float, float], tuple[float, float]] | None:
-        """Achieved null-coordinate window over the (finite) domain: each
-        null profile's extremes over the two domain ends, which on a
-        timelike curve are its values there in order.
-
-        Meaningful for sampled kinds; analytic kinds report their
-        ranges through :meth:`null_range` instead and return None here
-        when the domain is unbounded.
-        """
-        lo, hi = self.domain
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            return None
-        t, x = self.position(np.array([lo, hi]))
-        return tuple((float(p.min()), float(p.max())) for p in (t + x, t - x))
 
     def boosted(self, v, ctx: LightspeedContext = NATURAL_UNITS) -> "BoostedObserver":
         """This worldline boosted by velocity ``v`` (or a TwoVelocity)."""
@@ -452,7 +452,7 @@ class Rindler(Observer):
         w = s / self.scale
         return np.cosh(w), np.sinh(w)
 
-    def null_range(self, sign):
+    def _open_range(self, sign):
         # t +- x = +-scale * exp(+-s/scale): the half-line of the sign
         # of sign*scale.
         return (0.0, math.inf) if sign * self.scale > 0 else (-math.inf, 0.0)
@@ -540,12 +540,9 @@ class PiecewiseLinear(Observer):
     def domain(self):
         return float(self.ts[0]), float(self.ts[-1])
 
-    def null_range(self, sign):
-        return None
-
     def _check(self, s):
         s = np.asarray(s, dtype=float)
-        if np.any(s < self.ts[0]) or np.any(s > self.ts[-1]):
+        if not np.all((s >= self.ts[0]) & (s <= self.ts[-1])):  # NaN is outside
             raise DomainExceeded(
                 f"parameter outside [{float(self.ts[0])!r}, {float(self.ts[-1])!r}]"
             )
@@ -591,15 +588,12 @@ class _Combinator(Observer):
 class SumObserver(_Combinator):
     """Pointwise sum of worldlines (sum of timelike is timelike)."""
 
-    def null_range(self, sign):
-        ranges = [c.null_range(sign) for c in self.children]
-        if any(r is None for r in ranges):
-            return None
+    def _open_range(self, sign):
         # Each child's null coordinate increases in s, so the sum's
         # range endpoints are the sums of the children's endpoints.  No
         # inf - inf arises: lower ends are finite or -inf, upper ends
         # finite or +inf.
-        lows, highs = zip(*ranges)
+        lows, highs = zip(*(c.null_range(sign) for c in self.children))
         return reduce(add, lows, 0.0), reduce(add, highs, 0.0)
 
     def position(self, s):
@@ -635,10 +629,10 @@ class BoostedObserver(_Combinator):
         self.u = u
         self.child = child
 
-    def null_range(self, sign):
-        r = self.child.null_range(sign)
+    def _open_range(self, sign):
+        lo, hi = self.child.null_range(sign)
         factor = self.u.u.t + sign * self.u.u.x
-        return None if r is None else (r[0] * factor, r[1] * factor)
+        return lo * factor, hi * factor
 
     def position(self, s):
         t, x = self.child.position(s)
@@ -667,10 +661,10 @@ class TranslatedObserver(_Combinator):
         self.offset = offset
         self.child = child
 
-    def null_range(self, sign):
-        r = self.child.null_range(sign)
+    def _open_range(self, sign):
+        lo, hi = self.child.null_range(sign)
         amount = self.offset.t + sign * self.offset.x
-        return None if r is None else (r[0] + amount, r[1] + amount)
+        return lo + amount, hi + amount
 
     def position(self, s):
         t, x = self.child.position(s)
@@ -707,8 +701,8 @@ class LipStatus:
     null_window: tuple[tuple[float, float], tuple[float, float]] | None = None
 
 
-def _span_text(r: tuple[float, float]) -> str:
-    return f"({r[0]:g}, {r[1]:g})"
+def _span_text(r: tuple[float, float], closed: bool = False) -> str:
+    return f"[{r[0]:g}, {r[1]:g}]" if closed else f"({r[0]:g}, {r[1]:g})"
 
 
 def lip_status(obs: Observer) -> LipStatus:
@@ -716,15 +710,16 @@ def lip_status(obs: Observer) -> LipStatus:
 
     Both null coordinates must sweep the entire real line; then every
     event in the plane is caught between an outgoing and a returning
-    ray and radar coordinates exist globally.  Analytic kinds declare
-    their ranges; sampled kinds only support a windowed verdict.
+    ray and radar coordinates exist globally.  On a finite domain the
+    verdict is windowed: ``null_window`` holds the two closed
+    :meth:`~Observer.null_range` readings.
     """
     ranges = [obs.null_range(sign) for sign in (1.0, -1.0)]
-    if any(r is None for r in ranges):
+    if all(map(math.isfinite, obs.domain)):
         return LipStatus(
             LipVerdict.WINDOW_ONLY,
-            "null ranges are known only over the sampled parameter window",
-            obs.null_window(),
+            "null ranges are known only over the finite parameter window",
+            tuple(ranges),
         )
     problems = [
         f"null coordinate {name} has range {_span_text(r)}"

@@ -12,6 +12,7 @@ from mwsync import (
     Inertial,
     LipVerdict,
     MarzkeWheelerMap,
+    NoRadarCoordinate,
     Observer,
     PerturbedInertial,
     PiecewiseLinear,
@@ -137,13 +138,23 @@ def test_piecewise_linear_validation():
         zig(1.5)
 
 
-def test_piecewise_linear_null_window_is_exact():
+def test_piecewise_linear_refuses_a_nan_parameter():
+    zig = PiecewiseLinear([(0.0, 0.0), (1.0, 0.5), (2.0, 0.0)])
+    for read in (zig, zig.derivative):
+        with pytest.raises(DomainExceeded, match=r"outside \[0\.0, 2\.0\]$"):
+            read(math.nan)
+    with pytest.raises(DomainExceeded):
+        zig.position(np.array([0.5, math.nan]))
+
+
+def _window(obs):
+    return obs.null_range(1.0), obs.null_range(-1.0)
+
+
+def test_piecewise_linear_null_range_is_exact():
     zig = PiecewiseLinear([(0.0, 0.0), (1.0, 0.5), (3.0, -0.5)])
-    window = zig.null_window()
-    assert window is not None
-    plus, minus = window
-    assert plus == (0.0, 2.5)
-    assert minus == (0.0, 3.5)
+    assert zig.null_range(1.0) == (0.0, 2.5)
+    assert zig.null_range(-1.0) == (0.0, 3.5)
 
 
 def test_wrapped_piecewise_linear_reports_its_end_values():
@@ -151,15 +162,15 @@ def test_wrapped_piecewise_linear_reports_its_end_values():
     # and so its window and its chart.
     z = PiecewiseLinear([(0.0, 0.0), (1.0, 0.5), (2.0, 0.0)])
     wrapped = [z.translated(SplitComplex(0.0, 0.0)), z.boosted(0.0)]
-    assert z.null_window() == ((0.0, 2.0), (0.0, 2.0))
+    assert _window(z) == ((0.0, 2.0), (0.0, 2.0))
     for obs in wrapped:
-        assert obs.null_window() == z.null_window()
+        assert _window(obs) == _window(z)
         chart = MarzkeWheelerMap(obs)
         assert chart.radar_inverse(SplitComplex(1.2, 0.3)) == MarzkeWheelerMap(z).radar_inverse(
             SplitComplex(1.2, 0.3))
     # A sum reads the ends of its domain [0.5, 2].
     clipped = z + PiecewiseLinear([(0.5, 0.0), (3.0, 0.0)])
-    assert clipped.null_window() == ((1.25, 4.0), (0.75, 4.0))
+    assert _window(clipped) == ((1.25, 4.0), (0.75, 4.0))
 
 
 def test_a_subclass_curve_gets_an_ordered_window():
@@ -174,11 +185,35 @@ def test_a_subclass_curve_gets_an_ordered_window():
         def velocity(self, s):
             return np.ones_like(s), np.full_like(s, 2.0)
 
-    assert Fast().null_window() == ((0.0, 3.0), (-1.0, 0.0))
+    assert _window(Fast()) == ((0.0, 3.0), (-1.0, 0.0))
+
+
+def test_a_subclass_on_a_finite_domain_is_judged_over_its_window():
+    # Only domain, position and velocity: the null ranges follow from the
+    # domain ends, both for the verdict and for the chart's gate.
+    class Slow(Observer):
+        domain = (0.0, 3.0)
+
+        def position(self, s):
+            return s + 0.0, 0.5 * s
+
+        def velocity(self, s):
+            return np.ones_like(s), np.full_like(s, 0.5)
+
+    st = lip_status(Slow())
+    assert st.verdict is LipVerdict.WINDOW_ONLY
+    assert st.null_window == ((0.0, 4.5), (0.0, 1.5))
+    chart = MarzkeWheelerMap(Slow())
+    # t + x = 1.5*s is 1 at s = 2/3, t - x = 0.5*s at s = 2
+    z = chart.radar_inverse(SplitComplex(1.0, 0.0))
+    assert (z.t, z.x) == pytest.approx((4.0 / 3.0, -2.0 / 3.0), rel=1e-12)
+    with pytest.raises(NoRadarCoordinate, match=r"t\+x = 100 outside \[0, 4\.5\]; "
+                                                r"t-x = 100 outside \[0, 1\.5\]$"):
+        chart.radar_inverse(SplitComplex(100.0, 0.0))
 
 
 def _window_over_ends_and_vertices(obs, vertices):
-    """``obs.null_window()`` by the rule it replaced: each null profile's
+    """``obs``'s two null ranges by the rule they replaced: each profile's
     extremes over the domain ends and the polygon vertices in the domain."""
     lo, hi = obs.domain
     s = np.concatenate(([lo, hi], vertices))
@@ -200,7 +235,7 @@ def _timelike_polygon(rng):
     return PiecewiseLinear(zip(ts, xs))
 
 
-def test_null_window_reads_what_the_vertex_extremes_read():
+def test_null_range_reads_what_the_vertex_extremes_read():
     # Every profile of a timelike worldline increases, so its ends hold
     # its extremes, bitwise, wherever the polygon sits in a worldline.
     # Each polygon is read plain and in one of five settings, in turn.
@@ -213,7 +248,7 @@ def test_null_window_reads_what_the_vertex_extremes_read():
         settings = (z.translated(offset), z.boosted(v), z + wobble, z + drift,
                     SumObserver((z.boosted(v), z.translated(offset))))
         for obs in (z, settings[i % 5]):
-            assert obs.null_window() == _window_over_ends_and_vertices(obs, z.ts), obs
+            assert _window(obs) == _window_over_ends_and_vertices(obs, z.ts), obs
 
 
 def test_sum_observer():

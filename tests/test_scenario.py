@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 
 from mwsync import (
+    ConjugateOutput,
     Inertial,
+    MapOrientation,
     MapSum,
     MarzkeWheelerMap,
     Rindler,
     ScenarioError,
     SplitComplex,
     load_scenario,
+    orientation_of,
     parse_scenario,
 )
 from mwsync.cli import main
@@ -61,6 +64,24 @@ def test_full_round_trip(tmp_path):
     assert pair(0.0) == Inertial(0.0)(0.0) + Rindler(2.0)(0.0)
     assert sc.tolerances.null_band == 1e-8
     assert sc.tolerances.root_tol == 1e-12  # untouched default
+
+
+def test_post_conj_reflects_the_output_of_its_chart():
+    sc = parse_scenario({
+        "observers": {"rocket": {"kind": "rindler", "a": 1.0}},
+        "maps": {
+            "chart": {"kind": "mw", "observer": "rocket"},
+            "mirror": {"kind": "post_conj", "of": "chart"},
+        },
+    })
+    mirror = sc.map("mirror")
+    assert isinstance(mirror, ConjugateOutput) and mirror.inner is sc.map("chart")
+    t, x = np.meshgrid(np.linspace(-1.0, 1.0, 9), np.linspace(-0.5, 0.5, 7), indexing="ij")
+    t_out, x_out = sc.map("chart").components(t, x)
+    mirror_t, mirror_x = mirror.components(t, x)
+    assert np.array_equal(mirror_t.view(np.int64), t_out.view(np.int64))
+    assert np.array_equal(mirror_x.view(np.int64), (-x_out).view(np.int64))
+    assert orientation_of(mirror) is MapOrientation.REVERSING
 
 
 def test_lookup_errors_list_choices():
