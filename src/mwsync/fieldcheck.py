@@ -32,7 +32,7 @@ report comes from one stateless pass, :func:`_sweep`: it evaluates each
 point once, in cache-sized blocks of rows (:meth:`GridSpec.row_blocks`),
 reduces each block's point sets one after the other on the calling
 thread and returns the finished reports, bitwise those of evaluating the
-whole grid at once.  The pair checks and the round trip take
+whole grid at once.  The pair checks and the round trip draw and map
 chunks of the same ``_BLOCK_NODES`` (:func:`mwsync.mwmap._chunks`), and
 their reports, too, are bitwise those of one whole-batch pass.
 """
@@ -646,55 +646,59 @@ def _require_pairs(n_pairs: int):
         raise ValueError(f"n_pairs must be at least 1, got {n_pairs!r}")
 
 
-def _draw_events(rng, grid: GridSpec, n: int):
-    t = rng.uniform(grid.t_min, grid.t_max, n)
-    x = rng.uniform(grid.x_min, grid.x_max, n)
-    return t, x
+def _draws(rng, grid: GridSpec, n: int, first: int, columns: int = 4):
+    """Chunks of ``_BLOCK_NODES`` rows of the ``columns`` columns (t, x, t,
+    x) of ``n`` events that whole-column draws from ``rng`` make after
+    ``first`` such columns: each column reads a copy of ``rng``'s bit
+    generator advanced past the draws before it (PCG64's jump-ahead)."""
+    streams = [np.random.Generator(type(rng.bit_generator)()) for _ in range(columns)]
+    for k, g in enumerate(streams):
+        g.bit_generator.state = rng.bit_generator.state
+        g.bit_generator.advance((first + k) * n)
+    bounds = ((grid.t_min, grid.t_max), (grid.x_min, grid.x_max)) * (columns // 2)
+    for chunk in _chunks(n):
+        size = min(chunk.stop, n) - chunk.start
+        yield [g.uniform(lo, hi, size) for g, (lo, hi) in zip(streams, bounds)]
 
 
 def _chronological_pairs(rng, grid: GridSpec, n_pairs: int, tol: float):
-    """``n_pairs`` decisively chronological pairs ``(t1, x1, t2, x2)``.
+    """``n_pairs`` decisively chronological pairs, in ``(4, _BLOCK_NODES)``
+    blocks of rows ``t1, x1, t2, x2``, the last one holding the rest.
 
-    Each round draws ``2 * n_pairs`` unordered pairs and, one chunk of
-    ``_BLOCK_NODES`` of them at a time, keeps those with squared
-    interval at least ``(diameter/10)**2`` and above the null band, and
-    orders only the kept pairs in time.  The interval is read off the
-    unordered separation: negating both separations is exact, so it is
-    bitwise that of the ordered pair.  A round's draws are released
-    before the next round and before the kept pairs are joined, once.
-    Raises after 200 rounds short of ``n_pairs``.
+    Round ``r`` reads ``2 * n_pairs`` unordered pairs, columns ``4 * r`` on
+    of :func:`_draws`, and keeps those with squared interval at least
+    ``(diameter/10)**2`` and above the null band (read off the unordered
+    separation, whose negation is exact) up to the pairs still missing,
+    ordered in time in a block, which goes out once full.  Freeing 1 MiB
+    blocks keeps glibc from trimming its heap between chunks.  Drawing
+    stops at ``n_pairs`` kept; 200 rounds short of them raise.
     """
     need_q = _decisive_q(grid)
-    have = 0
-    parts = []
-    for _ in range(200):
-        if have >= n_pairs:
-            break
-        drawn = (*_draw_events(rng, grid, 2 * n_pairs), *_draw_events(rng, grid, 2 * n_pairs))
-        for chunk in _chunks(2 * n_pairs):
-            if have >= n_pairs:
-                break
-            ta, xa, tb, xb = (a[chunk] for a in drawn)
-            q, band, _ = cone(tb - ta, xb - xa, tol)
+    have, fill, block = 0, 0, np.empty((4, min(_BLOCK_NODES, n_pairs)))
+    for r in range(200):
+        for drawn in _draws(rng, grid, 2 * n_pairs, 4 * r):
+            q, band, _ = cone(drawn[2] - drawn[0], drawn[3] - drawn[1], tol)
             picked = np.flatnonzero((q >= need_q) & (q > band))[: n_pairs - have]
-            ta, xa, tb, xb = (a.take(picked) for a in (ta, xa, tb, xb))
-            lo_first = ta <= tb
-            parts.append((
-                np.where(lo_first, ta, tb), np.where(lo_first, xa, xb),
-                np.where(lo_first, tb, ta), np.where(lo_first, xb, xa),
-            ))
-            have += picked.size
-        del drawn
-    if have < n_pairs:
-        raise EvaluationFailure(
-            "could not sample decisively chronological pairs in the box"
-        )
-    return tuple(np.concatenate(column) for column in zip(*parts))
+            del q, band, _  # not held while F runs on a yielded block
+            for part in np.split(picked, [block.shape[1] - fill]):
+                rows = block[:, fill:fill + part.size]
+                for row, column in zip(rows, drawn):
+                    np.take(column, part, out=row)
+                late = ~(rows[0] <= rows[2])
+                rows[:, late] = rows[:, late][[2, 3, 0, 1]]
+                fill += part.size
+                have += part.size
+                if fill == block.shape[1]:
+                    yield block
+                    if have == n_pairs:
+                        return
+                    block, fill = np.empty((4, min(_BLOCK_NODES, n_pairs - have))), 0
+    raise EvaluationFailure("could not sample decisively chronological pairs in the box")
 
 
-def _fold_pairs(F, pairs, tol: float, judge):
-    """Count, least score and witness of ``pairs`` under ``F``, one chunk
-    of ``_BLOCK_NODES`` pairs at a time.
+def _fold_pairs(F, chunks, tol: float, judge):
+    """Count, least score and witness of the pairs under ``F``, one chunk
+    ``(t1, x1, t2, x2)`` of ``chunks`` at a time, in order.
 
     ``judge(inputs, margins, band)`` gets a chunk's inputs and the
     :func:`cone` margins and band of their images, and returns the scores
@@ -704,8 +708,7 @@ def _fold_pairs(F, pairs, tol: float, judge):
     in input order, classified once every chunk has been through ``F``.
     """
     n, least, found, zeros = 0, math.inf, None, []
-    for chunk in _chunks(pairs[0].size):
-        inputs = [a[chunk] for a in pairs]
+    for inputs in chunks:
         outputs = (*F.components(*inputs[:2]), *F.components(*inputs[2:]))
         _, band, margins = cone(outputs[2] - outputs[0], outputs[3] - outputs[1], tol)
         scores, failing = judge(inputs, margins, band)
@@ -741,9 +744,9 @@ def chronology_check(
     (squared interval at least ``(diameter/10)**2`` and above the null
     band, so classification noise cannot manufacture inputs) and
     requires every output pair to classify as chronological future.
-    The first failure is returned as the witness.  ``F`` sees one chunk
-    of ``_BLOCK_NODES`` pairs at a time (:func:`_fold_pairs`).  ``n_pairs``
-    below 1 raises ValueError.
+    The first failure is returned as the witness.  ``F`` sees each chunk of
+    ``_BLOCK_NODES`` pairs once sampled, so a map error can come before a
+    sampling failure.  ``n_pairs`` below 1 raises ValueError.
     """
     _require_pairs(n_pairs)
     pairs = _chronological_pairs(np.random.default_rng(seed), grid, n_pairs, tol)
@@ -768,14 +771,13 @@ def causal_equivalence_check(
     ``(diameter/10)**2`` and above the null band), and the outputs must agree
     with the biconditional decisively (margin ten null bands).  Pairs
     whose outputs land too close to the cone are skipped rather than
-    counted either way.  The events are drawn at once; the input tests
-    and ``F`` run one chunk of ``_BLOCK_NODES`` pairs at a time.
+    counted either way.  The events are drawn, tested and mapped one
+    chunk of ``_BLOCK_NODES`` pairs at a time (:func:`_draws`).
     ``n_pairs`` below 1 raises ValueError.
     """
     _require_pairs(n_pairs)
-    rng = np.random.default_rng(seed)
     dec_q = _decisive_q(grid)
-    pairs = (*_draw_events(rng, grid, n_pairs), *_draw_events(rng, grid, n_pairs))
+    pairs = _draws(np.random.default_rng(seed), grid, n_pairs, 0)
 
     def judge(inputs, m_out, band):
         t1, x1, t2, x2 = inputs
@@ -898,12 +900,10 @@ def automorphism_suite(
     forward = chronology_check(m, grid, n_pairs, s_forward, tol)
     inverse = chronology_check(_InverseChart(m), grid, n_pairs, s_inverse, tol)
 
-    rng = np.random.default_rng(s_trip)
-    t, x = _draw_events(rng, grid, n_pairs)
     roundtrip_max = -math.inf
-    for chunk in _chunks(n_pairs):
-        rt, rx = m.radar_inverse_components(*m.components(t[chunk], x[chunk]))
-        roundtrip_max = np.maximum(roundtrip_max, np.hypot(rt - t[chunk], rx - x[chunk]).max())
+    for t, x in _draws(np.random.default_rng(s_trip), grid, n_pairs, 0, columns=2):
+        rt, rx = m.radar_inverse_components(*m.components(t, x))
+        roundtrip_max = np.maximum(roundtrip_max, np.hypot(rt - t, rx - x).max())
     roundtrip_max = float(roundtrip_max)
 
     center = SplitComplex(

@@ -239,15 +239,13 @@ class MarzkeWheelerMap:
     # -- inverse chart -------------------------------------------------
 
     def _gate(self, e_plus, e_minus):
-        # Closed membership on a finite domain, whose ends the profiles
-        # reach, strict interior of an open range; NaN is in neither.
-        closed = all(map(math.isfinite, self.observer.domain))
+        # Closed at a finite domain end, which the profiles reach, open
+        # at an infinite one; NaN is in no range.
+        closed = tuple(map(math.isfinite, self.observer.domain))
+        below, above = (np.less_equal if end else np.less for end in closed)
         ranges = [self.observer.null_range(sign) for sign in (1.0, -1.0)]
         events = (e_plus, e_minus)
-        bad = [
-            ~((lo <= e) & (e <= hi)) if closed else ~((lo < e) & (e < hi))
-            for e, (lo, hi) in zip(events, ranges)
-        ]
+        bad = [~(below(lo, e) & above(e, hi)) for e, (lo, hi) in zip(events, ranges)]
         either = bad[0] | bad[1]
         if either.any():
             i = int(np.argmax(either))

@@ -17,8 +17,8 @@ direction sees every event, one with a bounded null range does not.
 
 Both null questions take a ``sign``, +1 for ``t + x`` and -1 for
 ``t - x``: :meth:`Observer.null_range` gives the range of that
-coordinate (closed on a finite domain, open as the kind declares on an
-unbounded one), and :meth:`Observer.null_inverse` inverts the profile
+coordinate (closed at a finite domain end, open as the kind declares at
+an infinite one), and :meth:`Observer.null_inverse` inverts the profile
 without root finding where the kind allows it.  ``Inertial``,
 ``Rindler`` and ``PiecewiseLinear``, boosted or translated, invert in
 closed form.  A profile of the form ``alpha*s + beta + a*sin(w*s)`` with
@@ -319,14 +319,19 @@ class Observer(ABC):
 
         On a finite domain, the closed interval between the profile's
         values at the two domain ends, which on a timelike curve are its
-        extremes; otherwise the open range of :meth:`_open_range`.
+        extremes; otherwise the open range of :meth:`_open_range`, but
+        closed at a finite domain end, at the profile's value there.
         """
         lo, hi = self.domain
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+        finite = [end for end in (lo, hi) if math.isfinite(end)]
+        if not finite:
             return self._open_range(sign)
-        t, x = self.position(np.array([lo, hi]))
+        t, x = self.position(np.array(finite))
         ends = t + sign * x
-        return float(ends.min()), float(ends.max())
+        if len(finite) == 2:
+            return float(ends.min()), float(ends.max())
+        open_lo, open_hi = self._open_range(sign)
+        return (float(ends[0]), open_hi) if math.isfinite(lo) else (open_lo, float(ends[0]))
 
     def _open_range(self, sign: float) -> tuple[float, float]:
         """The open :meth:`null_range` of an unbounded domain: the full line."""
@@ -701,8 +706,9 @@ class LipStatus:
     null_window: tuple[tuple[float, float], tuple[float, float]] | None = None
 
 
-def _span_text(r: tuple[float, float], closed: bool = False) -> str:
-    return f"[{r[0]:g}, {r[1]:g}]" if closed else f"({r[0]:g}, {r[1]:g})"
+def _span_text(r: tuple[float, float], closed: tuple[bool, bool]) -> str:
+    left, right = "[" if closed[0] else "(", "]" if closed[1] else ")"
+    return f"{left}{r[0]:g}, {r[1]:g}{right}"
 
 
 def lip_status(obs: Observer) -> LipStatus:
@@ -721,8 +727,9 @@ def lip_status(obs: Observer) -> LipStatus:
             "null ranges are known only over the finite parameter window",
             tuple(ranges),
         )
+    closed = tuple(map(math.isfinite, obs.domain))
     problems = [
-        f"null coordinate {name} has range {_span_text(r)}"
+        f"null coordinate {name} has range {_span_text(r, closed)}"
         for name, r in zip(("t+x", "t-x"), ranges)
         if r != _FULL_LINE
     ]

@@ -1,6 +1,5 @@
 """Stencil residuals, chronology sampling, and the automorphism suite."""
 
-import itertools
 import math
 import os
 import subprocess
@@ -271,14 +270,12 @@ class TestChronology:
     def test_quota_may_fill_in_the_last_round(self, monkeypatch, n_pairs):
         # One decisive pair per round: 200 pairs fill in the final round
         # of sampling, 201 cannot be had.
-        calls = itertools.count()
+        def one_decisive_pair(rng, grid, n, first, columns=4):
+            tb = np.zeros(n)
+            tb[0] = 1.0
+            yield [np.zeros(n), np.zeros(n), tb, np.zeros(n)]
 
-        def one_decisive_pair(rng, grid, n):
-            t = np.zeros(n)
-            t[0] = float(next(calls) % 2)
-            return t, np.zeros(n)
-
-        monkeypatch.setattr(fieldcheck, "_draw_events", one_decisive_pair)
+        monkeypatch.setattr(fieldcheck, "_draws", one_decisive_pair)
         if n_pairs == 200:
             rep = chronology_check(IdentityMap(), BOX, n_pairs, 0)
             assert rep.passed and rep.n_pairs == 200
@@ -319,7 +316,7 @@ class TestChronology:
 
     @pytest.mark.parametrize("check", [chronology_check, causal_equivalence_check])
     def test_a_box_too_wide_to_sample_fails_before_any_draw(self, monkeypatch, check):
-        monkeypatch.setattr(fieldcheck, "_draw_events", _no_draws)
+        monkeypatch.setattr(fieldcheck, "_draws", _no_draws)
         wide = GridSpec(1e300, 1.5e300, 0.0, 1.0, 3, 3)
         with pytest.raises(EvaluationFailure, match=r"box \[1e\+300, 1.5e\+300\]"):
             check(IdentityMap(), wide, 50, 0)
@@ -328,15 +325,25 @@ class TestChronology:
         m = FunctionMap(lambda t, x: (t * math.nan, x), "NaN time")
         with pytest.raises(EvaluationFailure, match="not finite for the pair") as info:
             chronology_check(m, BOX, 50, 0)
-        t1, x1, t2, x2 = fieldcheck._chronological_pairs(
-            np.random.default_rng(0), BOX, 50, DEFAULT_NULL_BAND
-        )
+        t1, x1, t2, x2 = _sampled_pairs(np.random.default_rng(0), BOX, 50, DEFAULT_NULL_BAND)
         pair = tuple(float(a[0]) for a in (t1, x1, t2, x2))
         assert "({!r}, {!r}), ({!r}, {!r})".format(*pair) in str(info.value)
 
 
-def _no_draws(rng, grid, n):
+def _no_draws(*args, **kwargs):
     raise AssertionError("drew events")
+
+
+def _ref_events(rng, grid, n):
+    """Test-side reference draw: ``n`` events of the box as two whole
+    columns, t then x, from one generator."""
+    return rng.uniform(grid.t_min, grid.t_max, n), rng.uniform(grid.x_min, grid.x_max, n)
+
+
+def _sampled_pairs(rng, grid, n_pairs, tol):
+    """The chronology sampler's blocks joined into four columns."""
+    return tuple(np.concatenate(list(fieldcheck._chronological_pairs(rng, grid, n_pairs, tol)),
+                                axis=1))
 
 
 def _ordered_then_selected_pairs(rng, grid, n_pairs):
@@ -351,8 +358,8 @@ def _ordered_then_selected_pairs(rng, grid, n_pairs):
     for _ in range(200):
         if t1.size >= n_pairs:
             break
-        ta, xa = fieldcheck._draw_events(rng, grid, 2 * n_pairs)
-        tb, xb = fieldcheck._draw_events(rng, grid, 2 * n_pairs)
+        ta, xa = _ref_events(rng, grid, 2 * n_pairs)
+        tb, xb = _ref_events(rng, grid, 2 * n_pairs)
         lo_first = ta <= tb
         tlo = np.where(lo_first, ta, tb)
         xlo = np.where(lo_first, xa, xb)
@@ -371,59 +378,120 @@ def _ordered_then_selected_pairs(rng, grid, n_pairs):
 
 
 class TestChronologicalPairs:
-    """The select-then-order sampler against the order-then-select one."""
+    """The select-then-order sampler, drawing chunk by chunk, against the
+    order-then-select reference on whole columns."""
 
     def _rounds(self, monkeypatch, sample):
-        draws = []
-        real = fieldcheck._draw_events
+        """``sample()``'s result, or the EvaluationFailure it raised, and its
+        draws: ``(n, first)`` per call of the sampler's ``_draws`` (one per
+        round) and ``n`` per call of the reference's ``_ref_events`` (two
+        per round)."""
+        calls = []
+        real_draws, real_events = fieldcheck._draws, _ref_events
 
-        def counted(rng, grid, n):
-            draws.append(n)
-            return real(rng, grid, n)
+        def draws(rng, grid, n, first, columns=4):
+            calls.append((n, first))
+            return real_draws(rng, grid, n, first, columns)
 
-        monkeypatch.setattr(fieldcheck, "_draw_events", counted)
-        result = sample()
-        return result, len(draws) // 2
+        def events(rng, grid, n):
+            calls.append(n)
+            return real_events(rng, grid, n)
 
+        with monkeypatch.context() as patch:
+            patch.setattr(fieldcheck, "_draws", draws)
+            patch.setattr(sys.modules[__name__], "_ref_events", events)
+            try:
+                result = sample()
+            except EvaluationFailure as exc:
+                result = exc
+        return result, calls
+
+    @pytest.mark.parametrize("chunk", [mwmap._BLOCK_NODES, 64])
     @pytest.mark.parametrize("grid, rounds", [
         (GridSpec(-2.0, 2.0, -0.2, 0.2), (1, 1)),  # tall box: one round
         (BOX, (2, 2)),
         (GridSpec(-0.5, 0.5, -1.0, 1.0), (3, 6)),  # flat box: several rounds
     ])
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
-    def test_pairs_equal_the_reference_bitwise(self, monkeypatch, grid, rounds, seed):
+    def test_pairs_equal_the_reference_bitwise(self, monkeypatch, chunk, grid, rounds, seed):
+        monkeypatch.setattr(mwmap, "_BLOCK_NODES", chunk)
+        monkeypatch.setattr(fieldcheck, "_BLOCK_NODES", chunk)
         n = 3000
-        got, used = self._rounds(monkeypatch, lambda: fieldcheck._chronological_pairs(
-            np.random.default_rng(seed), grid, n, DEFAULT_NULL_BAND))
-        ref, ref_used = self._rounds(monkeypatch, lambda: _ordered_then_selected_pairs(
+        blocks, calls = self._rounds(monkeypatch, lambda: list(fieldcheck._chronological_pairs(
+            np.random.default_rng(seed), grid, n, DEFAULT_NULL_BAND)))
+        ref, ref_calls = self._rounds(monkeypatch, lambda: _ordered_then_selected_pairs(
             np.random.default_rng(seed), grid, n))
-        assert used == ref_used and rounds[0] <= used <= rounds[1]
+        used = len(calls)
+        assert calls == [(2 * n, 4 * r) for r in range(used)]
+        assert ref_calls == [2 * n] * (2 * used) and rounds[0] <= used <= rounds[1]
+        # Full blocks of ``chunk`` pairs, then the rest.
+        sizes = [chunk] * (n // chunk) + [n % chunk] * (n % chunk > 0)
+        assert [b.shape for b in blocks] == [(4, size) for size in sizes]
+        got = np.concatenate(blocks, axis=1)
         for a, b in zip(got, ref):
             assert a.shape == (n,) and np.array_equal(a, b)
         t1, x1, t2, x2 = got
         assert np.all(t2 > t1)
 
+    @pytest.mark.parametrize("first, columns", [(0, 2), (0, 4), (8, 4)])
+    def test_draws_are_the_rows_of_whole_column_draws(self, small_chunks, first, columns):
+        rng = np.random.default_rng(11)
+        state = rng.bit_generator.state
+        chunks = list(fieldcheck._draws(rng, BOX, SHORT_LAST, first, columns))
+        assert rng.bit_generator.state == state  # the caller's generator does not move
+        assert [[a.size for a in c] for c in chunks] == [[n] * columns for n in (64, 64, 64, 8)]
+        ref = np.random.default_rng(11)
+        whole = [a for _ in range((first + columns) // 2) for a in _ref_events(ref, BOX, SHORT_LAST)]
+        for got, want in zip(zip(*chunks), whole[first:], strict=True):
+            assert np.array_equal(np.concatenate(got), want)
+
+    def test_drawing_stops_at_the_chunk_that_fills_the_quota(self, small_chunks, monkeypatch):
+        # Where the reference's whole columns hold the last pair needed,
+        # the sampler stops drawing: 400 unordered pairs per round, so a
+        # round is six chunks of 64 and one of 16.
+        n, seed = SHORT_LAST, 2
+        rng = np.random.default_rng(seed)
+        need = (0.1 * BOX.diameter) ** 2
+        kept = []
+        for _ in range(2):
+            ta, xa = _ref_events(rng, BOX, 2 * n)
+            tb, xb = _ref_events(rng, BOX, 2 * n)
+            q, band, _ = cone(tb - ta, xb - xa, DEFAULT_NULL_BAND)
+            kept.append(np.cumsum((q >= need) & (q > band)))
+        assert kept[0][-1] < n <= kept[0][-1] + kept[1][-1]
+        last = int(np.searchsorted(kept[1], n - kept[0][-1]))  # its index in round 1
+        drawn = []
+        real = fieldcheck._draws
+
+        def counted(rng, grid, size, first, columns=4):
+            for chunk in real(rng, grid, size, first, columns):
+                drawn.append((first, chunk[0].size))
+                yield chunk
+
+        monkeypatch.setattr(fieldcheck, "_draws", counted)
+        pairs = _sampled_pairs(np.random.default_rng(seed), BOX, n, DEFAULT_NULL_BAND)
+        assert pairs[0].size == n
+        assert drawn == [(0, 64)] * 6 + [(0, 16)] + [(4, 64)] * (last // 64 + 1)
+
     def test_a_box_too_flat_fails_after_200_rounds_like_the_reference(self, monkeypatch):
         flat = GridSpec(-0.01, 0.01, -1.0, 1.0)
-        real = fieldcheck._draw_events
-        for sample in (
-            lambda: fieldcheck._chronological_pairs(
-                np.random.default_rng(3), flat, 50, DEFAULT_NULL_BAND),
-            lambda: _ordered_then_selected_pairs(np.random.default_rng(3), flat, 50),
+        for sample, want in (
+            (lambda: list(fieldcheck._chronological_pairs(
+                np.random.default_rng(3), flat, 50, DEFAULT_NULL_BAND)),
+             [(100, 4 * r) for r in range(200)]),
+            (lambda: _ordered_then_selected_pairs(np.random.default_rng(3), flat, 50),
+             [100] * 400),
         ):
-            draws = []
-            monkeypatch.setattr(fieldcheck, "_draw_events",
-                                lambda rng, grid, n: draws.append(n) or real(rng, grid, n))
-            with pytest.raises(EvaluationFailure) as exc:
-                sample()
-            assert str(exc.value) == "could not sample decisively chronological pairs in the box"
-            assert draws == [100] * 400
+            exc, calls = self._rounds(monkeypatch, sample)
+            assert type(exc) is EvaluationFailure
+            assert str(exc) == "could not sample decisively chronological pairs in the box"
+            assert calls == want
 
     def test_no_pairs_asked_for(self, monkeypatch):
         # A check over no pairs would pass vacuously.  It is refused as the
         # automorphism suite refuses it, before the box is measured (this
         # one is too wide to sample) or an event is drawn.
-        monkeypatch.setattr(fieldcheck, "_draw_events", _no_draws)
+        monkeypatch.setattr(fieldcheck, "_draws", _no_draws)
         wide = GridSpec(1e300, 1.5e300, 0.0, 1.0, 3, 3)
         for check in (chronology_check, causal_equivalence_check):
             for n_pairs in (0, -5):
@@ -440,8 +508,7 @@ class TestNullBandInSamplers:
         # At band 3e-2 some pairs with q >= (diameter/10)**2 sit inside
         # the band; none of them may be drawn as a chronological input.
         band = 3e-2
-        t1, x1, t2, x2 = fieldcheck._chronological_pairs(
-            np.random.default_rng(0), BOX, 5000, band)
+        t1, x1, t2, x2 = _sampled_pairs(np.random.default_rng(0), BOX, 5000, band)
         q, width, _ = cone(t2 - t1, x2 - x1, band)
         assert np.all(q > width)
         loose = _ordered_then_selected_pairs(np.random.default_rng(0), BOX, 5000)
@@ -461,8 +528,8 @@ class TestNullBandInSamplers:
         m = FunctionMap(lambda t, x: (2.0 * t, x), "time doubler")
         rep = causal_equivalence_check(m, BOX, n, seed, band)
         rng = np.random.default_rng(seed)
-        t1, x1 = fieldcheck._draw_events(rng, BOX, n)
-        t2, x2 = fieldcheck._draw_events(rng, BOX, n)
+        t1, x1 = _ref_events(rng, BOX, n)
+        t2, x2 = _ref_events(rng, BOX, n)
         q_in, band_in, _ = cone(t2 - t1, x2 - x1, band)
         _, band_out, m_out = cone(2.0 * (t2 - t1), x2 - x1, band)
         sized = np.abs(q_in) >= (0.1 * BOX.diameter) ** 2
@@ -560,14 +627,14 @@ class TestLowCounterexample:
             raise AssertionError("swept the grid")
 
         monkeypatch.setattr(fieldcheck, "_sweep", no_stencil)
-        monkeypatch.setattr(fieldcheck, "_draw_events", _no_draws)
+        monkeypatch.setattr(fieldcheck, "_draws", _no_draws)
         with pytest.raises(ValueError, match="^n_pairs must be at least 1, got 0$"):
             low_counterexample(Inertial(0.0), Inertial(0.5), BOX, 0, n_pairs=0)
 
     def test_wave_floor_out_of_float_range_raises_first(self, monkeypatch):
         # h**2 overflows on this box; the wave floor (k = 2) is read before
         # the first-order ones and before any pair is sampled
-        monkeypatch.setattr(fieldcheck, "_draw_events", _no_draws)
+        monkeypatch.setattr(fieldcheck, "_draws", _no_draws)
         grid = GridSpec(0.0, 1e300, 0.0, 1e300, 3, 3)
         with pytest.raises(EvaluationFailure) as info:
             low_counterexample(Inertial(0.0), Inertial(0.5), grid, 0, 100)
@@ -1104,16 +1171,17 @@ class TestDiagonalProfiles:
 
 
 def _ref_chronological_pairs(rng, grid, n_pairs, tol):
-    """The chronology sampler before it ran in chunks: each round's
-    filter and time ordering on the whole round at once."""
+    """The chronology sampler before it ran in chunks: each round's four
+    whole columns drawn at once (:func:`_ref_events`), and its filter and
+    time ordering on the whole round."""
     need_q = fieldcheck._decisive_q(grid)
     have = 0
     parts = []
     for _ in range(200):
         if have >= n_pairs:
             break
-        ta, xa = fieldcheck._draw_events(rng, grid, 2 * n_pairs)
-        tb, xb = fieldcheck._draw_events(rng, grid, 2 * n_pairs)
+        ta, xa = _ref_events(rng, grid, 2 * n_pairs)
+        tb, xb = _ref_events(rng, grid, 2 * n_pairs)
         q, band, _ = cone(tb - ta, xb - xa, tol)
         picked = np.flatnonzero((q >= need_q) & (q > band))[: n_pairs - have]
         ta, xa, tb, xb = (a.take(picked) for a in (ta, xa, tb, xb))
@@ -1151,8 +1219,8 @@ def _ref_causal_equivalence_check(F, grid, n_pairs=1000, seed=0, tol=DEFAULT_NUL
     """``causal_equivalence_check`` as one whole-batch pass over the pairs."""
     rng = np.random.default_rng(seed)
     dec_q = fieldcheck._decisive_q(grid)
-    t1, x1 = fieldcheck._draw_events(rng, grid, n_pairs)
-    t2, x2 = fieldcheck._draw_events(rng, grid, n_pairs)
+    t1, x1 = _ref_events(rng, grid, n_pairs)
+    t2, x2 = _ref_events(rng, grid, n_pairs)
     q_in, band_in, m_in = cone(t2 - t1, x2 - x1, tol)
     in_cf = m_in >= dec_q
     in_decisive = (np.abs(q_in) >= dec_q) & (np.abs(q_in) > band_in)
@@ -1180,7 +1248,7 @@ def _ref_automorphism_suite(m, grid, n_pairs=1000, seed=0, tol=DEFAULT_NULL_BAND
     s_forward, s_inverse, s_trip = fieldcheck._child_seeds(seed, 3)
     forward = _ref_chronology_check(m, grid, n_pairs, s_forward, tol)
     inverse = _ref_chronology_check(fieldcheck._InverseChart(m), grid, n_pairs, s_inverse, tol)
-    t, x = fieldcheck._draw_events(np.random.default_rng(s_trip), grid, n_pairs)
+    t, x = _ref_events(np.random.default_rng(s_trip), grid, n_pairs)
     rt, rx = m.radar_inverse_components(*m.components(t, x))
     roundtrip_max = float(np.max(np.hypot(rt - t, rx - x)))
     center = E((grid.t_min + grid.t_max) / 2.0, (grid.x_min + grid.x_max) / 2.0)
@@ -1216,7 +1284,7 @@ def _ref_pairs(n, seed):
 
 def _ref_draws(n, seed):
     rng = np.random.default_rng(seed)
-    return (*fieldcheck._draw_events(rng, BOX, n), *fieldcheck._draw_events(rng, BOX, n))
+    return (*_ref_events(rng, BOX, n), *_ref_events(rng, BOX, n))
 
 
 def _at_events(label, *changes):
@@ -1353,6 +1421,25 @@ class TestChunkedPairChecks:
                 CausalRelation.NULL_FUTURE, CausalRelation.NULL_PAST
             )
 
+    def test_a_check_spans_several_chunks_and_rounds(self, monkeypatch):
+        # The flat box keeps few pairs per round: each check below takes
+        # several rounds of several chunks, and F sees several blocks.
+        flat = GridSpec(-0.5, 0.5, -1.0, 1.0)
+        firsts = []
+        real = fieldcheck._draws
+        monkeypatch.setattr(fieldcheck, "_draws", lambda rng, grid, n, first, columns=4: (
+            firsts.append(first) or real(rng, grid, n, first, columns)))
+        for F in (MarzkeWheelerMap(PerturbedInertial(0.3, 1.0)), AffineLorentzMap(two_velocity(0.9)),
+                  FunctionMap(lambda t, x: (-t, -x), "reversal")):
+            for n in (WHOLE_CHUNKS, SHORT_LAST):
+                firsts.clear()
+                log = []
+                new = _outcome(lambda: chronology_check(RecordingMap(F, log), flat, n, 5))
+                assert _same(new, _outcome(lambda: _ref_chronology_check(F, flat, n, 5)))
+                assert len(firsts) >= 2 and firsts == list(range(0, 4 * len(firsts), 4))
+                sizes = [math.prod(t_shape) for _, t_shape, *_ in log]
+                assert sizes == [CHUNK] * (2 * (n // CHUNK)) + [n % CHUNK] * (2 * (n % CHUNK > 0))
+
     @SIZES
     def test_equivalence_check_equals_the_whole_batch(self, n):
         late, maps = _equivalence_maps(n, 9)
@@ -1373,7 +1460,7 @@ class TestChunkedPairChecks:
     def test_a_nan_in_the_round_trip_wins(self, n):
         # The radar inverse reads NaN at the image of round-trip event
         # LATE (the last one if there are fewer), and only there.
-        t, x = fieldcheck._draw_events(
+        t, x = _ref_events(
             np.random.default_rng(fieldcheck._child_seeds(3, 3)[2]), BOX, n)
         late = min(LATE, n - 1)
         wobble = PerturbedInertial(0.3, 1.0)
@@ -1399,13 +1486,16 @@ class TestChunkedPairChecks:
         assert _same(new, low_counterexample(g1, g2, BOX, 4, n))
 
 
-# The tracemalloc peaks of the pair checks at 1e5 pairs, with numpy 2.4.6:
-# 12.09 MB for the suite and 8.42 MB for the equivalence check (23.17 and
-# 13.90 MB when they ran on whole batches), and 11.74 MB for the suite on a
-# chart that root-finds, whose rtsafe runs in chunks of the same size.  The
-# ceilings leave 1.5-2.3 MB of room, and a whole-batch temporary of the suite's
-# round trip or samplers (0.8-1.6 MB each, several at a time) breaks them.
-MEMORY_CEILINGS = {"suite": 14e6, "equivalence": 10e6, "root-finding suite": 14e6}
+# The tracemalloc peaks of the pair checks at 1e5 pairs, run first in a
+# process, with numpy 2.4.6: 8.58 MB for the suite and 5.53 MB for the
+# equivalence check (12.09 and 7.67 MB when they drew and kept whole
+# columns, 23.17 and 13.90 MB when they also mapped whole batches), and
+# 10.77 MB (11.74 MB) for the suite on a chart that root-finds, whose rtsafe
+# runs in chunks of the same size.  The ceilings leave 1.0-1.4 MB of room:
+# a second 1 MiB block of kept pairs, or a whole-batch column of the round
+# trip or the samplers (0.8-1.6 MB each) beside a chunk's temporaries,
+# breaks them.
+MEMORY_CEILINGS = {"suite": 10e6, "equivalence": 6.5e6, "root-finding suite": 12e6}
 
 
 def test_pair_checks_at_scale_stay_under_a_memory_ceiling():
@@ -1427,3 +1517,22 @@ def test_pair_checks_at_scale_stay_under_a_memory_ceiling():
             tracemalloc.stop()
         assert result in (AutomorphismOutcome.PASS, True)
         assert peak < MEMORY_CEILINGS[name], (name, peak)
+
+
+def _peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pair_check_memory_does_not_grow_with_n_pairs():
+    # Draws, kept pairs and map calls all come in chunks, so four times
+    # the pairs may cost no more than 2 MiB more at the peak.
+    grid = GridSpec(-2.0, 2.0, -2.0, 2.0)
+    m = MarzkeWheelerMap(Inertial(0.5))
+    for check in (chronology_check, causal_equivalence_check, automorphism_suite):
+        peaks = [_peak(lambda: check(m, grid, n, 0)) for n in (100_000, 400_000)]
+        assert peaks[1] - peaks[0] < 2 * 2 ** 20, (check.__name__, peaks)

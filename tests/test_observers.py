@@ -212,6 +212,38 @@ def test_a_subclass_on_a_finite_domain_is_judged_over_its_window():
         chart.radar_inverse(SplitComplex(100.0, 0.0))
 
 
+@pytest.mark.parametrize("domain, ranges, outside, text", [
+    ((0.0, math.inf), ((0.0, math.inf), (0.0, math.inf)), -10.0, "[0, inf)"),
+    ((-math.inf, 0.0), ((-math.inf, 0.0), (-math.inf, 0.0)), 10.0, "(-inf, 0]"),
+])
+def test_a_subclass_on_a_half_line_is_closed_at_its_finite_end(domain, ranges, outside, text):
+    # The null ranges take the profile's value at the finite end, so the
+    # verdict is not the full line's and the chart refuses events before
+    # (after) the curve's first (last) event, but takes that event.
+    class HalfLine(Observer):
+        def position(self, s):
+            return s + 0.0, 0.5 * s
+
+        def velocity(self, s):
+            return np.ones_like(s), np.full_like(s, 0.5)
+
+    HalfLine.domain = domain
+    obs = HalfLine()
+    assert (obs.null_range(1.0), obs.null_range(-1.0)) == ranges
+    st = lip_status(obs)
+    assert st.verdict is LipVerdict.FAILS
+    assert st.reason == f"null coordinate t+x has range {text}; null coordinate t-x has range {text}"
+    chart = MarzkeWheelerMap(obs)
+    with pytest.raises(NoRadarCoordinate) as info:
+        chart.radar_inverse(SplitComplex(outside, 0.0))
+    assert str(info.value) == (
+        f"event is outside the radar chart: t+x = {outside:g} outside {text}; "
+        f"t-x = {outside:g} outside {text}"
+    )
+    z = chart.radar_inverse(SplitComplex(0.0, 0.0))  # the end event itself
+    assert (z.t, z.x) == pytest.approx((0.0, 0.0), abs=1e-12)
+
+
 def _window_over_ends_and_vertices(obs, vertices):
     """``obs``'s two null ranges by the rule they replaced: each profile's
     extremes over the domain ends and the polygon vertices in the domain."""
