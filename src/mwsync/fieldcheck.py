@@ -649,16 +649,21 @@ def _require_pairs(n_pairs: int):
 def _draws(rng, grid: GridSpec, n: int, first: int, columns: int = 4):
     """Chunks of ``_BLOCK_NODES`` rows of the ``columns`` columns (t, x, t,
     x) of ``n`` events that whole-column draws from ``rng`` make after
-    ``first`` such columns: each column reads a copy of ``rng``'s bit
-    generator advanced past the draws before it (PCG64's jump-ahead)."""
-    streams = [np.random.Generator(type(rng.bit_generator)()) for _ in range(columns)]
-    for k, g in enumerate(streams):
-        g.bit_generator.state = rng.bit_generator.state
-        g.bit_generator.advance((first + k) * n)
+    ``first`` such columns: each chunk of a column reads one copy of the
+    bit generator, seeded from its seed sequence, not OS entropy, set to
+    its state and advanced past the draws before it (PCG64's jump-ahead)."""
+    bg = rng.bit_generator
+    start, bits = bg.state, type(bg)(bg.seed_seq)
+    g = np.random.Generator(bits)
     bounds = ((grid.t_min, grid.t_max), (grid.x_min, grid.x_max)) * (columns // 2)
     for chunk in _chunks(n):
         size = min(chunk.stop, n) - chunk.start
-        yield [g.uniform(lo, hi, size) for g, (lo, hi) in zip(streams, bounds)]
+        drawn = []
+        for k, (lo, hi) in enumerate(bounds):
+            bits.state = start
+            bits.advance((first + k) * n + chunk.start)
+            drawn.append(g.uniform(lo, hi, size))
+        yield drawn
 
 
 def _chronological_pairs(rng, grid: GridSpec, n_pairs: int, tol: float):

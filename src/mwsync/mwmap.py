@@ -19,18 +19,12 @@ anti-diagonals and ``s - x`` along the diagonals, so on a large enough
 block of R x C nodes the chart, its derivative and its conformal factor
 evaluate the observer on one line of R + C - 1 values, and again only
 at the nodes whose null coordinate rounds off its diagonal's.
-Inverting the chart reduces to inverting ``P`` and ``M``.
-Each kind inverts them by one path.  Most supply the inverse
-(:meth:`~mwsync.observers.Observer.null_inverse`): in closed form, or for
-profiles ``alpha*s + beta + a*sin(w*s)`` as Kepler's equation in a fixed
-number of steps.  The others, sums whose sinusoids differ in frequency
-and sums that hold a Rindler observer or a polygon, are solved by a
-safeguarded Newton iteration ("rtsafe", Numerical Recipes section 9.4)
-that takes the worldline velocity as the profile slope and bisects
-whenever a Newton step would leave the bracket or fails to halve the
-previous step.  Each element is solved on its own, so a result never
-depends on the rest of its batch, and the iteration runs over
-cache-sized chunks of a batch without changing a bit.
+Inverting the chart reduces to inverting ``P`` and ``M``, which the
+observer does (:meth:`~mwsync.observers.Observer.null_inverse`): in closed
+form, or for profiles ``alpha*s + beta + a*sin(w*s)`` as Kepler's equation
+in a fixed number of steps.  A chart whose observer has no null inverse
+(sums whose sinusoids differ in frequency, sums that hold a Rindler
+observer or a polygon) evaluates but does not invert.
 """
 
 from __future__ import annotations
@@ -50,21 +44,10 @@ from .observers import Observer, _scalar, _span_text
 
 __all__ = ["MarzkeWheelerMap"]
 
-# Iteration cap of the root finder.  Newton takes 2 to 9 rounds on the
-# smooth kinds that still root-find (sums of sinusoids of two frequencies,
-# sums of Rindler observers); bisection alone needs 60 rounds to shrink a
-# bracket 2**60 * root_tol wide down to root_tol.
-_ITERATION_CAP = 100
-
-# Safety bound on the bracket-doubling search of an unbounded domain;
-# exceeding it raises EvaluationFailure rather than looping.
-_BRACKET_LIMIT = 1e6
-
 # Elements per chunk of batched work: 2**15 float64 values, 256 kB per
 # temporary, so the temporaries of one chunk stay near the L2 cache.  The
-# root finder runs one chunk of a batch at a time, the pair checks of
-# :mod:`mwsync.fieldcheck` take chunks of pairs and its grid sweeps
-# blocks of rows of this size.
+# pair checks of :mod:`mwsync.fieldcheck` take chunks of pairs and its
+# grid sweeps blocks of rows of this size.
 _BLOCK_NODES = 2 ** 15
 
 
@@ -197,9 +180,8 @@ class MarzkeWheelerMap:
     observer : Observer
         Future-directed timelike worldline carrying the chart.
     root_tol : float
-        Absolute parameter tolerance of the radar inverse's root finder:
-        an element stops once its Newton step or its bracket is this
-        small.  Inverses without root finding do not use it.
+        Absolute parameter tolerance the radar inverse is held to by the
+        automorphism suite's round trip; the inverse itself does not read it.
     """
 
     def __init__(self, observer: Observer, root_tol: float = 1e-12):
@@ -258,121 +240,21 @@ class MarzkeWheelerMap:
                 "event is outside the radar chart: " + "; ".join(parts)
             )
 
-    def _profile(self, sign: float):
-        if sign > 0:
-            return self.observer.null_plus
-        return self.observer.null_minus
-
-    def _bracket(self, fn, targets):
-        """Per-element ``[a, b]`` with ``fn(a) <= target <= fn(b)``.
-
-        Returns ``a, b`` and the residuals ``fn(a) - targets`` and
-        ``fn(b) - targets``.  On an unbounded domain the ends double
-        outward from ``[-1, 1]``.  Every element visits the same points
-        ``-2**k`` and ``2**k``, so the profile is tabulated there once,
-        just far enough for the extreme targets, and each element takes
-        the first ``k`` that brackets it.
-        """
-        lo, hi = self.observer.domain
-        if math.isfinite(lo) and math.isfinite(hi):
-            f_lo, f_hi = fn(np.array([lo, hi]))
-            return (np.full(targets.shape, lo), np.full(targets.shape, hi),
-                    f_lo - targets, f_hi - targets)
-        lowest = np.min(targets, initial=math.inf)
-        highest = np.max(targets, initial=-math.inf)
-        reach = 1.0
-        table = [fn(np.array([-reach, reach]))]
-        while not (table[-1][0] <= lowest and table[-1][1] >= highest):
-            reach *= 2.0
-            if reach > _BRACKET_LIMIT:
-                raise EvaluationFailure(
-                    f"bracket search exceeded bracket_limit = {_BRACKET_LIMIT:g}"
-                )
-            table.append(fn(np.array([-reach, reach])))
-        f_lo, f_hi = np.array(table).T
-        # On increasing profiles, the first k that brackets a target is
-        # the number of earlier tabulated points that do not.
-        k_lo = np.count_nonzero(f_lo[:-1, None] > targets, axis=0)
-        k_hi = np.count_nonzero(f_hi[:-1, None] < targets, axis=0)
-        ends = np.ldexp(1.0, np.arange(len(table)))
-        return (-ends.take(k_lo), ends.take(k_hi),
-                f_lo.take(k_lo) - targets, f_hi.take(k_hi) - targets)
-
-    def _slope(self, sign, s):
-        vt, vx = self.observer.velocity(s)
-        return vt + vx if sign > 0 else vt - vx
-
-    def _solve(self, sign, targets):
-        """Parameters ``s`` with ``P(s) = targets`` (sign +1) or ``M(s)``:
-        the observer's :meth:`~mwsync.observers.Observer.null_inverse`,
-        or :meth:`_root_find` for a kind without one."""
-        s = self.observer.null_inverse(sign, targets)
-        if s is None:
-            s = self._root_find(sign, targets.ravel()).reshape(targets.shape)
-        return s
-
-    def _root_find(self, sign, goal):
-        """:meth:`_solve` for the 1-D ``goal`` by rtsafe, one chunk of
-        ``_BLOCK_NODES`` elements at a time.
-
-        A chunk is bracketed and given its regula falsi start; each round
-        then evaluates its unconverged elements only.  An element stops
-        when its step is at most ``root_tol`` (``f == 0`` collapses the
-        bracket onto the root, and a bracket narrower than ``root_tol``
-        bounds the step) or can no longer move ``s``.
-        """
-        fn = self._profile(sign)
-        out = np.empty(goal.shape)
-        stuck = [goal[:0]]
-        for chunk in _chunks(goal.size):
-            y = goal[chunk]
-            xl, xh, fl, fh = self._bracket(fn, y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x = xl - fl * ((xh - xl) / (fh - fl))  # regula falsi start
-            x = np.fmax(xl, np.fmin(x, xh))  # rounding or fl == fh: stay inside
-            live = np.arange(chunk.start, chunk.start + y.size)
-            last = math.inf  # size of the previous step
-            for _ in range(_ITERATION_CAP):
-                if live.size == 0:
-                    break
-                f = fn(x) - y
-                # x replaces xl where f < 0, xh where f > 0 and both where
-                # f is 0 or NaN.
-                xl = np.where(f > 0.0, xl, x)
-                xh = np.where(f < 0.0, xh, x)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    step = f / self._slope(sign, x)
-                nxt = x - step
-                size = np.abs(step)
-                # Bisect where Newton leaves the bracket, fails to halve the
-                # previous step, or has no usable slope.
-                bisect = ~((nxt >= xl) & (nxt <= xh) & (size <= 0.5 * last))
-                half = 0.5 * (xh - xl)
-                nxt = np.where(bisect, xl + half, nxt)
-                size = np.where(bisect, half, size)
-                done = (size <= self.root_tol) | (nxt == x)
-                out[live[done]] = nxt[done]
-                live, y, xl, xh, nxt, size = (a[~done] for a in (live, y, xl, xh, nxt, size))
-                x, last = nxt, size
-            stuck.append(y)
-        stuck = np.concatenate(stuck)
-        if stuck.size:
-            raise EvaluationFailure(
-                f"radar inverse did not converge in {_ITERATION_CAP} iterations "
-                f"for {stuck.size} event(s), e.g. target {stuck[0]:g}"
-            )
-        return out
-
     def radar_inverse_components(self, t, x):
         """Vectorized inverse chart: event coords to chart coords, returned
-        as the pair of arrays ``(s, x_radar)``."""
+        as the pair of arrays ``(s, x_radar)``.  Once the events pass the
+        gate, an observer without a null inverse raises EvaluationFailure."""
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         e_plus = t + x
         e_minus = t - x
         self._gate(e_plus, e_minus)
-        s_reception = self._solve(1.0, e_plus)
-        s_emission = self._solve(-1.0, e_minus)
+        s_reception = self.observer.null_inverse(1.0, e_plus)
+        s_emission = self.observer.null_inverse(-1.0, e_minus)
+        if s_reception is None or s_emission is None:
+            raise EvaluationFailure(
+                f"{self.observer!r} has no null inverse, so its chart does not invert"
+            )
         return (s_reception + s_emission) * 0.5, (s_reception - s_emission) * 0.5
 
     def radar_inverse(self, e: SplitComplex) -> SplitComplex:

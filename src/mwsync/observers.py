@@ -19,16 +19,16 @@ Both null questions take a ``sign``, +1 for ``t + x`` and -1 for
 ``t - x``: :meth:`Observer.null_range` gives the range of that
 coordinate (closed at a finite domain end, open as the kind declares at
 an infinite one), and :meth:`Observer.null_inverse` inverts the profile
-without root finding where the kind allows it.  ``Inertial``,
-``Rindler`` and ``PiecewiseLinear``, boosted or translated, invert in
-closed form.  A profile of the form ``alpha*s + beta + a*sin(w*s)`` with
-``|a*w| < alpha`` (``PerturbedInertial`` and sums, boosts and
-translations of it and of ``Inertial``, as long as the sinusoids of a
-sum share one ``w``) is Kepler's equation ``u + e*sin(u) = M`` after a
-change of variable, and :class:`_Sinusoid` inverts it in a fixed number
-of steps.  The radar chart root-finds the other kinds: sums whose
-sinusoids differ in frequency and sums that hold a Rindler observer or
-a polygon.
+where the kind allows it.  ``Inertial``, ``Rindler`` and
+``PiecewiseLinear``, boosted or translated, invert in closed form.  A
+profile of the form ``alpha*s + beta + a*sin(w*s)`` with ``|a*w| <
+alpha`` (``PerturbedInertial`` and sums, boosts and translations of it
+and of ``Inertial``, as long as the sinusoids of a sum share one ``w``)
+is Kepler's equation ``u + e*sin(u) = M`` after a change of variable,
+and :class:`_Sinusoid` inverts it in a fixed number of steps.  The other
+kinds have no null inverse, so their radar charts do not invert: sums
+whose sinusoids differ in frequency and sums that hold a Rindler
+observer or a polygon.
 """
 
 from __future__ import annotations
@@ -100,11 +100,10 @@ _HALVINGS = 52
 # Elements per chunk of the inverse.  Measured on a 2-vCPU Xeon VM on 10**5
 # targets, medians of 15 in each of two sessions: 9-16 ms from 2**12 to
 # 2**14, 12-20 ms at 2**11 (more calls) and 2**15 (the chunk's ~30 live
-# temporaries outgrow the L2 cache), against rtsafe's 26-35 ms.  Within
-# that range the size moves the `pairs` benchmark's peak RSS by more than
-# the temporaries' own ~1-4 MB would suggest: three 30 s runs each read
-# 52.49-52.72 MB at 2**13 and 52.59-52.69 MB at 2**14, against
-# 52.93-53.00 MB at 2**12 and 52.6-52.7 MB when these charts root-found.
+# temporaries outgrow the L2 cache).  Within that range the size moves
+# the `pairs` benchmark's peak RSS by more than the temporaries' own ~1-4
+# MB would suggest: three 30 s runs each read 52.49-52.72 MB at 2**13 and
+# 52.59-52.69 MB at 2**14, against 52.93-53.00 MB at 2**12.
 _KEPLER_CHUNK = 2 ** 13
 # Veltkamp's constant 2**27 + 1 splits a float64 into two 26-bit halves.
 _SPLITTER = 134217729.0
@@ -371,14 +370,14 @@ class Observer(ABC):
         return None
 
     def null_inverse(self, sign: float, value):
-        """Inverse of a null profile without root finding, or None.
+        """Inverse of a null profile, or None.
 
         Returns the parameter ``s`` with ``t(s) + x(s) = value`` for
         ``sign = +1`` or ``t(s) - x(s) = value`` for ``sign = -1``,
         elementwise; a finite ``value`` in the profile's range never gives
         NaN.  The base class inverts the profile of :meth:`_sinusoid`
         (:meth:`_Sinusoid.inverse`) and returns None for a kind without
-        one; callers then solve for ``s`` numerically.
+        one, whose radar chart then does not invert.
         """
         profile = self._sinusoid(sign)
         return None if profile is None else profile.inverse(value)

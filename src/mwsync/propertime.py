@@ -189,20 +189,16 @@ def radar_trajectory_of(
     fourth-order central difference D4, never the worldline's own velocity,
     which would give the arc-length integrand identically and hide a faulty
     inverse.  The slope error bound adds the truncation ``|D4 - D2|``, a
-    moved difference's shift times the curvature, the rounding ``eps (|z| +
-    |sigma z_dot|) / h`` and, at every node of a chart whose observer has no
-    null inverse for some sign, so that it root-finds, ``root_tol / h``.
-    The rounding term takes each point to be good to an ulp or so of
-    ``z``.  Near the cusps of a profile ``alpha*s + beta + a*sin(w*s)``
-    with ``|a*w|`` close to ``alpha`` the inverse is ill-conditioned: there
-    the profile's own rounding over its small slope can reach tens of ulp,
-    which this bound leaves out.
+    moved difference's shift times the curvature and the rounding ``eps
+    (|z| + |sigma z_dot|) / h``, which takes each point to be good to an
+    ulp or so of ``z``.  Near the cusps of a profile ``alpha*s + beta +
+    a*sin(w*s)`` with ``|a*w|`` close to ``alpha`` the inverse is
+    ill-conditioned: there the profile's own rounding over its small slope
+    can reach tens of ulp, which this bound leaves out.
     An event outside the chart raises :class:`~mwsync.errors.NoRadarCoordinate`.
     """
     c, h = ctx.c, FD_STEP
     lo, hi = target.domain
-    no_inverse = (chart.observer.null_inverse(sign, np.empty(0)) is None for sign in (1.0, -1.0))
-    root_error = chart.root_tol / h if any(no_inverse) else 0.0
 
     def path(sigma):
         centre = np.clip(sigma, lo + 2.0 * h, hi - 2.0 * h)
@@ -216,7 +212,6 @@ def radar_trajectory_of(
             np.abs(slope - (ahead1 - back1) / (2.0 * h))
             + np.abs(sigma - centre) * np.abs(curvature)
             + np.finfo(float).eps * (np.abs(here) + np.abs(sigma * slope)) / h
-            + root_error
         )
         return here[0] / c, here[1], slope[0] / c, slope[1], error.max(axis=0) / c
 

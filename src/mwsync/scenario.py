@@ -40,8 +40,8 @@ Schema (all numbers JSON numbers, all names strings)::
     }
 
 ``fd_step`` is accepted and validated, so existing scenarios keep
-loading, but reaches nothing: radar charts take only ``root_tol``, and
-their conformal factor is read off the observer's velocity.
+loading, but reaches nothing: a radar chart's conformal factor is read
+off the observer's velocity.  ``root_tol`` sets the suite's round trip.
 """
 
 from __future__ import annotations

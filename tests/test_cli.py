@@ -58,6 +58,18 @@ def zigzag_path(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def pushed_path(tmp_path_factory):
+    # the scenario plus the chart of a Rindler observer plus an inertial
+    # one, which has no null inverse
+    path = tmp_path_factory.mktemp("cli") / "pushed.json"
+    scenario = json.loads(json.dumps(SCENARIO))
+    scenario["observers"]["pushed"] = {"kind": "sum", "of": ["rocket", "drift"]}
+    scenario["maps"]["pushed_chart"] = {"kind": "mw", "observer": "pushed"}
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -257,6 +269,29 @@ class TestCausal:
         _, out0b, _ = run(capsys, "causal", "--scenario", scenario_path,
                           "--map", "drift_chart", "--pairs", "500")
         assert out0 == out0b
+
+
+class TestNoNullInverse:
+    # The chart of the sum evaluates, but does not invert.
+    @pytest.mark.parametrize("argv", [
+        ["causal", "--map", "pushed_chart"],
+        ["propertime", "--mode", "twin", "--a", "pushed", "--b", "lab",
+         "--a0", "0.0", "--a1", "1.0"],
+        ["propertime", "--mode", "accelerated", "--target", "lab",
+         "--observer", "pushed", "--s0", "0.0", "--s1", "1.0"],
+    ], ids=["causal", "twin", "accelerated"])
+    def test_the_inverse_exits_3_with_one_error_line(self, pushed_path, argv, capsys):
+        code, out, err = run(capsys, *argv, "--scenario", pushed_path)
+        assert (code, out) == (3, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: SumObserver([Rindler(a=1.0), Inertial(v=0.5, ")
+        assert line.endswith(" has no null inverse, so its chart does not invert")
+
+    def test_eval_is_unchanged(self, pushed_path, capsys):
+        code, out, err = run(capsys, "eval", "--scenario", pushed_path, "--map", "pushed_chart",
+                             "--grid=-1,1,-1,1,3,3")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 10
 
 
 class TestProperTime:

@@ -1490,23 +1490,23 @@ class TestChunkedPairChecks:
 # process, with numpy 2.4.6: 8.58 MB for the suite and 5.53 MB for the
 # equivalence check (12.09 and 7.67 MB when they drew and kept whole
 # columns, 23.17 and 13.90 MB when they also mapped whole batches), and
-# 10.77 MB (11.74 MB) for the suite on a chart that root-finds, whose rtsafe
-# runs in chunks of the same size.  The ceilings leave 1.0-1.4 MB of room:
-# a second 1 MiB block of kept pairs, or a whole-batch column of the round
-# trip or the samplers (0.8-1.6 MB each) beside a chunk's temporaries,
-# breaks them.
-MEMORY_CEILINGS = {"suite": 10e6, "equivalence": 6.5e6, "root-finding suite": 12e6}
+# 8.59 MB for the suite on the chart of a sum of sinusoids, which inverts
+# through the sum's fixed steps (12 MB was the ceiling of a chart that
+# root-found).  The ceilings leave 1.0-1.4 MB of room: a second 1 MiB
+# block of kept pairs, or a whole-batch column of the round trip or the
+# samplers (0.8-1.6 MB each) beside a chunk's temporaries, breaks them.
+MEMORY_CEILINGS = {"suite": 10e6, "equivalence": 6.5e6, "sum suite": 12e6}
 
 
 def test_pair_checks_at_scale_stay_under_a_memory_ceiling():
     grid = GridSpec(-2.0, 2.0, -2.0, 2.0)
     m = MarzkeWheelerMap(PerturbedInertial(0.1, 2.0))
-    # Sinusoids of two frequencies have no fixed-step inverse.
-    two_tone = MarzkeWheelerMap(PerturbedInertial(0.1, 2.0) + PerturbedInertial(0.05, 3.0))
+    # Sinusoids of one frequency: the sum's profile inverts in fixed steps.
+    pair = MarzkeWheelerMap(PerturbedInertial(0.1, 2.0) + PerturbedInertial(0.05, 2.0))
     runs = {
         "suite": lambda: automorphism_suite(m, grid, 100_000, 0).outcome,
         "equivalence": lambda: causal_equivalence_check(m, grid, 100_000, 0).passed,
-        "root-finding suite": lambda: automorphism_suite(two_tone, grid, 100_000, 0).outcome,
+        "sum suite": lambda: automorphism_suite(pair, grid, 100_000, 0).outcome,
     }
     for name, run in runs.items():
         tracemalloc.start()

@@ -164,21 +164,6 @@ def test_window_sampled_gate_for_finite_domains():
         m.radar_inverse(E(10.0, 0.0))
 
 
-def test_bracketing_failure_on_a_bounded_chart():
-    class Saturating(Observer):
-        # claims the full line but its null profiles are bounded
-        def position(self, s):
-            return np.arctan(s), np.zeros_like(np.asarray(s, dtype=float))
-
-        def velocity(self, s):
-            s = np.asarray(s, dtype=float)
-            return 1.0 / (1.0 + s * s), np.zeros_like(s)
-
-    m = MarzkeWheelerMap(Saturating())
-    with pytest.raises(EvaluationFailure, match=r"bracket_limit = 1e\+06$"):
-        m.radar_inverse(E(3.0, 0.0))
-
-
 def test_derivative_of_the_rindler_chart():
     m = MarzkeWheelerMap(Rindler(1.0))
     z = E(0.4, -0.3)
@@ -312,7 +297,7 @@ def test_scalar_radar_inverse_must_be_finite():
     )
 
 
-# -- per-kind inverse: bitwise agreement, empty batches, the safeguard -----
+# -- per-kind inverse: bitwise agreement, empty batches, kinds without one --
 
 WOBBLE = PerturbedInertial(0.3, 1.0)
 # A kinked worldline plus a fast left-moving one: t + x climbs at slope
@@ -320,7 +305,7 @@ WOBBLE = PerturbedInertial(0.3, 1.0)
 KINKED = SumObserver(
     (PiecewiseLinear([(-4.0, 0.0), (0.0, -3.8), (4.0, 0.0)]), Inertial(-0.99))
 )
-# Sinusoids of two frequencies: no fixed-step inverse, so rtsafe runs.
+# Sinusoids of two frequencies: no null inverse.
 TWO_TONE = PerturbedInertial(0.1, 2.0) + PerturbedInertial(0.05, 3.0)
 CLOSED_FORM = [
     Inertial(0.5, base=E(0.2, -0.1)),
@@ -337,12 +322,12 @@ FIXED_STEP = [
     PerturbedInertial(0.1, 2.0) + Inertial(0.5) + PerturbedInertial(-0.2, -2.0),
     PerturbedInertial(0.495, 2.0).boosted(-0.6),
 ]
-ROOT_FOUND = [
+NO_INVERSE = [
     TWO_TONE,
     TWO_TONE.boosted(0.4),
     KINKED,
 ]
-EVERY_KIND = CLOSED_FORM + FIXED_STEP + ROOT_FOUND
+INVERTING = CLOSED_FORM + FIXED_STEP
 
 
 def mixed_batch(m, seed=3):
@@ -354,7 +339,7 @@ def mixed_batch(m, seed=3):
     return s, x, *m.components(s, x)
 
 
-@pytest.mark.parametrize("obs", EVERY_KIND, ids=repr)
+@pytest.mark.parametrize("obs", INVERTING, ids=repr)
 def test_scalar_and_vector_inverses_agree_bitwise(obs):
     m = MarzkeWheelerMap(obs)
     s, x, et, ex = mixed_batch(m)
@@ -365,19 +350,45 @@ def test_scalar_and_vector_inverses_agree_bitwise(obs):
     assert np.max(np.hypot(rt - s, rx - x)) <= 1e-12 * (1.0 + np.hypot(s, x)).max()
 
 
-@pytest.mark.parametrize("obs", EVERY_KIND, ids=repr)
+@pytest.mark.parametrize("obs", INVERTING, ids=repr)
 def test_empty_batch_inverts_to_empty_arrays(obs):
     rt, rx = MarzkeWheelerMap(obs).radar_inverse_components(np.empty(0), np.empty(0))
     assert rt.shape == (0,) and rx.shape == (0,)
 
 
+# The gate runs first, so a chart without a null inverse refuses such
+# an event as outside the chart too.
 @pytest.mark.parametrize("event", [(math.nan, 0.0), (0.0, math.nan)])
-@pytest.mark.parametrize("obs", EVERY_KIND, ids=repr)
+@pytest.mark.parametrize("obs", INVERTING + NO_INVERSE, ids=repr)
 def test_a_nan_event_is_outside_every_chart(obs, event):
     m = MarzkeWheelerMap(obs)
     t, x = (np.array([v]) for v in event)
     with pytest.raises(NoRadarCoordinate, match=r"t\+x = nan outside .*; t-x = nan outside"):
         m.radar_inverse_components(t, x)
+
+
+def _refuse_observer_calls(monkeypatch):
+    def refuse(self, s):
+        raise AssertionError("the inverse evaluated the observer")
+
+    for kind in (Inertial, Rindler, PerturbedInertial, SumObserver):
+        monkeypatch.setattr(kind, "position", refuse)
+        monkeypatch.setattr(kind, "velocity", refuse)
+
+
+@pytest.mark.parametrize("obs", [Rindler(1.0) + Inertial(0.2), TWO_TONE], ids=repr)
+def test_a_chart_without_a_null_inverse_raises_before_evaluating_it(obs, monkeypatch):
+    # Both null ranges are the full line, so the events pass the gate; the
+    # inverse then names the observer without calling it.
+    m = MarzkeWheelerMap(obs)
+    _refuse_observer_calls(monkeypatch)
+    for call in (
+        lambda: m.radar_inverse(E(0.3, 0.1)),
+        lambda: m.radar_inverse_components(np.array([0.3, -1.0]), np.array([0.1, 0.5])),
+    ):
+        with pytest.raises(EvaluationFailure) as info:
+            call()
+        assert str(info.value) == f"{obs!r} has no null inverse, so its chart does not invert"
 
 
 def _refuse_profiles(monkeypatch):
@@ -407,7 +418,8 @@ def test_fixed_step_kinds_settle_every_element_without_rtsafe(obs, monkeypatch):
     _, _, et, ex = mixed_batch(m)
     _refuse_profiles(monkeypatch)
     m.radar_inverse_components(et, ex)
-    solved = [(sign, e, m._solve(sign, e)) for sign, e in ((1.0, et + ex), (-1.0, et - ex))]
+    solved = [(sign, e, obs.null_inverse(sign, e))
+              for sign, e in ((1.0, et + ex), (-1.0, et - ex))]
     monkeypatch.undo()
     for sign, e, s in solved:
         assert _residuals_within_bound(obs, sign, s, e)
@@ -422,12 +434,7 @@ def test_elements_near_the_cusp_settle_in_their_table_cell(sign, monkeypatch):
     cusps = math.pi * (np.arange(-4.0, 5.0) + (0.5 if sign > 0 else 0.0))
     s = np.concatenate([cusps, cusps + 1e-3, np.linspace(-3.0, 3.0, 61)])
     targets = (obs.null_plus if sign > 0 else obs.null_minus)(s)
-
-    def refuse(self, sign, goal):
-        raise AssertionError("the inverse root-found")
-
-    monkeypatch.setattr(MarzkeWheelerMap, "_root_find", refuse)
-    assert _residuals_within_bound(obs, sign, MarzkeWheelerMap(obs)._solve(sign, targets), targets)
+    assert _residuals_within_bound(obs, sign, obs.null_inverse(sign, targets), targets)
     monkeypatch.setattr("mwsync.observers._HALVINGS", 0)
     assert not _residuals_within_bound(obs, sign, obs.null_inverse(sign, targets), targets)
 
@@ -439,26 +446,6 @@ def test_a_target_whose_reduction_overflows_raises():
         m.radar_inverse(E(1e308, 0.0))
     with pytest.raises(EvaluationFailure, match=r"overflows at target 1e\+308"):
         m.radar_inverse_components(np.array([0.0, 1e308]), np.zeros(2))
-
-
-def test_kinked_profile_falls_back_to_bisection():
-    # From the shallow segment, a plain Newton step toward an event on
-    # the steep one lands far outside the domain [-4, 4], where the
-    # worldline raises DomainExceeded.  The safeguard bisects instead.
-    slope = sum(KINKED.velocity(-3.0))
-    assert -3.0 + (KINKED.null_plus(2.0) - KINKED.null_plus(-3.0)) / slope > 4.0
-    m = MarzkeWheelerMap(KINKED)
-    for z in grid_points(-1.9, 1.9, 15):
-        back = m.radar_inverse(m(z))
-        assert abs(back.t - z.t) <= m.root_tol
-        assert abs(back.x - z.x) <= m.root_tol
-
-
-def test_iteration_cap_raises_instead_of_returning(monkeypatch):
-    monkeypatch.setattr(mwmap, "_ITERATION_CAP", 2)
-    m = MarzkeWheelerMap(TWO_TONE)
-    with pytest.raises(EvaluationFailure, match="did not converge"):
-        m.radar_inverse(m(E(0.4, -0.7)))
 
 
 @st.composite
@@ -496,119 +483,6 @@ def test_inverse_round_trips_and_is_batch_independent(obs, points):
         back = m.radar_inverse(E(float(et[i]), float(ex[i])))
         assert back.t == rt[i] and back.x == rx[i]
         assert math.hypot(rt[i] - s[i], rx[i] - x[i]) <= 1e-12 * (1.0 + math.hypot(s[i], x[i]))
-
-
-# -- chunked rtsafe against the whole-batch loop ----------------------------
-
-
-def _whole_batch_solve(m, sign, targets):
-    """Test-only reference: rtsafe over the whole batch in one loop.
-
-    The root finder as it ran before it iterated in chunks of
-    ``mwmap._BLOCK_NODES`` elements, kept to pin the chunked one.
-    """
-    fn = m._profile(sign)
-    goal = targets.ravel()
-    xl, xh, fl, fh = m._bracket(fn, goal)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = xl - fl * ((xh - xl) / (fh - fl))
-    x = np.fmax(xl, np.fmin(x, xh))
-    last = math.inf
-    out = np.empty(goal.shape)
-    live = np.arange(goal.size)
-    for _ in range(mwmap._ITERATION_CAP):
-        if live.size == 0:
-            return out.reshape(targets.shape)
-        f = fn(x) - goal
-        with np.errstate(divide="ignore", invalid="ignore"):
-            side = f * -math.inf
-            xl = np.fmax(xl, np.fmin(x, side))
-            xh = np.fmin(xh, np.fmax(x, side))
-            step = f / m._slope(sign, x)
-        nxt = x - step
-        size = np.abs(step)
-        bisect = ~((nxt >= xl) & (nxt <= xh) & (size <= 0.5 * last))
-        half = 0.5 * (xh - xl)
-        nxt = np.where(bisect, xl + half, nxt)
-        size = np.where(bisect, half, size)
-        done = (size <= m.root_tol) | (nxt == x)
-        out[live[done]] = nxt[done]
-        live, goal, xl, xh, nxt, size = (
-            a[~done] for a in (live, goal, xl, xh, nxt, size)
-        )
-        x, last = nxt, size
-    raise EvaluationFailure(
-        f"radar inverse did not converge in {mwmap._ITERATION_CAP} iterations "
-        f"for {live.size} event(s), e.g. target {float(goal[0]):g}"
-    )
-
-
-# A polygon plus a smooth worldline has no closed-form inverse, so rtsafe
-# runs on a finite domain.  The wobbles carry sinusoids of two
-# frequencies, which also root-find, as does a sum of a Rindler and an
-# inertial observer.
-CHUNKED = {
-    "wobble": (TWO_TONE, (1.0, -1.0)),
-    "sum": (TWO_TONE + Inertial(0.5), (1.0, -1.0)),
-    "boosted": (TWO_TONE.boosted(0.3), (1.0, -1.0)),
-    "kinked": (KINKED, (1.0, -1.0)),
-    "rindler_sum": (Rindler(1.0) + Inertial(0.2), (1.0, -1.0)),
-}
-B = mwmap._BLOCK_NODES
-
-
-def _targets(obs, sign, n, seed):
-    lo, hi = obs.domain
-    s = np.random.default_rng(seed).uniform(max(lo, -6.0), min(hi, 6.0), n)
-    return obs.null_plus(s) if sign > 0 else obs.null_minus(s)
-
-
-@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1, 100_000])
-@pytest.mark.parametrize("name", sorted(CHUNKED))
-def test_chunked_rtsafe_equals_the_whole_batch_loop(name, n):
-    obs, signs = CHUNKED[name]
-    m = MarzkeWheelerMap(obs)
-    for sign in signs:
-        assert obs.null_inverse(sign, np.zeros(1)) is None  # rtsafe, not closed form
-        targets = _targets(obs, sign, n, n)
-        got = m._solve(sign, targets)
-        assert got.shape == targets.shape
-        assert np.array_equal(got, _whole_batch_solve(m, sign, targets))
-
-
-def test_non_convergence_across_chunks_reports_the_whole_batch(monkeypatch):
-    # Targets on the bracket end 1.0 are met in the first round, generic
-    # ones need more.  Chunk 0 ends in ten generic targets, chunk 1 has
-    # none and chunk 2 holds only generic ones, so the first unconverged
-    # target lies in the chunk with fewer failures.
-    monkeypatch.setattr(mwmap, "_ITERATION_CAP", 1)
-    obs = CHUNKED["wobble"][0]
-    m = MarzkeWheelerMap(obs)
-    targets = _targets(obs, 1.0, 3 * B, 5)
-    targets[:2 * B - 10 - B] = obs.null_plus(1.0)
-    targets[B:2 * B] = obs.null_plus(1.0)
-    failing = []
-    for chunk in range(3):
-        part = targets[chunk * B:(chunk + 1) * B]
-        try:
-            m._solve(1.0, part)  # one chunk
-        except EvaluationFailure:
-            failing.append(chunk)
-    assert failing == [0, 2]
-    with pytest.raises(EvaluationFailure) as whole:
-        _whole_batch_solve(m, 1.0, targets)
-    with pytest.raises(EvaluationFailure) as chunked:
-        m._solve(1.0, targets)
-    assert str(chunked.value) == str(whole.value)
-
-
-def test_convergence_on_the_last_allowed_round_returns(monkeypatch):
-    # Targets on the bracket end converge in round one; a cap of one
-    # round returns them instead of raising.
-    monkeypatch.setattr(mwmap, "_ITERATION_CAP", 1)
-    obs = CHUNKED["wobble"][0]
-    targets = np.full(3, obs.null_plus(1.0))
-    assert np.array_equal(MarzkeWheelerMap(obs)._solve(1.0, targets), np.ones(3))
 
 
 def test_the_gate_keeps_a_sampled_window_closed():

@@ -200,6 +200,9 @@ def test_a_subclass_on_a_finite_domain_is_judged_over_its_window():
         def velocity(self, s):
             return np.ones_like(s), np.full_like(s, 0.5)
 
+        def null_inverse(self, sign, value):
+            return value / (1.0 + 0.5 * sign)
+
     st = lip_status(Slow())
     assert st.verdict is LipVerdict.WINDOW_ONLY
     assert st.null_window == ((0.0, 4.5), (0.0, 1.5))
@@ -227,6 +230,9 @@ def test_a_subclass_on_a_half_line_is_closed_at_its_finite_end(domain, ranges, o
         def velocity(self, s):
             return np.ones_like(s), np.full_like(s, 0.5)
 
+        def null_inverse(self, sign, value):
+            return value / (1.0 + 0.5 * sign)
+
     HalfLine.domain = domain
     obs = HalfLine()
     assert (obs.null_range(1.0), obs.null_range(-1.0)) == ranges
@@ -242,6 +248,33 @@ def test_a_subclass_on_a_half_line_is_closed_at_its_finite_end(domain, ranges, o
     )
     z = chart.radar_inverse(SplitComplex(0.0, 0.0))  # the end event itself
     assert (z.t, z.x) == pytest.approx((0.0, 0.0), abs=1e-12)
+
+
+def test_a_half_line_subclass_without_a_null_inverse_is_not_evaluated_before_its_start():
+    # Its curve is undefined below 0.  The gate reads its profiles at the
+    # end s = 0 only, and the chart, which cannot invert it, says so.
+    seen = []
+
+    class Late(Observer):
+        domain = (0.0, math.inf)
+
+        def position(self, s):
+            s = np.asarray(s, dtype=float)
+            seen.extend(s.ravel())
+            if np.any(s < 0.0):
+                raise DomainExceeded(f"s below 0: {float(np.min(s))!r}")
+            return s + 0.0, 0.5 * s
+
+        def velocity(self, s):
+            return np.ones_like(s), np.full_like(s, 0.5)
+
+    obs = Late()
+    chart = MarzkeWheelerMap(obs)
+    for event in (SplitComplex(1.0, 0.0), SplitComplex(3.0, 1.0)):
+        with pytest.raises(EvaluationFailure) as info:
+            chart.radar_inverse(event)
+        assert str(info.value) == f"{obs!r} has no null inverse, so its chart does not invert"
+    assert seen and min(seen) == 0.0
 
 
 def _window_over_ends_and_vertices(obs, vertices):

@@ -1,6 +1,5 @@
 """Clock rates, arc lengths, and the twin bookkeeping."""
 
-import copy
 import math
 import os
 
@@ -27,7 +26,6 @@ from mwsync import (
     radar_trajectory_of,
     twin_consistency,
 )
-from mwsync.propertime import FD_STEP
 from mwsync.scenario import load_scenario
 from fakes import constant_trajectory, linear_trajectory
 
@@ -210,36 +208,6 @@ class TestRadarTrajectoryOf:
         gap = abs(q.tau - 2.0 * math.sqrt(0.75))
         assert 1e-7 < gap <= q.abs_error_estimate
         assert gap <= 1e-5
-
-
-    @pytest.mark.parametrize("observer, rooted", [
-        (PerturbedInertial(0.5 * (1.0 - 1e-6), 2.0), False),
-        (PerturbedInertial(0.1, 2.0) + PerturbedInertial(0.05, 3.0), True),
-        (Inertial(0.3), False),
-    ], ids=["cusp", "two_tone", "inertial"])
-    def test_root_tol_is_added_where_the_chart_root_finds(self, observer, rooted):
-        # A sum of two frequencies has no null inverse, so its chart
-        # root-finds every point; an inertial chart root-finds none, and
-        # neither does the chart at |a*w| = 1 - 1e-6, whose fixed steps also
-        # settle the nine cusps of t + x (w*s = pi mod 2*pi).  The lab
-        # clock's events (sigma, 0) have both null coordinates sigma.  The
-        # reference chart's observer inverts its null profiles by the first
-        # chart's own inverse, so it gives the same points and never adds
-        # root_tol / h; the first chart's bound must exceed it by exactly
-        # that where it root-finds, and nowhere else.
-        cusps = observer.null_plus(math.pi * (np.arange(-4.0, 5.0) + 0.5))
-        sigma = np.concatenate([cusps, np.linspace(-3.0, 3.0, 61)])
-        chart = MarzkeWheelerMap(observer)
-        assert (observer.null_inverse(1.0, sigma) is None) == rooted
-        solved = copy.copy(observer)
-        solved.null_inverse = chart._solve
-        reference = MarzkeWheelerMap(solved)
-        marked = sampled(radar_trajectory_of(chart, Inertial(0.0), (-20.0, 20.0)), *sigma)
-        plain = sampled(radar_trajectory_of(reference, Inertial(0.0), (-20.0, 20.0)), *sigma)
-        for got, ref in zip(marked[:4], plain[:4]):
-            assert np.array_equal(got, ref)
-        expected = plain[4] + chart.root_tol / FD_STEP if rooted else plain[4]
-        assert np.array_equal(marked[4], expected)
 
 
 class TestTwins:
