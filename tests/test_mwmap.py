@@ -25,6 +25,7 @@ from mwsync import (
     J,
 )
 from mwsync import mwmap
+from mwsync import observers as observers_module
 from fakes import TwoCallChart
 
 E = SplitComplex
@@ -312,6 +313,8 @@ CLOSED_FORM = [
     Rindler(1.0),
     PiecewiseLinear([(-5.0, 0.0), (0.0, 0.5), (5.0, 0.0)]),
     Rindler(1.0).translated(E(0.5, 0.5)).boosted(-0.3),
+    # KINKED's polygon alone: t + x climbs at slope 0.05 on [-4, 0].
+    PiecewiseLinear([(-4.0, 0.0), (0.0, -3.8), (4.0, 0.0)]).boosted(0.3),
 ]
 # Profiles alpha*s + beta + a*sin(w*s), inverted in fixed steps.
 FIXED_STEP = [
@@ -321,6 +324,10 @@ FIXED_STEP = [
     WOBBLE.translated(E(0.3, -0.2)),
     PerturbedInertial(0.1, 2.0) + Inertial(0.5) + PerturbedInertial(-0.2, -2.0),
     PerturbedInertial(0.495, 2.0).boosted(-0.6),
+    # Two sinusoids of one frequency, which add to one.
+    PerturbedInertial(0.1, 2.0) + PerturbedInertial(0.05, 2.0),
+    # |a*w| = 1 - 1e-6: elements near the cusps halve their table cell.
+    PerturbedInertial(0.5 * (1.0 - 1e-6), 2.0),
 ]
 NO_INVERSE = [
     TWO_TONE,
@@ -446,6 +453,55 @@ def test_a_target_whose_reduction_overflows_raises():
         m.radar_inverse(E(1e308, 0.0))
     with pytest.raises(EvaluationFailure, match=r"overflows at target 1e\+308"):
         m.radar_inverse_components(np.array([0.0, 1e308]), np.zeros(2))
+
+
+# -- the fixed-step inverse in chunks against one whole-batch call ---------
+
+# Each chart's profiles carry a sinusoid, so its inverse runs in chunks of
+# observers._KEPLER_CHUNK targets.
+CHUNKED = {
+    "wobble": WOBBLE,
+    "sum": WOBBLE + Inertial(0.5),
+    "boosted": WOBBLE.boosted(0.3),
+    "translated": WOBBLE.translated(E(0.3, -0.2)),
+    "cusp": PerturbedInertial(0.5 * (1.0 - 1e-6), 2.0),
+}
+K = observers_module._KEPLER_CHUNK
+
+
+def _targets(obs, sign, n, seed):
+    s = np.random.default_rng(seed).uniform(-6.0, 6.0, n)
+    return obs.null_plus(s) if sign > 0 else obs.null_minus(s)
+
+
+@pytest.mark.parametrize("n", [1, K - 1, K, K + 1, 2 * K + 1, 100_000])
+@pytest.mark.parametrize("name", sorted(CHUNKED))
+def test_chunked_inverse_equals_one_whole_batch_call(name, n, monkeypatch):
+    obs = CHUNKED[name]
+    for sign in (1.0, -1.0):
+        assert obs._sinusoid(sign) is not None  # fixed steps, not closed form
+        targets = _targets(obs, sign, n, n)
+        got = obs.null_inverse(sign, targets)
+        assert got.shape == targets.shape
+        monkeypatch.setattr(observers_module, "_KEPLER_CHUNK", n)
+        whole = obs.null_inverse(sign, targets)
+        monkeypatch.undo()
+        assert np.array_equal(got, whole)
+        assert _residuals_within_bound(obs, sign, got, targets)
+
+
+def test_an_overflow_in_a_later_chunk_names_the_first_lost_target(monkeypatch):
+    # Chunk 0 holds no overflowing target, chunk 1 holds 1e308 and chunk
+    # 2 holds -1e308: the message names the first of the whole batch.
+    obs = PerturbedInertial(0.1, 2.0)
+    targets = _targets(obs, 1.0, 2 * K + 1, 7)
+    targets[K + 5], targets[2 * K] = 1e308, -1e308
+    with pytest.raises(EvaluationFailure) as chunked:
+        obs.null_inverse(1.0, targets)
+    monkeypatch.setattr(observers_module, "_KEPLER_CHUNK", targets.size)
+    with pytest.raises(EvaluationFailure) as whole:
+        obs.null_inverse(1.0, targets)
+    assert str(chunked.value) == str(whole.value) == "null profile inverse overflows at target 1e+308"
 
 
 @st.composite
