@@ -331,8 +331,8 @@ def _cmd_propertime(args, scenario: Scenario, grid: GridSpec) -> tuple:
         window_a = _window(args, "a0", "a1")
         window_b = None if args.b0 is None else _window(args, "b0", "b1")
         rep = twin_consistency(
-            scenario.chart(scenario.observer(args.a)),
-            scenario.chart(scenario.observer(args.b)),
+            MarzkeWheelerMap(scenario.observer(args.a)),
+            MarzkeWheelerMap(scenario.observer(args.b)),
             window_a, window_b, ctx, args.tol, quad_tol,
         )
         return [
@@ -350,13 +350,13 @@ def _cmd_propertime(args, scenario: Scenario, grid: GridSpec) -> tuple:
     target = scenario.observer(args.target)
     direct = arc_length_proper_time(target, *window, ctx, quad_tol)
     if args.mode == "inertial":
-        chart = scenario.chart(Inertial(0.0, ZERO, ctx))
+        chart = MarzkeWheelerMap(Inertial(0.0, ZERO, ctx))
         traj = radar_trajectory_of(chart, target, window, ctx)
         via = proper_time_inertial(traj, ctx, quad_tol)
         chart_name = "lab"
     else:
         _need(args, ["observer"], "accelerated")
-        chart = scenario.chart(scenario.observer(args.observer))
+        chart = MarzkeWheelerMap(scenario.observer(args.observer))
         traj = radar_trajectory_of(chart, target, window, ctx)
         via = proper_time_accelerated(chart, traj, ctx, quad_tol)
         chart_name = args.observer

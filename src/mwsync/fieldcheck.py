@@ -33,8 +33,8 @@ point once, in cache-sized blocks of rows (:meth:`GridSpec.row_blocks`),
 reduces each block's point sets one after the other on the calling
 thread and returns the finished reports, bitwise those of evaluating the
 whole grid at once.  The pair checks and the round trip draw and map
-chunks of the same ``_BLOCK_NODES`` (:func:`mwsync.mwmap._chunks`), and
-their reports, too, are bitwise those of one whole-batch pass.
+chunks of the same ``_BLOCK_NODES`` (:func:`_chunks`), and their
+reports, too, are bitwise those of one whole-batch pass.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 from .algebra import ZERO, SplitComplex, TwoVelocity
 from .causal import DEFAULT_NULL_BAND, CausalRelation, classify, cone
 from .errors import DegenerateSplit, EvaluationFailure
-from .mwmap import _BLOCK_NODES, MarzkeWheelerMap, _chunks
+from .mwmap import MarzkeWheelerMap
 from .observers import LipStatus, LipVerdict, Observer, _scalar, lip_status
 
 __all__ = [
@@ -81,6 +81,17 @@ __all__ = [
     "LowReport",
     "low_counterexample",
 ]
+
+# Elements per chunk of batched work: 2**15 float64 values, 256 kB per
+# temporary, so the temporaries of one chunk stay near the L2 cache.  The
+# pair checks take chunks of pairs and the grid sweeps blocks of rows of
+# this size.
+_BLOCK_NODES = 2 ** 15
+
+
+def _chunks(n):
+    """Slices that cut ``range(n)`` into chunks of ``_BLOCK_NODES``, in order."""
+    return (slice(start, start + _BLOCK_NODES) for start in range(0, n, _BLOCK_NODES))
 
 
 # -- plane maps ---------------------------------------------------------
@@ -802,6 +813,11 @@ def causal_equivalence_check(
 # Samples along the probed ray, and the relative spread of a constant level.
 _ORIENTATION_NODES = 65
 _ORIENTATION_TOL = 1e-8
+# Rounding moves a round trip by about eps * (|u| + (|u| + |out_t| +
+# |out_x|) / slope), u = t +- x a null coordinate and slope = vt +- vx
+# its profile's slope there.  Seeded events of every kind that inverts
+# read at most 8.5 such terms (2.3 on the suite's kinds): a margin of 4.
+_ROUNDTRIP_ULPS = 32.0
 
 
 class MapOrientation(enum.Enum):
@@ -889,7 +905,8 @@ def automorphism_suite(
     Requires a globally chartable worldline first; without that the
     suite is not applicable and says so instead of failing.  Then the
     chart and its radar inverse must both preserve chronology on
-    sampled pairs, the round trip must return to the chart point, the
+    sampled pairs, the round trip must return to each sampled chart
+    point within ``_ROUNDTRIP_ULPS`` units of its rounding bound, the
     chart must preserve the two ray families, and the restriction to
     the worldline's own axis must reproduce the worldline exactly.
     ``tol`` is the null band of both chronology checks.  The chart, its
@@ -905,10 +922,19 @@ def automorphism_suite(
     forward = chronology_check(m, grid, n_pairs, s_forward, tol)
     inverse = chronology_check(_InverseChart(m), grid, n_pairs, s_inverse, tol)
 
-    roundtrip_max = -math.inf
+    roundtrip_max, roundtrip_ok = -math.inf, True
     for t, x in _draws(np.random.default_rng(s_trip), grid, n_pairs, 0, columns=2):
-        rt, rx = m.radar_inverse_components(*m.components(t, x))
-        roundtrip_max = np.maximum(roundtrip_max, np.hypot(rt - t, rx - x).max())
+        out_t, out_x = m.components(t, x)
+        rt, rx = m.radar_inverse_components(out_t, out_x)
+        gap = np.hypot(rt - t, rx - x)
+        roundtrip_max = np.maximum(roundtrip_max, gap.max())
+        scale, bound = np.abs(out_t) + np.abs(out_x), 0.0
+        for sign in (1.0, -1.0):
+            u = t + sign * x
+            vt, vx = m.observer.velocity(u)
+            u = np.abs(u)
+            bound = np.maximum(bound, u + (u + scale) / (vt + sign * vx))
+        roundtrip_ok &= bool(np.all(gap <= _ROUNDTRIP_ULPS * _EPS * bound))
     roundtrip_max = float(roundtrip_max)
 
     center = SplitComplex(
@@ -918,11 +944,10 @@ def automorphism_suite(
 
     axis_max = _axis_max(m, grid, m.observer.position)
 
-    roundtrip_tol = 100.0 * m.root_tol * (1.0 + grid.diameter)
     ok = (
         forward.passed
         and inverse.passed
-        and roundtrip_max <= roundtrip_tol
+        and roundtrip_ok
         and orientation is MapOrientation.PRESERVING
         and axis_max == 0.0
     )

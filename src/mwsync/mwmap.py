@@ -44,18 +44,6 @@ from .observers import Observer, _scalar, _span_text
 
 __all__ = ["MarzkeWheelerMap"]
 
-# Elements per chunk of batched work: 2**15 float64 values, 256 kB per
-# temporary, so the temporaries of one chunk stay near the L2 cache.  The
-# pair checks of :mod:`mwsync.fieldcheck` take chunks of pairs and its
-# grid sweeps blocks of rows of this size.
-_BLOCK_NODES = 2 ** 15
-
-
-def _chunks(n):
-    """Slices that cut ``range(n)`` into chunks of ``_BLOCK_NODES``, in order."""
-    return (slice(start, start + _BLOCK_NODES) for start in range(0, n, _BLOCK_NODES))
-
-
 # Reading a null coordinate along its diagonals (:func:`_along_diagonals`)
 # pays on blocks of at least _TABULATED_NODES nodes with at most a share
 # _OFF_DIAGONAL of them off their diagonal, for every observer kind.
@@ -173,20 +161,11 @@ def _factor(vt_p, vx_p, vt_m, vx_m):
 
 
 class MarzkeWheelerMap:
-    """Synchronization chart of one observer, with inverse and derivative.
+    """Synchronization chart of ``observer``, a future-directed timelike
+    worldline, with inverse and derivative."""
 
-    Parameters
-    ----------
-    observer : Observer
-        Future-directed timelike worldline carrying the chart.
-    root_tol : float
-        Absolute parameter tolerance the radar inverse is held to by the
-        automorphism suite's round trip; the inverse itself does not read it.
-    """
-
-    def __init__(self, observer: Observer, root_tol: float = 1e-12):
+    def __init__(self, observer: Observer):
         self.observer = observer
-        self.root_tol = float(root_tol)
 
     def __call__(self, z: SplitComplex) -> SplitComplex:
         """Scalar reading of :meth:`components`."""

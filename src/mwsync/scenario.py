@@ -39,9 +39,10 @@ Schema (all numbers JSON numbers, all names strings)::
       }
     }
 
-``fd_step`` is accepted and validated, so existing scenarios keep
-loading, but reaches nothing: a radar chart's conformal factor is read
-off the observer's velocity.  ``root_tol`` sets the suite's round trip.
+``fd_step`` and ``root_tol`` are accepted and validated, so existing
+scenarios keep loading, but reach nothing: a radar chart's conformal
+factor is read off the observer's velocity, and the suite's round trip
+is held to a rounding bound worked out from the observer.
 """
 
 from __future__ import annotations
@@ -116,10 +117,6 @@ class Scenario:
             raise ScenarioError(
                 f"no {section[:-1]} named {name!r}; have {sorted(built)}")
         return built[name]
-
-    def chart(self, obs: Observer) -> MarzkeWheelerMap:
-        """Radar chart of an observer under this scenario's tolerances."""
-        return MarzkeWheelerMap(obs, root_tol=self.tolerances.root_tol)
 
 
 def _require_table(value, where: str) -> dict:
@@ -248,8 +245,7 @@ _KINDS = {
             e.point("dt", "dx"))),
     },
     "maps": {
-        "mw": (("observer",), lambda e: e.builder.scenario.chart(
-            e.ref("observers", "observer"))),
+        "mw": (("observer",), lambda e: MarzkeWheelerMap(e.ref("observers", "observer"))),
         "pre_conj": (("of",), lambda e: ConjugateInput(e.ref("maps"))),
         "post_conj": (("of",), lambda e: ConjugateOutput(e.ref("maps"))),
         "sum": (("of",), lambda e: MapSum(e.refs("maps"))),

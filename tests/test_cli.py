@@ -339,27 +339,6 @@ class TestProperTime:
         assert "max_rel_disagreement: 9.092839210135224e-14" in lines
         assert f"consistent: {consistent}" in lines
 
-    @pytest.mark.parametrize("root_tol", [1e-3, 1e-12])
-    def test_twin_uses_the_scenario_root_tol(self, root_tol, capsys, tmp_path):
-        # The twin's chart account of A is the accelerated route's chart
-        # integral of the same clock, both through the scenario's chart.
-        with open(DEMO) as f:
-            doc = json.load(f)
-        doc["tolerances"]["root_tol"] = root_tol
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(doc))
-
-        def field(key, *argv):
-            _, out, _ = run(capsys, "propertime", "--scenario", str(path), *argv)
-            (line,) = [ln for ln in out.splitlines() if ln.startswith(key + ": ")]
-            return line.split(": ", 1)[1]
-
-        twin = field("tau_a_by_b", "--mode", "twin", "--a", "lab", "--b", "wobble",
-                     "--a0", "-0.5", "--a1", "0.5")
-        chart = field("tau_chart", "--mode", "accelerated", "--target", "lab",
-                      "--observer", "wobble", "--s0", "-0.5", "--s1", "0.5")
-        assert twin == chart
-
     def test_n_is_ignored(self, scenario_path, capsys):
         argv = ["propertime", "--scenario", scenario_path, "--mode", "inertial",
                 "--target", "drift", "--s0", "0.0", "--s1", "2.0"]

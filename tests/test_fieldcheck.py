@@ -44,10 +44,11 @@ from mwsync import (
     two_velocity,
     wave_residual,
 )
-from mwsync import fieldcheck, mwmap
+from mwsync import fieldcheck
 from mwsync.causal import DEFAULT_NULL_BAND, cone
 from fakes import CountingObserver, FunctionMap, RecordingMap, TwoCallChart
 import test_acceptance
+from test_mwmap import INVERTING
 
 E = SplitComplex
 
@@ -406,7 +407,7 @@ class TestChronologicalPairs:
                 result = exc
         return result, calls
 
-    @pytest.mark.parametrize("chunk", [mwmap._BLOCK_NODES, 64])
+    @pytest.mark.parametrize("chunk", [fieldcheck._BLOCK_NODES, 64])
     @pytest.mark.parametrize("grid, rounds", [
         (GridSpec(-2.0, 2.0, -0.2, 0.2), (1, 1)),  # tall box: one round
         (BOX, (2, 2)),
@@ -414,7 +415,6 @@ class TestChronologicalPairs:
     ])
     @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
     def test_pairs_equal_the_reference_bitwise(self, monkeypatch, chunk, grid, rounds, seed):
-        monkeypatch.setattr(mwmap, "_BLOCK_NODES", chunk)
         monkeypatch.setattr(fieldcheck, "_BLOCK_NODES", chunk)
         n = 3000
         blocks, calls = self._rounds(monkeypatch, lambda: list(fieldcheck._chronological_pairs(
@@ -586,6 +586,77 @@ class TestAutomorphismSuite:
         m = MarzkeWheelerMap(PerturbedInertial(0.3, 1.0))
         with pytest.raises(ValueError, match=f"n_pairs must be at least 1, got {n_pairs}$"):
             automorphism_suite(m, BOX, n_pairs)
+
+
+class _Biased(MarzkeWheelerMap):
+    """A chart whose radar inverse adds ``bias`` to every ``s``."""
+
+    def __init__(self, observer, bias):
+        super().__init__(observer)
+        self.bias = bias
+
+    def radar_inverse_components(self, t, x):
+        s, xr = super().radar_inverse_components(t, x)
+        return s + self.bias, xr
+
+
+# Boxes of half-width 0.01, 2 (the demo box) and 20 about the origin, each
+# with 2 * 10**4 seeded chart points; the charts the suite does not run on
+# (Rindler observers, polygons) reach only the first two.  The worst gap
+# over all of them, in units of eps times the rounding term, as measured
+# on 10**6 points per box (a polygon, whose np.interp inverse rounds at
+# the scale of its vertex times, in the smallest box; 7.76 on these).
+ROUNDTRIP_BOXES = [GridSpec(-h, h, -h, h) for h in (0.01, 2.0, 20.0)]
+WORST_ROUNDTRIP_UNITS = 8.45
+DEMO_WOBBLE = PerturbedInertial(0.1, 2.0)
+
+
+def _roundtrip_units(obs):
+    """Worst gap over ``eps`` times the rounding term on each box that the
+    chart of ``obs`` reaches, and whether the suite runs on it."""
+    runs = fieldcheck.lip_status(obs).verdict is LipVerdict.VERIFIED
+    worst = []
+    for seed, grid in enumerate(ROUNDTRIP_BOXES if runs else ROUNDTRIP_BOXES[:2]):
+        gap, bound = _ref_roundtrip(
+            MarzkeWheelerMap(obs), *_ref_events(np.random.default_rng(seed), grid, 20_000))
+        worst.append(float(np.max(gap / bound)) * fieldcheck._ROUNDTRIP_ULPS)
+    return worst, runs
+
+
+class TestRoundTripBound:
+    @pytest.mark.parametrize("bias, outcome", [(3e-10, "FAIL"), (1e-12, "FAIL"), (0.0, "PASS")])
+    def test_a_biased_inverse_fails(self, bias, outcome):
+        # Both biases read PASS under the old scale of 100 * 1e-12 * (1 + 4).
+        rep = automorphism_suite(_Biased(DEMO_WOBBLE, bias), BOX, 1000, 0)
+        assert rep.outcome is AutomorphismOutcome[outcome]
+        assert rep.forward.passed and rep.inverse.passed
+        assert rep.roundtrip_max == pytest.approx(bias, rel=1e-3, abs=1e-14)
+
+    @pytest.mark.parametrize("obs", INVERTING, ids=repr)
+    def test_every_inverting_kind_keeps_within_its_bound(self, obs):
+        # The kinds the suite runs on pass it; for the others (Rindler
+        # observers, polygons) the bound is read off directly.
+        worst, runs = _roundtrip_units(obs)
+        assert max(worst) <= WORST_ROUNDTRIP_UNITS
+        outcome = automorphism_suite(MarzkeWheelerMap(obs), BOX, 10_000, 0).outcome
+        assert outcome is (AutomorphismOutcome.PASS if runs else AutomorphismOutcome.NOT_APPLICABLE)
+
+    def test_the_constant_leaves_a_margin_over_the_worst_measured_gap(self):
+        worst = max(max(_roundtrip_units(obs)[0]) for obs in INVERTING)
+        assert 4.0 < worst <= WORST_ROUNDTRIP_UNITS
+        assert fieldcheck._ROUNDTRIP_ULPS == 32.0 >= 3.0 * WORST_ROUNDTRIP_UNITS
+
+    def test_the_verdict_turns_at_the_worst_event(self, monkeypatch):
+        # Scaled so that the worst round-trip event sits just inside or
+        # just outside its bound, the suite agrees with the rule written
+        # out here event by event.
+        m = MarzkeWheelerMap(DEMO_WOBBLE)
+        trip = fieldcheck._child_seeds(0, 3)[2]
+        gap, bound = _ref_roundtrip(m, *_ref_events(np.random.default_rng(trip), BOX, 1000))
+        edge = fieldcheck._ROUNDTRIP_ULPS * float(np.max(gap / bound))
+        for factor, outcome in ((1.0 + 1e-9, "PASS"), (1.0 - 1e-9, "FAIL")):
+            monkeypatch.setattr(fieldcheck, "_ROUNDTRIP_ULPS", edge * factor)
+            assert automorphism_suite(m, BOX, 1000, 0).outcome is AutomorphismOutcome[outcome]
 
 
 class TestLowCounterexample:
@@ -1240,6 +1311,23 @@ def _ref_causal_equivalence_check(F, grid, n_pairs=1000, seed=0, tol=DEFAULT_NUL
     )
 
 
+def _ref_roundtrip(m, t, x):
+    """The round trip's gaps at chart points ``(t, x)`` and their rounding
+    bounds: ``_ROUNDTRIP_ULPS * eps`` times the larger over both null
+    coordinates ``u = t +- x`` of ``|u| + (|u| + |out_t| + |out_x|) / slope``,
+    with ``slope = vt +- vx`` the observer's velocity at ``u``."""
+    out_t, out_x = m.components(t, x)
+    rt, rx = m.radar_inverse_components(out_t, out_x)
+    scale = np.abs(out_t) + np.abs(out_x)
+    terms = []
+    for sign in (1.0, -1.0):
+        u = t + sign * x
+        vt, vx = m.observer.velocity(u)
+        terms.append(np.abs(u) + (np.abs(u) + scale) / (vt + sign * vx))
+    bound = fieldcheck._ROUNDTRIP_ULPS * EPS * np.maximum(*terms)
+    return np.hypot(rt - t, rx - x), bound
+
+
 def _ref_automorphism_suite(m, grid, n_pairs=1000, seed=0, tol=DEFAULT_NULL_BAND):
     """``automorphism_suite`` with whole-batch checks and round trip."""
     lip = fieldcheck.lip_status(m.observer)
@@ -1248,15 +1336,13 @@ def _ref_automorphism_suite(m, grid, n_pairs=1000, seed=0, tol=DEFAULT_NULL_BAND
     s_forward, s_inverse, s_trip = fieldcheck._child_seeds(seed, 3)
     forward = _ref_chronology_check(m, grid, n_pairs, s_forward, tol)
     inverse = _ref_chronology_check(fieldcheck._InverseChart(m), grid, n_pairs, s_inverse, tol)
-    t, x = _ref_events(np.random.default_rng(s_trip), grid, n_pairs)
-    rt, rx = m.radar_inverse_components(*m.components(t, x))
-    roundtrip_max = float(np.max(np.hypot(rt - t, rx - x)))
+    gap, bound = _ref_roundtrip(m, *_ref_events(np.random.default_rng(s_trip), grid, n_pairs))
+    roundtrip_max = float(np.max(gap))
     center = E((grid.t_min + grid.t_max) / 2.0, (grid.x_min + grid.x_max) / 2.0)
     orientation = orientation_of(m, center, span=grid.diameter / 4.0)
     axis_max = fieldcheck._axis_max(m, grid, m.observer.position)
     ok = (
-        forward.passed and inverse.passed
-        and roundtrip_max <= 100.0 * m.root_tol * (1.0 + grid.diameter)
+        forward.passed and inverse.passed and bool(np.all(gap <= bound))
         and orientation is MapOrientation.PRESERVING and axis_max == 0.0
     )
     return fieldcheck.AutomorphismReport(
@@ -1274,7 +1360,6 @@ LATE = 2 * CHUNK + 3  # a pair in the third chunk
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    monkeypatch.setattr(mwmap, "_BLOCK_NODES", CHUNK)
     monkeypatch.setattr(fieldcheck, "_BLOCK_NODES", CHUNK)
 
 
@@ -1386,10 +1471,10 @@ class TestChunkedPairChecks:
     ``repr``, so NaN and the sign of zero count."""
 
     def test_chunks_cut_a_batch_in_order(self):
-        assert [(c.start, c.stop) for c in mwmap._chunks(SHORT_LAST)] == [
+        assert [(c.start, c.stop) for c in fieldcheck._chunks(SHORT_LAST)] == [
             (0, 64), (64, 128), (128, 192), (192, 256),
         ]
-        assert list(mwmap._chunks(0)) == []
+        assert list(fieldcheck._chunks(0)) == []
 
     @SIZES
     def test_chronology_check_equals_the_whole_batch(self, n):

@@ -124,7 +124,15 @@ def test_a_missing_required_key_is_named(
     assert capsys.readouterr().err == f"error: {section}.{name}.{key} is missing\n"
 
 
-def test_the_fd_step_key_is_validated_but_reaches_no_chart(tmp_path, capsys):
+# Default, small and large values of each key that scenarios may still
+# set but that no chart or check reads.
+UNREAD_KEYS = {"fd_step": (1e-5, 1e-12, 0.5), "root_tol": (1e-12, 1e-15, 1e-3)}
+
+
+@pytest.mark.parametrize("key", sorted(UNREAD_KEYS))
+def test_the_fd_step_and_root_tol_keys_are_validated_but_reach_no_chart(
+    key, tmp_path, capsys
+):
     base = {
         "grid": {"t_min": 0, "t_max": 1, "x_min": 0, "x_max": 3,
                  "n_t": 9, "n_x": 9},
@@ -133,21 +141,26 @@ def test_the_fd_step_key_is_validated_but_reaches_no_chart(tmp_path, capsys):
         "maps": {"chart": {"kind": "mw", "observer": "wobble"}},
     }
     t, x = np.meshgrid(np.linspace(-1.0, 1.0, 65), np.linspace(-0.5, 0.5, 65))
+    path = tmp_path / "sc.json"
+    default = UNREAD_KEYS[key][0]
     readings = []
-    for tolerances in ({}, {"fd_step": 1e-5}, {"fd_step": 0.5}):
+    for tolerances in ({}, *({key: value} for value in UNREAD_KEYS[key])):
         sc = parse_scenario({**base, "tolerances": tolerances})
-        assert sc.tolerances.fd_step == tolerances.get("fd_step", 1e-5)
+        assert getattr(sc.tolerances, key) == tolerances.get(key, default)
         chart = sc.map("chart")
+        path.write_text(json.dumps({**base, "tolerances": tolerances}))
+        assert main(["causal", "--scenario", str(path), "--map", "chart"]) == 0
         readings.append([a.tobytes() for a in (
             *chart.components(t, x), chart.conformal_components(t, x))])
-    assert readings[0] == readings[1] == readings[2]
-    path = tmp_path / "sc.json"
+        readings[-1].append(capsys.readouterr().out)
+    assert "status: pass" in readings[0][-1].splitlines()
+    assert all(reading == readings[0] for reading in readings)
     for bad, message in [
-        (0, "bad tolerances: fd_step must be a positive number, got 0.0"),
-        (-1, "bad tolerances: fd_step must be a positive number, got -1.0"),
-        ("x", "tolerances.fd_step must be a number, got 'x'"),
+        (0, f"bad tolerances: {key} must be a positive number, got 0.0"),
+        (-1, f"bad tolerances: {key} must be a positive number, got -1.0"),
+        ("x", f"tolerances.{key} must be a number, got 'x'"),
     ]:
-        path.write_text(json.dumps({**base, "tolerances": {"fd_step": bad}}))
+        path.write_text(json.dumps({**base, "tolerances": {key: bad}}))
         assert main(["causal", "--scenario", str(path), "--map", "chart"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
