@@ -626,7 +626,6 @@ def _roundtrip_units(obs):
 class TestRoundTripBound:
     @pytest.mark.parametrize("bias, outcome", [(3e-10, "FAIL"), (1e-12, "FAIL"), (0.0, "PASS")])
     def test_a_biased_inverse_fails(self, bias, outcome):
-        # Both biases read PASS under the old scale of 100 * 1e-12 * (1 + 4).
         rep = automorphism_suite(_Biased(DEMO_WOBBLE, bias), BOX, 1000, 0)
         assert rep.outcome is AutomorphismOutcome[outcome]
         assert rep.forward.passed and rep.inverse.passed
